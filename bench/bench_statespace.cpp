@@ -8,7 +8,7 @@
 // emitting one JSON line per point plus a total line — the harness the
 // compression and reduction acceptance numbers are read from:
 //   bench_statespace --json [--threads=N]
-//                    [--compression=none|pack|collapse]
+//                    [--compression=none|collapse]
 //                    [--symmetry=none|participants] [--por] [participants]
 // The n=2 sweep visits exactly 33,809,598 states in every compression
 // mode at --threads=1 with reductions off; only store_bytes moves.

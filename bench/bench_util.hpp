@@ -1,6 +1,6 @@
 // Shared command-line handling for the table/figure reproduction
 // binaries: a --threads=N knob for the parallel explorer, a
-// --compression=none|pack|collapse knob for the state-store encoding,
+// --compression=none|collapse knob for the state-store encoding,
 // --symmetry=none|participants / --por knobs for the reduced searches,
 // and a --json mode that emits one machine-readable line per measured
 // configuration,
@@ -10,6 +10,8 @@
 // so sweep scripts can diff runs without scraping the human tables.
 #pragma once
 
+#include <charconv>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -60,31 +62,58 @@ struct BenchArgs {
 /// Lets a bench keep its extra flags while sharing the common parser.
 using ExtraFlag = std::function<bool(const char* arg)>;
 
-/// Parses --json, --threads=N, --compression=MODE and an optional
-/// positional participant count; exits with usage on anything else.
+/// Parses a whole decimal argument into `out`. Fails on an empty value,
+/// a sign, trailing characters, or a value outside [lo, hi].
+inline bool parse_count(const char* text, std::uint64_t lo, std::uint64_t hi,
+                        std::uint64_t& out) {
+  const char* end = text + std::strlen(text);
+  std::uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end || value < lo || value > hi) {
+    return false;
+  }
+  out = value;
+  return true;
+}
+
+/// Parses --json, --threads=N, --compression=MODE, --symmetry=MODE,
+/// --por, --max-states=N and an optional positional participant count.
+/// Fails closed: an unknown flag or mode, or a malformed or out-of-range
+/// number, prints the problem and the usage line and exits with 2.
 /// `extra` (if given) gets a shot at unrecognised flags first, and
 /// `extra_usage` is appended to the usage line it prints on failure.
 inline BenchArgs parse_bench_args(int argc, char** argv,
                                   const ExtraFlag& extra = {},
                                   const char* extra_usage = "") {
+  const auto fail = [&](const char* what, const char* arg) {
+    std::fprintf(stderr, "%s: %s\n", what, arg);
+    std::fprintf(stderr,
+                 "usage: %s [--json] [--threads=N] "
+                 "[--compression=none|collapse] "
+                 "[--symmetry=none|participants] [--por] "
+                 "[--max-states=N] [participants]%s%s\n",
+                 argv[0], *extra_usage ? " " : "", extra_usage);
+    std::exit(2);
+  };
   BenchArgs args;
+  std::uint64_t count = 0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--json") == 0) {
       args.json = true;
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      args.threads = static_cast<unsigned>(std::atoi(arg + 10));
+      if (!parse_count(arg + 10, 0, mc::kMaxThreads, count)) {
+        fail("bad thread count", arg);
+      }
+      args.threads = static_cast<unsigned>(count);
     } else if (std::strncmp(arg, "--compression=", 14) == 0) {
       const char* mode = arg + 14;
       if (std::strcmp(mode, "none") == 0) {
         args.compression = ta::Compression::None;
-      } else if (std::strcmp(mode, "pack") == 0) {
-        args.compression = ta::Compression::Pack;
       } else if (std::strcmp(mode, "collapse") == 0) {
         args.compression = ta::Compression::Collapse;
       } else {
-        std::fprintf(stderr, "unknown --compression mode \"%s\"\n", mode);
-        std::exit(2);
+        fail("unknown --compression mode", arg);
       }
     } else if (std::strncmp(arg, "--symmetry=", 11) == 0) {
       const char* mode = arg + 11;
@@ -93,25 +122,24 @@ inline BenchArgs parse_bench_args(int argc, char** argv,
       } else if (std::strcmp(mode, "participants") == 0) {
         args.symmetry = ta::Symmetry::Participants;
       } else {
-        std::fprintf(stderr, "unknown --symmetry mode \"%s\"\n", mode);
-        std::exit(2);
+        fail("unknown --symmetry mode", arg);
       }
     } else if (std::strcmp(arg, "--por") == 0) {
       args.por = true;
     } else if (std::strncmp(arg, "--max-states=", 13) == 0) {
-      args.max_states = std::strtoull(arg + 13, nullptr, 10);
+      if (!parse_count(arg + 13, 0, UINT64_MAX, count)) {
+        fail("bad state cap", arg);
+      }
+      args.max_states = count;
     } else if (extra && extra(arg)) {
       // consumed by the binary's own flag set
     } else if (arg[0] != '-') {
-      args.participants = std::atoi(arg);
+      if (!parse_count(arg, 1, INT_MAX, count)) {
+        fail("bad participant count", arg);
+      }
+      args.participants = static_cast<int>(count);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--json] [--threads=N] "
-                   "[--compression=none|pack|collapse] "
-                   "[--symmetry=none|participants] [--por] "
-                   "[--max-states=N] [participants]%s%s\n",
-                   argv[0], *extra_usage ? " " : "", extra_usage);
-      std::exit(2);
+      fail("unknown flag", arg);
     }
   }
   return args;

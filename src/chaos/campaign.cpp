@@ -475,7 +475,7 @@ FaultSchedule generate_schedule(const RunSpec& spec,
   return schedule;
 }
 
-RunSpec shrink_run(const RunSpec& spec, const MonitorBounds* bounds) {
+RunSpec shrink_run(const RunSpec& spec, const rv::MonitorBounds* bounds) {
   const RunResult full = run_chaos(spec, bounds);
   if (full.violations.empty()) return spec;
   const int requirement = full.violations.front().requirement;
@@ -485,7 +485,7 @@ RunSpec shrink_run(const RunSpec& spec, const MonitorBounds* bounds) {
     candidate.schedule.actions = actions;
     const RunResult result = run_chaos(candidate, bounds);
     return std::any_of(result.violations.begin(), result.violations.end(),
-                       [&](const Violation& v) {
+                       [&](const rv::Violation& v) {
                          return v.requirement == requirement && v.node == node;
                        });
   };
@@ -563,8 +563,8 @@ CampaignResult run_campaign(const CampaignOptions& options) {
   }
 
   const auto bounds_for = [&options](const RunSpec& spec) {
-    MonitorBounds bounds = MonitorBounds::defaults(spec.timing(), spec.variant,
-                                                   spec.fixed_bounds);
+    rv::MonitorBounds bounds = rv::MonitorBounds::defaults(
+        spec.timing(), spec.variant, spec.fixed_bounds);
     bounds.r1_slack += options.extra_r1_slack;
     bounds.r2_window += options.extra_r2_window;
     bounds.r3_slack += options.extra_r3_slack;
@@ -580,7 +580,7 @@ CampaignResult run_campaign(const CampaignOptions& options) {
   const auto worker = [&] {
     for (std::size_t i = next.fetch_add(1); i < specs.size();
          i = next.fetch_add(1)) {
-      const MonitorBounds bounds = bounds_for(specs[i]);
+      const rv::MonitorBounds bounds = bounds_for(specs[i]);
       slots[i].result =
           run_chaos(specs[i], &bounds, options.fingerprint, false,
                     options.formulas.empty() ? nullptr : &options.formulas);
@@ -624,7 +624,7 @@ CampaignResult run_campaign(const CampaignOptions& options) {
     violating.violations = slots[i].result.violations;
     violating.shrunk = specs[i];
     if (options.shrink) {
-      const MonitorBounds bounds = bounds_for(specs[i]);
+      const rv::MonitorBounds bounds = bounds_for(specs[i]);
       violating.shrunk = shrink_run(specs[i], &bounds);
     }
     violating.artifact = serialize_run(violating.shrunk);

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "chaos/monitor.hpp"
+#include "rv/monitor.hpp"
 #include "rv/suspicion.hpp"
 #include "util/contracts.hpp"
 
@@ -46,8 +46,9 @@ std::uint64_t state_digest(const hb::Cluster& cluster) {
 }
 
 /// Copies at most `room` violations and returns how many there were.
-std::uint64_t take_capped(std::vector<Violation>& out,
-                          const std::vector<Violation>& in, std::size_t cap) {
+std::uint64_t take_capped(std::vector<rv::Violation>& out,
+                          const std::vector<rv::Violation>& in,
+                          std::size_t cap) {
   const std::size_t room = cap > out.size() ? cap - out.size() : 0;
   out.insert(out.end(), in.begin(),
              in.begin() + static_cast<std::ptrdiff_t>(
@@ -71,12 +72,12 @@ MissionResult run_mission(const MissionOptions& options) {
 
   hb::Cluster cluster(cluster_config_for(spec));
 
-  const MonitorBounds bounds =
-      MonitorBounds::defaults(spec.timing(), spec.variant, spec.fixed_bounds);
-  RequirementMonitor::Config monitor_config{spec.variant, spec.timing(),
-                                            spec.fixed_bounds,
-                                            spec.participants};
-  RequirementMonitor monitor(monitor_config, bounds);
+  const rv::MonitorBounds bounds = rv::MonitorBounds::defaults(
+      spec.timing(), spec.variant, spec.fixed_bounds);
+  rv::RequirementMonitor::Config monitor_config{spec.variant, spec.timing(),
+                                                spec.fixed_bounds,
+                                                spec.participants};
+  rv::RequirementMonitor monitor(monitor_config, bounds);
   rv::SuspicionMonitor::Config suspicion_config;
   suspicion_config.variant = spec.variant;
   suspicion_config.timing = spec.timing();

@@ -57,11 +57,11 @@ struct MissionResult {
   RunSpec spec;
   /// First max_recorded_violations violations, in detection order per
   /// monitor (R1–R3, then suspicion, then integrity).
-  std::vector<Violation> violations;
+  std::vector<rv::Violation> violations;
   std::uint64_t violations_total = 0;
   /// From MissionOptions::formulas, kept apart from the hand-written
   /// monitors' verdicts (capped like `violations`; the total counts).
-  std::vector<Violation> formula_violations;
+  std::vector<rv::Violation> formula_violations;
   std::uint64_t formula_violations_total = 0;
   rv::AvailabilitySummary availability;
   rv::IntegritySummary integrity;

@@ -200,7 +200,7 @@ hb::ClusterConfig cluster_config_for(const RunSpec& spec) {
   return config;
 }
 
-RunResult run_chaos(const RunSpec& spec, const MonitorBounds* bounds,
+RunResult run_chaos(const RunSpec& spec, const rv::MonitorBounds* bounds,
                     bool record_trace, bool record_events,
                     const std::vector<rv::pltl::FormulaSpec>* formulas) {
   AHB_EXPECTS(spec.participants >= 1);
@@ -209,14 +209,14 @@ RunResult run_chaos(const RunSpec& spec, const MonitorBounds* bounds,
 
   hb::Cluster cluster(cluster_config_for(spec));
 
-  const MonitorBounds monitor_bounds =
+  const rv::MonitorBounds monitor_bounds =
       bounds != nullptr ? *bounds
-                        : MonitorBounds::defaults(spec.timing(), spec.variant,
-                                                  spec.fixed_bounds);
-  RequirementMonitor::Config monitor_config{spec.variant, spec.timing(),
-                                            spec.fixed_bounds,
-                                            spec.participants};
-  RequirementMonitor monitor(monitor_config, monitor_bounds);
+                        : rv::MonitorBounds::defaults(
+                              spec.timing(), spec.variant, spec.fixed_bounds);
+  rv::RequirementMonitor::Config monitor_config{spec.variant, spec.timing(),
+                                                spec.fixed_bounds,
+                                                spec.participants};
+  rv::RequirementMonitor monitor(monitor_config, monitor_bounds);
   rv::SuspicionMonitor::Config suspicion_config;
   suspicion_config.variant = spec.variant;
   suspicion_config.timing = spec.timing();

@@ -11,10 +11,10 @@
 #include <vector>
 
 #include "chaos/fault_schedule.hpp"
-#include "chaos/monitor.hpp"
 #include "hb/cluster.hpp"
 #include "rv/availability.hpp"
 #include "rv/integrity.hpp"
+#include "rv/monitor.hpp"
 #include "rv/pltl/eval.hpp"
 
 namespace ahb::chaos {
@@ -23,7 +23,7 @@ struct RunResult {
   /// R1–R3 violations first (in detection order), then suspicion-
   /// ladder (requirement 4) and payload-integrity (requirement 5)
   /// violations.
-  std::vector<Violation> violations;
+  std::vector<rv::Violation> violations;
   /// Availability score of the run (rv::AvailabilityStats).
   rv::AvailabilitySummary availability;
   /// Payload-integrity counters (rv::IntegrityMonitor).
@@ -43,7 +43,7 @@ struct RunResult {
   /// Violations reported by attached pLTL formula monitors, kept apart
   /// from `violations` so formulas ride along without perturbing the
   /// campaign's violating-run bookkeeping or the shrinker.
-  std::vector<Violation> formula_violations;
+  std::vector<rv::Violation> formula_violations;
 };
 
 /// Runs `spec` to its horizon with the full rv monitor stack attached
@@ -57,7 +57,8 @@ struct RunResult {
 /// timing/variant and attaches the resulting monitors next to the
 /// hand-written stack; their verdicts land in
 /// RunResult::formula_violations. Every spec must compile (contract).
-RunResult run_chaos(const RunSpec& spec, const MonitorBounds* bounds = nullptr,
+RunResult run_chaos(const RunSpec& spec,
+                    const rv::MonitorBounds* bounds = nullptr,
                     bool record_trace = false, bool record_events = false,
                     const std::vector<rv::pltl::FormulaSpec>* formulas = nullptr);
 

@@ -24,7 +24,6 @@ inline std::uint64_t mix_key(std::uint64_t key) {
 
 // Reusable per-thread encode/decode buffers. Sizes differ between store
 // instances, so every use resizes first (a no-op when unchanged).
-thread_local std::vector<std::byte> tl_packed;
 thread_local std::vector<std::byte> tl_entry;
 thread_local std::vector<std::byte> tl_key;
 thread_local std::vector<std::uint32_t> tl_indices;
@@ -62,18 +61,12 @@ ConcurrentStateStore::ConcurrentStateStore(const ta::StateCodec& codec,
                                            ta::Compression mode)
     : codec_(&codec), mode_(mode), stride_(codec.slot_count()) {
   AHB_EXPECTS(stride_ > 0);
-  switch (mode_) {
-    case ta::Compression::None:
-      codec_ = nullptr;  // byte-identical to the stride-only constructor
-      entry_bytes_ = stride_ * sizeof(ta::Slot);
-      break;
-    case ta::Compression::Pack:
-      entry_bytes_ = codec.packed_bytes();
-      break;
-    case ta::Compression::Collapse:
-      root_fast_ = codec.root_bits() <= 64;
-      entry_bytes_ = root_fast_ ? sizeof(std::uint64_t) : codec.root_bytes();
-      break;
+  if (mode_ == ta::Compression::None) {
+    codec_ = nullptr;  // byte-identical to the stride-only constructor
+    entry_bytes_ = stride_ * sizeof(ta::Slot);
+  } else {
+    root_fast_ = codec.root_bits() <= 64;
+    entry_bytes_ = root_fast_ ? sizeof(std::uint64_t) : codec.root_bytes();
   }
   for (auto& shard : shards_) {
     shard.table.assign(kInitialTableSize, kInvalidIndex);
@@ -215,12 +208,8 @@ std::uint32_t ConcurrentStateStore::comp_intern_fast(Shard& shard,
 
 std::uint64_t ConcurrentStateStore::encode_entry_locked(
     Shard& shard, std::span<const ta::Slot> slots,
-    std::span<const std::byte> packed, std::vector<std::byte>& entry,
-    std::vector<std::uint32_t>& indices, std::vector<std::byte>& key) {
-  if (mode_ == ta::Compression::Pack) {
-    entry.assign(packed.begin(), packed.end());
-    return hash_bytes(packed);
-  }
+    std::vector<std::byte>& entry, std::vector<std::uint32_t>& indices,
+    std::vector<std::byte>& key) {
   indices.resize(codec_->component_count());
   for (std::size_t c = 0; c < codec_->component_count(); ++c) {
     const auto& comp = codec_->component(c);
@@ -251,18 +240,8 @@ std::pair<std::uint32_t, bool> ConcurrentStateStore::intern(
     std::span<const ta::Slot> slots, std::uint32_t parent) {
   AHB_EXPECTS(slots.size() == stride_);
   // Shard selection must be independent of shard-local encoding, so it
-  // hashes an injective shard-independent image: the raw slot bytes for
-  // None and Collapse (Collapse used to pay a full bit-pack here just
-  // for the shard hash — a measurable part of its wall-time overhead),
-  // or the bit-packed image for Pack, where packing doubles as the
-  // entry encoding.
-  std::uint64_t shard_hash;
-  if (mode_ == ta::Compression::Pack) {
-    tl_packed.resize(codec_->packed_bytes());
-    shard_hash = codec_->packed_hash(slots, tl_packed);
-  } else {
-    shard_hash = hash_span(slots);
-  }
+  // hashes the raw slot bytes (which None also reuses as its probe hash).
+  const std::uint64_t shard_hash = hash_span(slots);
   const auto shard_id =
       static_cast<std::uint32_t>(shard_hash >> (64 - kShardBits));
   Shard& shard = shards_[shard_id];
@@ -275,13 +254,9 @@ std::pair<std::uint32_t, bool> ConcurrentStateStore::intern(
     if (mode_ == ta::Compression::None) {
       entry = std::as_bytes(slots);
       probe_hash = shard_hash;
-    } else if (mode_ == ta::Compression::Pack) {
-      entry = std::span<const std::byte>{tl_packed};
-      probe_hash = shard_hash;
     } else {
       probe_hash =
-          encode_entry_locked(shard, slots, tl_packed, tl_entry, tl_indices,
-                              tl_key);
+          encode_entry_locked(shard, slots, tl_entry, tl_indices, tl_key);
       entry = std::span<const std::byte>{tl_entry.data(), entry_bytes_};
     }
 
@@ -333,10 +308,6 @@ void ConcurrentStateStore::load(std::uint32_t index, ta::State& out) const {
   switch (mode_) {
     case ta::Compression::None: {
       out.assign({reinterpret_cast<const ta::Slot*>(entry), stride_});
-      return;
-    }
-    case ta::Compression::Pack: {
-      codec_->unpack(entry, out.slots_mut());
       return;
     }
     case ta::Compression::Collapse: {

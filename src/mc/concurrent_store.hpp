@@ -13,17 +13,14 @@
 // of 6 bits of per-shard capacity.
 //
 // Compression (ta::Compression, fixed at construction) mirrors
-// StateStore: None stores raw slot bytes plus per-entry hashes
-// (byte-identical to the PR-1 store), Pack stores the codec's bit-packed
-// image, Collapse stores component-index roots with *per-shard*
-// component tables. Shard selection hashes a shard-independent injective
-// image of the state before any shard-local encoding: the raw slot bytes
-// for None and Collapse, the codec's bit-packed image for Pack (where it
-// doubles as the stored entry). Collapse roots are then encoded and
-// probed under the shard lock against that shard's own component tables,
-// whose key arenas are segmented and never move — so lock-free decode of
-// published states follows the exact same discipline as the state arena
-// itself.
+// StateStore: None stores raw slot bytes plus per-entry hashes, Collapse
+// stores component-index roots with *per-shard* component tables. Shard
+// selection hashes the raw slot bytes, a shard-independent image of the
+// state, before any shard-local encoding. Collapse roots are then
+// encoded and probed under the shard lock against that shard's own
+// component tables, whose key arenas are segmented and never move — so
+// lock-free decode of published states follows the exact same
+// discipline as the state arena itself.
 //
 // Parent links for shortest-counterexample reconstruction are recorded
 // at intern time, under the same shard lock as the insertion: the first
@@ -161,7 +158,7 @@ class ConcurrentStateStore {
 
   std::uint32_t probe(const Shard& shard, std::span<const std::byte> entry,
                       std::uint64_t hash, bool& found) const;
-  /// Table hash of an encoded entry (compressed modes): the inline-key
+  /// Table hash of an encoded entry (Collapse): the inline-key
   /// mix when the root takes the fast path, the byte hash otherwise.
   std::uint64_t entry_hash(const std::byte* entry) const;
   void grow_table(Shard& shard);
@@ -170,11 +167,11 @@ class ConcurrentStateStore {
   std::uint32_t comp_intern_fast(Shard& shard, std::size_t c,
                                  std::uint64_t key);
 
-  /// Encodes `slots` into the caller's buffers per mode_. Must hold the
-  /// shard lock in Collapse mode (interns components).
+  /// Encodes `slots` into the caller's buffers as a Collapse root and
+  /// returns its table hash. Must hold the shard lock (interns
+  /// components).
   std::uint64_t encode_entry_locked(Shard& shard,
                                     std::span<const ta::Slot> slots,
-                                    std::span<const std::byte> packed,
                                     std::vector<std::byte>& entry,
                                     std::vector<std::uint32_t>& indices,
                                     std::vector<std::byte>& key);

@@ -13,7 +13,7 @@ namespace ahb::mc {
 namespace {
 
 unsigned resolve_threads(unsigned requested) {
-  if (requested != 0) return std::min(requested, 256u);
+  if (requested != 0) return std::min(requested, kMaxThreads);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1u : hw;
 }
@@ -28,6 +28,64 @@ bool lex_less(std::span<const ta::Slot> a, std::span<const ta::Slot> b) {
 // terminates through duplicate detection).
 constexpr std::uint32_t kFusionDepthCap = 64;
 
+/// Fused-transient worklist: a swap-out stack of reusable State buffers,
+/// so committed-chain expansion allocates only on high-water growth.
+class FusedStack {
+ public:
+  void push(std::span<const ta::Slot> target, std::uint32_t depth) {
+    if (top_ < states_.size()) {
+      states_[top_].assign(target);
+      depths_[top_] = depth;
+    } else {
+      states_.emplace_back(target);
+      depths_.push_back(depth);
+    }
+    ++top_;
+  }
+
+  /// Swaps the top item out of its slot into `out` and returns its
+  /// fusion depth; the item's own expansion pushes into the vacated slot.
+  std::uint32_t pop(ta::State& out) {
+    --top_;
+    std::swap(out, states_[top_]);
+    return depths_[top_];
+  }
+
+  bool empty() const { return top_ == 0; }
+  void clear() { top_ = 0; }
+
+ private:
+  std::vector<ta::State> states_;
+  std::vector<std::uint32_t> depths_;
+  std::size_t top_ = 0;
+};
+
+/// Plain or ample-set-reduced successor enumeration.
+template <typename F>
+void for_each_successor(const ta::Network& net, bool por, const ta::State& s,
+                        ta::SuccessorScratch& scratch, F&& f) {
+  if (por) {
+    net.for_each_successor_reduced(s, scratch, std::forward<F>(f));
+  } else {
+    net.for_each_successor(s, scratch, std::forward<F>(f));
+  }
+}
+
+/// The stored states from the initial state to `last`, following
+/// `parent_of` links, plus the canonical image of a transient hit.
+template <typename Store, typename ParentOf>
+std::vector<ta::State> stored_chain(const Store& store, std::uint32_t last,
+                                    ParentOf parent_of,
+                                    const ta::State* transient_hit) {
+  std::vector<ta::State> chain;
+  for (std::uint32_t i = last; i != Store::kInvalidIndex; i = parent_of(i)) {
+    chain.push_back(store.get(i));
+  }
+  std::reverse(chain.begin(), chain.end());
+  if (transient_hit != nullptr) chain.push_back(*transient_hit);
+  return chain;
+}
+
 }  // namespace
 
 Explorer::Explorer(const ta::Network& net) : net_(&net) {
@@ -36,29 +94,31 @@ Explorer::Explorer(const ta::Network& net) : net_(&net) {
 
 SearchResult Explorer::run(const StopFn& stop, const SearchLimits& limits) {
   const unsigned threads = resolve_threads(limits.threads);
-  const bool reduced =
-      limits.por || (limits.symmetry == ta::Symmetry::Participants &&
-                     net_->codec().has_canonicalization());
-  if (reduced) {
-    if (threads == 1) return run_sequential_reduced(stop, limits);
-    return run_parallel_reduced(stop, limits, threads);
-  }
-  if (threads == 1) return run_sequential(stop, limits);
-  return run_parallel(stop, limits, threads);
+  if (threads == 1) return bfs_sequential(stop, limits);
+  return bfs_parallel(stop, limits, threads);
 }
 
-SearchResult Explorer::run_sequential(const StopFn& stop,
+SearchResult Explorer::bfs_sequential(const StopFn& stop,
                                       const SearchLimits& limits) {
   const auto start_time = std::chrono::steady_clock::now();
-  Core core{StateStore{net_->codec(), limits.compression}, {}, 0, 0};
+  const ta::StateCodec& codec = net_->codec();
+  StateStore store{codec, limits.compression};
+  std::vector<std::uint32_t> parent;
+  const bool canon = limits.symmetry == ta::Symmetry::Participants &&
+                     codec.has_canonicalization();
+  const bool por = limits.por;
+  std::uint64_t transitions = 0;
+  std::uint64_t depth = 0;
+  std::uint64_t fused = 0;
 
   SearchResult result;
   const auto finish = [&](bool complete) {
     result.complete = complete;
-    result.stats.states = core.store.size();
-    result.stats.transitions = core.transitions;
-    result.stats.depth = core.depth;
-    result.stats.store_bytes = core.store.memory_bytes();
+    result.stats.states = store.size();
+    result.stats.transitions = transitions;
+    result.stats.depth = depth;
+    result.stats.fused = fused;
+    result.stats.store_bytes = store.memory_bytes();
     result.stats.elapsed = std::chrono::steady_clock::now() - start_time;
     return result;
   };
@@ -67,15 +127,20 @@ SearchResult Explorer::run_sequential(const StopFn& stop,
   ta::SuccessorScratch stop_scratch;  // available to the stop predicate
   ta::State state_buf;
   ta::State test_buf;
+  ta::State cur_fused;
+  ta::State found_canon;
+  FusedStack pending;
 
   const ta::State init = net_->initial_state();
-  auto [init_index, inserted] = core.store.intern(init);
+  test_buf.assign(init.slots());
+  if (canon) codec.canonicalize(test_buf.slots_mut());
+  auto [init_index, inserted] = store.intern(test_buf);
   AHB_ASSERT(inserted);
-  core.parent.push_back(StateStore::kInvalidIndex);
+  parent.push_back(StateStore::kInvalidIndex);
 
   if (stop(init, stop_scratch)) {
     result.found = true;
-    result.trace = rebuild_trace(core, init_index);
+    result.trace.push_back(TraceStep{"", init});
     // The initial state already answers the query: nothing beyond it was
     // asked for, so the trivial search is complete, not truncated.
     return finish(true);
@@ -85,311 +150,53 @@ SearchResult Explorer::run_sequential(const StopFn& stop,
   enum class Outcome { kRunning, kFound, kLimit };
   std::deque<std::uint32_t> frontier{init_index};
   while (!frontier.empty()) {
-    if (limits.max_depth != 0 && core.depth >= limits.max_depth) {
+    if (limits.max_depth != 0 && depth >= limits.max_depth) {
       return finish(false);
     }
-    ++core.depth;
-    std::deque<std::uint32_t> next_frontier;
-    for (const std::uint32_t index : frontier) {
-      core.store.load(index, state_buf);
-      Outcome outcome = Outcome::kRunning;
-      std::uint32_t found_index = 0;
-      net_->for_each_successor(
-          state_buf, scratch, [&](const ta::SuccessorView& v) {
-            ++core.transitions;
-            // Checked before interning so the store never exceeds
-            // limits.max_states, no matter the remaining fan-out.
-            if (core.store.size() >= limits.max_states) {
-              outcome = Outcome::kLimit;
-              return false;
-            }
-            auto [child, is_new] = core.store.intern(v.target);
-            if (!is_new) return true;
-            core.parent.push_back(index);
-            test_buf.assign(v.target);
-            if (stop(test_buf, stop_scratch)) {
-              outcome = Outcome::kFound;
-              found_index = child;
-              return false;
-            }
-            next_frontier.push_back(child);
-            return true;
-          });
-      if (outcome == Outcome::kFound) {
-        result.found = true;
-        result.trace = rebuild_trace(core, found_index);
-        return finish(false);
-      }
-      if (outcome == Outcome::kLimit) return finish(false);
-    }
-    frontier = std::move(next_frontier);
-  }
-  return finish(true);
-}
-
-SearchResult Explorer::run_parallel(const StopFn& stop,
-                                    const SearchLimits& limits,
-                                    unsigned threads) {
-  const auto start_time = std::chrono::steady_clock::now();
-  ConcurrentStateStore store{net_->codec(), limits.compression};
-  std::uint64_t depth = 0;
-  std::uint64_t transitions = 0;
-
-  SearchResult result;
-  const auto finish = [&](bool complete) {
-    result.complete = complete;
-    result.stats.states = store.size();
-    result.stats.transitions = transitions;
-    result.stats.depth = depth;
-    result.stats.store_bytes = store.memory_bytes();
-    result.stats.elapsed = std::chrono::steady_clock::now() - start_time;
-    return result;
-  };
-
-  // Per-worker state: scratches, reusable state buffers, the next-layer
-  // indices it discovered, and its best (lexicographically smallest)
-  // target hit of the current layer.
-  struct Worker {
-    ta::SuccessorScratch scratch;
-    ta::SuccessorScratch stop_scratch;
-    ta::State state_buf;
-    ta::State test_buf;
-    std::vector<std::uint32_t> next;
-    std::uint64_t transitions = 0;
-    bool found = false;
-    std::uint32_t found_index = 0;
-    ta::State found_state;
-  };
-  std::vector<Worker> workers(threads);
-
-  const ta::State init = net_->initial_state();
-  auto [init_index, inserted] =
-      store.intern(init, ConcurrentStateStore::kInvalidIndex);
-  AHB_ASSERT(inserted);
-
-  if (stop(init, workers[0].stop_scratch)) {
-    result.found = true;
-    result.trace = rebuild_trace(store, init_index);
-    return finish(true);
-  }
-
-  // Layer-synchronous BFS. Each layer, workers claim frontier chunks via
-  // an atomic cursor, expand them through the allocation-free successor
-  // API, and intern children (with parent links) into the sharded store.
-  // A layer always runs to completion — target hits never abort it — so
-  // the set of states discovered per layer, and with it every verdict,
-  // depth and counterexample length, is independent of scheduling.
-  std::vector<std::uint32_t> frontier{init_index};
-  std::vector<std::uint32_t> next_frontier;
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<bool> limit_hit{false};
-  std::atomic<bool> done{false};
-  std::size_t chunk = 1;
-  std::barrier<> sync(static_cast<std::ptrdiff_t>(threads));
-
-  const auto expand = [&](Worker& w) {
-    while (!limit_hit.load(std::memory_order_relaxed)) {
-      const std::size_t begin =
-          cursor.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= frontier.size()) return;
-      const std::size_t end = std::min(begin + chunk, frontier.size());
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::uint32_t index = frontier[i];
-        // Frontier states were published before the previous layer
-        // barrier, so the lock-free decode is ordered.
-        store.load(index, w.state_buf);
-        net_->for_each_successor(
-            w.state_buf, w.scratch, [&](const ta::SuccessorView& v) {
-              ++w.transitions;
-              if (store.size() >= limits.max_states) {
-                limit_hit.store(true, std::memory_order_relaxed);
-                return false;
-              }
-              auto [child, is_new] = store.intern(v.target, index);
-              if (!is_new) return true;
-              w.test_buf.assign(v.target);
-              if (stop(w.test_buf, w.stop_scratch)) {
-                // Which worker sees which target depends on scheduling;
-                // the per-layer lexicographic minimum does not.
-                if (!w.found || lex_less(v.target, w.found_state.slots())) {
-                  w.found = true;
-                  w.found_index = child;
-                  w.found_state.assign(v.target);
-                }
-                return true;  // finish the layer regardless
-              }
-              w.next.push_back(child);
-              return true;
-            });
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads - 1);
-  for (unsigned t = 1; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      while (true) {
-        sync.arrive_and_wait();  // layer start (or shutdown)
-        if (done.load(std::memory_order_relaxed)) return;
-        expand(workers[t]);
-        sync.arrive_and_wait();  // layer end
-      }
-    });
-  }
-
-  bool complete = false;
-  bool found = false;
-  std::uint32_t found_index = 0;
-  while (true) {
-    if (limit_hit.load(std::memory_order_relaxed)) break;
-    if (frontier.empty()) {
-      complete = true;
-      break;
-    }
-    if (limits.max_depth != 0 && depth >= limits.max_depth) break;
     ++depth;
-    cursor.store(0, std::memory_order_relaxed);
-    chunk = std::clamp<std::size_t>(
-        frontier.size() / (static_cast<std::size_t>(threads) * 8), 1, 1024);
-    sync.arrive_and_wait();  // release the layer
-    expand(workers[0]);
-    sync.arrive_and_wait();  // wait for stragglers
-
-    const Worker* best = nullptr;
-    for (const auto& w : workers) {
-      if (!w.found) continue;
-      if (best == nullptr ||
-          lex_less(w.found_state.slots(), best->found_state.slots())) {
-        best = &w;
-      }
-    }
-    if (best != nullptr) {
-      found = true;
-      found_index = best->found_index;
-      break;
-    }
-    next_frontier.clear();
-    for (auto& w : workers) {
-      next_frontier.insert(next_frontier.end(), w.next.begin(), w.next.end());
-      w.next.clear();
-    }
-    frontier.swap(next_frontier);
-  }
-
-  done.store(true, std::memory_order_relaxed);
-  sync.arrive_and_wait();  // let the pool observe `done` and exit
-  for (auto& t : pool) t.join();
-  for (const auto& w : workers) transitions += w.transitions;
-
-  if (found) {
-    result.found = true;
-    result.trace = rebuild_trace(store, found_index);
-    return finish(false);
-  }
-  return finish(complete);
-}
-
-SearchResult Explorer::run_sequential_reduced(const StopFn& stop,
-                                              const SearchLimits& limits) {
-  const auto start_time = std::chrono::steady_clock::now();
-  Core core{StateStore{net_->codec(), limits.compression}, {}, 0, 0};
-  const ta::StateCodec& codec = net_->codec();
-  const bool canon = limits.symmetry == ta::Symmetry::Participants &&
-                     codec.has_canonicalization();
-  const bool por = limits.por;
-  std::uint64_t fused = 0;
-
-  SearchResult result;
-  const auto finish = [&](bool complete) {
-    result.complete = complete;
-    result.stats.states = core.store.size();
-    result.stats.transitions = core.transitions;
-    result.stats.depth = core.depth;
-    result.stats.fused = fused;
-    result.stats.store_bytes = core.store.memory_bytes();
-    result.stats.elapsed = std::chrono::steady_clock::now() - start_time;
-    return result;
-  };
-
-  ta::SuccessorScratch scratch;
-  ta::SuccessorScratch stop_scratch;
-  ta::State state_buf;
-  ta::State test_buf;
-  ta::State cur_fused;
-  // Fused-transient worklist: a swap-out stack of reusable State
-  // buffers, so committed-chain expansion allocates only on high-water
-  // growth.
-  std::vector<ta::State> pending_states;
-  std::vector<std::uint32_t> pending_depths;
-  std::size_t pending_top = 0;
-  const auto push_pending = [&](std::span<const ta::Slot> target,
-                                std::uint32_t depth) {
-    if (pending_top < pending_states.size()) {
-      pending_states[pending_top].assign(target);
-      pending_depths[pending_top] = depth;
-    } else {
-      pending_states.emplace_back(target);
-      pending_depths.push_back(depth);
-    }
-    ++pending_top;
-  };
-
-  const ta::State init = net_->initial_state();
-  test_buf.assign(init.slots());
-  if (canon) codec.canonicalize(test_buf.slots_mut());
-  auto [init_index, inserted] = core.store.intern(test_buf);
-  AHB_ASSERT(inserted);
-  core.parent.push_back(StateStore::kInvalidIndex);
-
-  if (stop(init, stop_scratch)) {
-    result.found = true;
-    result.trace.push_back(TraceStep{"", init});
-    return finish(true);
-  }
-
-  enum class Outcome { kRunning, kFound, kLimit };
-  std::deque<std::uint32_t> frontier{init_index};
-  while (!frontier.empty()) {
-    if (limits.max_depth != 0 && core.depth >= limits.max_depth) {
-      return finish(false);
-    }
-    ++core.depth;
     std::deque<std::uint32_t> next_frontier;
     for (const std::uint32_t index : frontier) {
-      core.store.load(index, state_buf);
+      store.load(index, state_buf);
       Outcome outcome = Outcome::kRunning;
       std::uint32_t found_index = 0;
       bool found_transient = false;
-      ta::State found_canon;
 
       const auto on_target = [&](std::span<const ta::Slot> target,
                                  std::uint32_t fuse_depth) -> bool {
-        ++core.transitions;
-        if (core.store.size() >= limits.max_states) {
+        ++transitions;
+        // Checked before interning so the store never exceeds
+        // limits.max_states, no matter the remaining fan-out.
+        if (store.size() >= limits.max_states) {
           outcome = Outcome::kLimit;
           return false;
         }
-        test_buf.assign(target);
-        if (por && fuse_depth < kFusionDepthCap &&
-            net_->committed_location_active(test_buf)) {
-          // Transient: evaluate the predicate (fusion must not skip
-          // error states), then expand through it without interning.
-          if (stop(test_buf, stop_scratch)) {
-            outcome = Outcome::kFound;
-            found_transient = true;
-            found_canon.assign(target);
-            if (canon) codec.canonicalize(found_canon.slots_mut());
-            return false;
+        // Unreduced searches intern the successor span directly and copy
+        // it out only when it is new.
+        std::span<const ta::Slot> key = target;
+        if (canon || por) {
+          test_buf.assign(target);
+          if (por && fuse_depth < kFusionDepthCap &&
+              net_->committed_location_active(test_buf)) {
+            // Transient: evaluate the predicate (fusion must not skip
+            // error states), then expand through it without interning.
+            if (stop(test_buf, stop_scratch)) {
+              outcome = Outcome::kFound;
+              found_transient = true;
+              found_canon.assign(target);
+              if (canon) codec.canonicalize(found_canon.slots_mut());
+              return false;
+            }
+            ++fused;
+            pending.push(target, fuse_depth + 1);
+            return true;
           }
-          ++fused;
-          push_pending(target, fuse_depth + 1);
-          return true;
+          if (canon) codec.canonicalize(test_buf.slots_mut());
+          key = test_buf.slots();
         }
-        if (canon) codec.canonicalize(test_buf.slots_mut());
-        auto [child, is_new] = core.store.intern(test_buf);
+        auto [child, is_new] = store.intern(key);
         if (!is_new) return true;
-        core.parent.push_back(index);
+        parent.push_back(index);
+        if (!canon && !por) test_buf.assign(target);
         if (stop(test_buf, stop_scratch)) {
           outcome = Outcome::kFound;
           found_index = child;
@@ -398,41 +205,28 @@ SearchResult Explorer::run_sequential_reduced(const StopFn& stop,
         next_frontier.push_back(child);
         return true;
       };
-      const auto expand_one = [&](const ta::State& s, std::uint32_t depth) {
-        if (por) {
-          net_->for_each_successor_reduced(
-              s, scratch, [&](const ta::SuccessorView& v) {
-                return on_target(v.target, depth);
-              });
-        } else {
-          net_->for_each_successor(
-              s, scratch, [&](const ta::SuccessorView& v) {
-                return on_target(v.target, depth);
-              });
-        }
+      const auto expand = [&](const ta::State& s, std::uint32_t fuse_depth) {
+        for_each_successor(*net_, por, s, scratch,
+                           [&](const ta::SuccessorView& v) {
+                             return on_target(v.target, fuse_depth);
+                           });
       };
 
-      pending_top = 0;
-      expand_one(state_buf, 0);
-      while (outcome == Outcome::kRunning && pending_top > 0) {
-        // Swap the item out of its slot: its own expansion pushes new
-        // pending entries into the slot just vacated.
-        --pending_top;
-        std::swap(cur_fused, pending_states[pending_top]);
-        const std::uint32_t depth = pending_depths[pending_top];
-        expand_one(cur_fused, depth);
+      pending.clear();
+      expand(state_buf, 0);
+      while (outcome == Outcome::kRunning && !pending.empty()) {
+        const std::uint32_t fuse_depth = pending.pop(cur_fused);
+        expand(cur_fused, fuse_depth);
       }
 
       if (outcome == Outcome::kFound) {
         result.found = true;
-        std::vector<ta::State> chain;
-        for (std::uint32_t i = found_transient ? index : found_index;
-             i != StateStore::kInvalidIndex; i = core.parent[i]) {
-          chain.push_back(core.store.get(i));
-        }
-        std::reverse(chain.begin(), chain.end());
-        if (found_transient) chain.push_back(std::move(found_canon));
-        result.trace = rebuild_trace_replay(chain, canon, por);
+        result.trace = replay_trace(
+            stored_chain(
+                store, found_transient ? index : found_index,
+                [&](std::uint32_t i) { return parent[i]; },
+                found_transient ? &found_canon : nullptr),
+            canon, por);
         return finish(false);
       }
       if (outcome == Outcome::kLimit) return finish(false);
@@ -442,12 +236,12 @@ SearchResult Explorer::run_sequential_reduced(const StopFn& stop,
   return finish(true);
 }
 
-SearchResult Explorer::run_parallel_reduced(const StopFn& stop,
-                                            const SearchLimits& limits,
-                                            unsigned threads) {
+SearchResult Explorer::bfs_parallel(const StopFn& stop,
+                                    const SearchLimits& limits,
+                                    unsigned threads) {
   const auto start_time = std::chrono::steady_clock::now();
-  ConcurrentStateStore store{net_->codec(), limits.compression};
   const ta::StateCodec& codec = net_->codec();
+  ConcurrentStateStore store{codec, limits.compression};
   const bool canon = limits.symmetry == ta::Symmetry::Participants &&
                      codec.has_canonicalization();
   const bool por = limits.por;
@@ -467,21 +261,20 @@ SearchResult Explorer::run_parallel_reduced(const StopFn& stop,
     return result;
   };
 
-  // Per-worker state mirrors the unreduced parallel loop plus the fused
-  // worklist and the canonical image of its best target hit. Which
-  // worker finds which hit depends on scheduling; the per-layer
-  // lexicographic minimum over canonical images does not, so verdicts,
-  // state counts and depths stay thread-count-invariant (the replayed
-  // trace path through a fused gap may differ between runs).
+  // Per-worker state: scratches, reusable state buffers, the fused
+  // worklist, the next-layer indices it discovered, and its best target
+  // hit of the current layer. Which worker finds which hit depends on
+  // scheduling; the per-layer lexicographic minimum over canonical
+  // images does not, so verdicts, state counts and depths stay
+  // thread-count-invariant (the replayed trace path through a fused gap
+  // may differ between runs).
   struct Worker {
     ta::SuccessorScratch scratch;
     ta::SuccessorScratch stop_scratch;
     ta::State state_buf;
     ta::State test_buf;
     ta::State cur_fused;
-    std::vector<ta::State> pending_states;
-    std::vector<std::uint32_t> pending_depths;
-    std::size_t pending_top = 0;
+    FusedStack pending;
     std::vector<std::uint32_t> next;
     std::uint64_t transitions = 0;
     std::uint64_t fused = 0;
@@ -506,6 +299,12 @@ SearchResult Explorer::run_parallel_reduced(const StopFn& stop,
     return finish(true);
   }
 
+  // Layer-synchronous BFS. Each layer, workers claim frontier chunks via
+  // an atomic cursor, expand them through the allocation-free successor
+  // API, and intern children (with parent links) into the sharded store.
+  // A layer always runs to completion — target hits never abort it — so
+  // the set of states discovered per layer, and with it every verdict,
+  // depth and counterexample length, is independent of scheduling.
   std::vector<std::uint32_t> frontier{init_index};
   std::vector<std::uint32_t> next_frontier;
   std::atomic<std::size_t> cursor{0};
@@ -526,17 +325,6 @@ SearchResult Explorer::run_parallel_reduced(const StopFn& stop,
         w.found_canon.assign(hit_canon.slots());
       }
     };
-    const auto push_pending = [&](std::span<const ta::Slot> target,
-                                  std::uint32_t fuse_depth) {
-      if (w.pending_top < w.pending_states.size()) {
-        w.pending_states[w.pending_top].assign(target);
-        w.pending_depths[w.pending_top] = fuse_depth;
-      } else {
-        w.pending_states.emplace_back(target);
-        w.pending_depths.push_back(fuse_depth);
-      }
-      ++w.pending_top;
-    };
     ta::State hit_scratch;
     while (!limit_hit.load(std::memory_order_relaxed)) {
       const std::size_t begin =
@@ -545,6 +333,8 @@ SearchResult Explorer::run_parallel_reduced(const StopFn& stop,
       const std::size_t end = std::min(begin + chunk, frontier.size());
       for (std::size_t i = begin; i < end; ++i) {
         const std::uint32_t index = frontier[i];
+        // Frontier states were published before the previous layer
+        // barrier, so the lock-free decode is ordered.
         store.load(index, w.state_buf);
 
         const auto on_target = [&](std::span<const ta::Slot> target,
@@ -554,22 +344,27 @@ SearchResult Explorer::run_parallel_reduced(const StopFn& stop,
             limit_hit.store(true, std::memory_order_relaxed);
             return false;
           }
-          w.test_buf.assign(target);
-          if (por && fuse_depth < kFusionDepthCap &&
-              net_->committed_location_active(w.test_buf)) {
-            if (stop(w.test_buf, w.stop_scratch)) {
-              hit_scratch.assign(target);
-              if (canon) codec.canonicalize(hit_scratch.slots_mut());
-              record_hit(hit_scratch, /*transient=*/true, 0, index);
-              return true;  // finish the layer regardless
+          std::span<const ta::Slot> key = target;
+          if (canon || por) {
+            w.test_buf.assign(target);
+            if (por && fuse_depth < kFusionDepthCap &&
+                net_->committed_location_active(w.test_buf)) {
+              if (stop(w.test_buf, w.stop_scratch)) {
+                hit_scratch.assign(target);
+                if (canon) codec.canonicalize(hit_scratch.slots_mut());
+                record_hit(hit_scratch, /*transient=*/true, 0, index);
+                return true;  // finish the layer regardless
+              }
+              ++w.fused;
+              w.pending.push(target, fuse_depth + 1);
+              return true;
             }
-            ++w.fused;
-            push_pending(target, fuse_depth + 1);
-            return true;
+            if (canon) codec.canonicalize(w.test_buf.slots_mut());
+            key = w.test_buf.slots();
           }
-          if (canon) codec.canonicalize(w.test_buf.slots_mut());
-          auto [child, is_new] = store.intern(w.test_buf, index);
+          auto [child, is_new] = store.intern(key, index);
           if (!is_new) return true;
+          if (!canon && !por) w.test_buf.assign(target);
           if (stop(w.test_buf, w.stop_scratch)) {
             record_hit(w.test_buf, /*transient=*/false, child, index);
             return true;  // finish the layer regardless
@@ -577,27 +372,20 @@ SearchResult Explorer::run_parallel_reduced(const StopFn& stop,
           w.next.push_back(child);
           return true;
         };
-        const auto expand_one = [&](const ta::State& s, std::uint32_t d) {
-          if (por) {
-            net_->for_each_successor_reduced(
-                s, w.scratch, [&](const ta::SuccessorView& v) {
-                  return on_target(v.target, d);
-                });
-          } else {
-            net_->for_each_successor(
-                s, w.scratch, [&](const ta::SuccessorView& v) {
-                  return on_target(v.target, d);
-                });
-          }
+        const auto expand_one = [&](const ta::State& s,
+                                    std::uint32_t fuse_depth) {
+          for_each_successor(*net_, por, s, w.scratch,
+                             [&](const ta::SuccessorView& v) {
+                               return on_target(v.target, fuse_depth);
+                             });
         };
 
-        w.pending_top = 0;
+        w.pending.clear();
         expand_one(w.state_buf, 0);
         while (!limit_hit.load(std::memory_order_relaxed) &&
-               w.pending_top > 0) {
-          --w.pending_top;
-          std::swap(w.cur_fused, w.pending_states[w.pending_top]);
-          expand_one(w.cur_fused, w.pending_depths[w.pending_top]);
+               !w.pending.empty()) {
+          const std::uint32_t fuse_depth = w.pending.pop(w.cur_fused);
+          expand_one(w.cur_fused, fuse_depth);
         }
       }
     }
@@ -659,15 +447,13 @@ SearchResult Explorer::run_parallel_reduced(const StopFn& stop,
 
   if (best != nullptr) {
     result.found = true;
-    std::vector<ta::State> chain;
-    for (std::uint32_t i =
-             best->found_transient ? best->found_parent : best->found_index;
-         i != ConcurrentStateStore::kInvalidIndex; i = store.parent_of(i)) {
-      chain.push_back(store.get(i));
-    }
-    std::reverse(chain.begin(), chain.end());
-    if (best->found_transient) chain.push_back(best->found_canon);
-    result.trace = rebuild_trace_replay(chain, canon, por);
+    result.trace = replay_trace(
+        stored_chain(
+            store,
+            best->found_transient ? best->found_parent : best->found_index,
+            [&](std::uint32_t i) { return store.parent_of(i); },
+            best->found_transient ? &best->found_canon : nullptr),
+        canon, por);
     return finish(false);
   }
   return finish(complete);
@@ -707,65 +493,10 @@ SearchResult Explorer::check_invariant(const Pred& invariant,
   return r;
 }
 
-std::vector<TraceStep> Explorer::rebuild_trace(
-    const Core& core, std::uint32_t target_index) const {
-  // Walk parent links back to the root, then recompute the action labels
-  // forward. Labels are not stored during the search (that would cost a
-  // string per state); re-deriving them along the single counterexample
-  // path is cheap.
-  std::vector<std::uint32_t> path;
-  for (std::uint32_t i = target_index; i != StateStore::kInvalidIndex;
-       i = core.parent[i]) {
-    path.push_back(i);
-  }
-  std::reverse(path.begin(), path.end());
-
-  ta::SuccessorScratch scratch;
+std::vector<TraceStep> Explorer::replay_trace(
+    const std::vector<ta::State>& chain, bool canon, bool por) const {
   std::vector<TraceStep> trace;
-  trace.reserve(path.size());
-  trace.push_back(TraceStep{"", core.store.get(path.front())});
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    // Decode both endpoints: compressed stores have no raw() spans.
-    const ta::State parent_state = core.store.get(path[i - 1]);
-    ta::State step_state = core.store.get(path[i]);
-    std::string action =
-        net_->action_between(parent_state, step_state.slots(), scratch);
-    trace.push_back(TraceStep{std::move(action), std::move(step_state)});
-  }
-  return trace;
-}
-
-std::vector<TraceStep> Explorer::rebuild_trace(
-    const ConcurrentStateStore& store, std::uint32_t target_index) const {
-  // Same walk as the sequential variant, over the sharded store's parent
-  // links. Every parent was recorded at intern time from the previous
-  // BFS layer, so the path length always equals the target's layer.
-  std::vector<std::uint32_t> path;
-  for (std::uint32_t i = target_index;
-       i != ConcurrentStateStore::kInvalidIndex; i = store.parent_of(i)) {
-    path.push_back(i);
-  }
-  std::reverse(path.begin(), path.end());
-
-  ta::SuccessorScratch scratch;
-  std::vector<TraceStep> trace;
-  trace.reserve(path.size());
-  trace.push_back(TraceStep{"", store.get(path.front())});
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    const ta::State parent_state = store.get(path[i - 1]);
-    ta::State step_state = store.get(path[i]);
-    std::string action =
-        net_->action_between(parent_state, step_state.slots(), scratch);
-    trace.push_back(TraceStep{std::move(action), std::move(step_state)});
-  }
-  return trace;
-}
-
-std::vector<TraceStep> Explorer::rebuild_trace_replay(
-    const std::vector<ta::State>& canonical_chain, bool canon,
-    bool por) const {
-  std::vector<TraceStep> trace;
-  if (canonical_chain.empty()) return trace;
+  if (chain.empty()) return trace;
   const ta::StateCodec& codec = net_->codec();
   ta::State canon_buf;
   const auto matches = [&](const ta::State& real, const ta::State& image) {
@@ -775,8 +506,9 @@ std::vector<TraceStep> Explorer::rebuild_trace_replay(
   };
 
   // Replay starts from the *real* initial state, whose canonical image
-  // is canonical_chain[0]; every appended state is then a real
-  // successor, so participant ids in the rendered trace are genuine.
+  // is chain[0]; every appended state is then a real successor, so
+  // participant ids in the rendered trace are genuine. Unreduced, each
+  // step is simply the first successor equal to the next stored state.
   trace.push_back(TraceStep{"", net_->initial_state()});
 
   // Per stored step, a bounded DFS over real successors: match directly
@@ -806,14 +538,14 @@ std::vector<TraceStep> Explorer::rebuild_trace_replay(
     return false;
   };
 
-  for (std::size_t i = 1; i < canonical_chain.size(); ++i) {
+  for (std::size_t i = 1; i < chain.size(); ++i) {
     // Copy: extend() grows `trace`, which would invalidate a reference
     // into it.
     const ta::State cur = trace.back().state;
-    if (!extend(extend, cur, canonical_chain[i], budget0)) {
+    if (!extend(extend, cur, chain[i], budget0)) {
       // Unreachable when the model honors the equivariance contract;
       // keep the canonical image so a broken trace stays inspectable.
-      trace.push_back(TraceStep{"<unreplayed>", canonical_chain[i]});
+      trace.push_back(TraceStep{"<unreplayed>", chain[i]});
     }
   }
   return trace;

@@ -25,21 +25,24 @@ namespace ahb::mc {
 /// State predicate, e.g. "monitor is in ErrorR1 and active[0] holds".
 using Pred = std::function<bool(const ta::StateView&)>;
 
+/// Upper bound on an explicit SearchLimits::threads request.
+inline constexpr unsigned kMaxThreads = 256;
+
 struct SearchLimits {
   std::uint64_t max_states = 200'000'000;
   std::uint64_t max_depth = 0;  ///< 0 means unlimited (BFS layers)
   /// Worker threads for the BFS: 0 = hardware concurrency, 1 = the
-  /// sequential path (bit-for-bit the classic explorer), N = N workers
-  /// over a sharded ConcurrentStateStore. Verdicts, depths and
-  /// counterexample lengths are identical for every thread count; see
-  /// DESIGN.md "Parallel exploration" for what is (and is not)
-  /// deterministic about the statistics.
+  /// sequential loop, N = N workers (capped at kMaxThreads) over a
+  /// sharded ConcurrentStateStore. Verdicts, depths and counterexample
+  /// lengths are identical for every thread count; see DESIGN.md
+  /// "Parallel exploration" for what is (and is not) deterministic about
+  /// the statistics.
   unsigned threads = 0;
-  /// Store encoding: None is byte-identical to the historical stores,
-  /// Pack bit-packs each state, Collapse additionally interns each
-  /// automaton's local sub-vector (SPIN COLLAPSE). State identity is
-  /// preserved, so verdicts, state counts, depths and counterexample
-  /// lengths are the same in every mode; only store_bytes changes.
+  /// Store encoding: None keeps raw slot vectors, Collapse interns each
+  /// automaton's local sub-vector once (SPIN COLLAPSE) and stores the
+  /// tuple of component indices. State identity is preserved, so
+  /// verdicts, state counts, depths and counterexample lengths are the
+  /// same in both modes; only store_bytes (and speed) changes.
   ta::Compression compression = ta::Compression::None;
   /// Orbit canonicalization: Participants interns one representative
   /// per orbit of the network's declared participant symmetry (plus
@@ -104,49 +107,32 @@ class Explorer {
                                const SearchLimits& limits = {});
 
  private:
-  struct Core {
-    StateStore store;
-    std::vector<std::uint32_t> parent;
-    std::uint64_t transitions = 0;
-    std::uint64_t depth = 0;
-  };
-
   /// The per-discovered-state target test. The scratch argument is a
   /// buffer distinct from the one driving the enumeration, so predicates
   /// may themselves generate successors (the deadlock test does).
   using StopFn =
       std::function<bool(const ta::State&, ta::SuccessorScratch&)>;
 
-  /// Shared BFS entry: dispatches to the sequential or the parallel
-  /// layer-synchronous loop depending on `limits.threads`, and to the
-  /// reduced variants when symmetry or POR is requested. The unreduced
-  /// paths are untouched by reduction support, so default-flag runs
-  /// stay bit-for-bit identical to the historical explorer.
+  /// Shared BFS entry: the sequential loop when `limits.threads`
+  /// resolves to 1, the layer-synchronous parallel loop otherwise.
+  /// Symmetry and POR are options of the one loop per thread mode: with
+  /// both off, successors are interned as generated and nothing is
+  /// fused.
   SearchResult run(const StopFn& stop, const SearchLimits& limits);
-  SearchResult run_sequential(const StopFn& stop, const SearchLimits& limits);
-  SearchResult run_parallel(const StopFn& stop, const SearchLimits& limits,
+  SearchResult bfs_sequential(const StopFn& stop, const SearchLimits& limits);
+  SearchResult bfs_parallel(const StopFn& stop, const SearchLimits& limits,
                             unsigned threads);
-  SearchResult run_sequential_reduced(const StopFn& stop,
-                                      const SearchLimits& limits);
-  SearchResult run_parallel_reduced(const StopFn& stop,
-                                    const SearchLimits& limits,
-                                    unsigned threads);
 
-  std::vector<TraceStep> rebuild_trace(const Core& core,
-                                       std::uint32_t target_index) const;
-  std::vector<TraceStep> rebuild_trace(const ConcurrentStateStore& store,
-                                       std::uint32_t target_index) const;
-
-  /// Reduced-mode counterexamples: the store holds canonical orbit
-  /// representatives with fused gaps, so the real trace is recovered by
-  /// forward replay from the real initial state — per stored step, a
-  /// bounded DFS over real successors (descending only through
-  /// transient states) finds a real path whose endpoint canonicalizes
-  /// to the stored image. The rendered states carry genuine participant
-  /// ids throughout.
-  std::vector<TraceStep> rebuild_trace_replay(
-      const std::vector<ta::State>& canonical_chain, bool canon,
-      bool por) const;
+  /// Counterexample reconstruction: action labels are not stored during
+  /// the search, so the trace is recovered by forward replay from the
+  /// real initial state along the chain of stored states — per stored
+  /// step, a bounded DFS over real successors (descending only through
+  /// transient states under POR) finds a real path whose endpoint
+  /// canonicalizes to the stored image. The first matching successor
+  /// supplies the label, and the rendered states carry genuine
+  /// participant ids throughout.
+  std::vector<TraceStep> replay_trace(const std::vector<ta::State>& chain,
+                                      bool canon, bool por) const;
 
   const ta::Network* net_;
 };

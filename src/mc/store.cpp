@@ -39,30 +39,23 @@ StateStore::StateStore(const ta::StateCodec& codec, ta::Compression mode)
     codec_ = nullptr;  // byte-identical to the stride-only constructor
     return;
   }
-  entry_bytes_ = mode_ == ta::Compression::Pack ? codec.packed_bytes()
-                                                : codec.root_bytes();
-  if (mode_ == ta::Compression::Collapse && codec.root_bits() <= 64) {
-    root_fast_ = true;
-    entry_bytes_ = sizeof(std::uint64_t);
-  }
-  entry_scratch_.resize(std::max({codec.packed_bytes(), codec.root_bytes(),
-                                  sizeof(std::uint64_t)}));
-  if (mode_ == ta::Compression::Collapse) {
-    comps_.resize(codec.component_count());
-    index_scratch_.resize(codec.component_count());
-    std::size_t max_key = 0;
-    for (std::size_t c = 0; c < codec.component_count(); ++c) {
-      if (codec.component(c).index_bits == 0) continue;
-      if (codec.component(c).key_bits <= 64) {
-        comps_[c].fast_table.assign(kInitialCompTableSize,
-                                    CompTable::FastSlot{});
-      } else {
-        comps_[c].table.assign(kInitialCompTableSize, kInvalidIndex);
-        max_key = std::max(max_key, codec.component(c).key_bytes);
-      }
+  root_fast_ = codec.root_bits() <= 64;
+  entry_bytes_ = root_fast_ ? sizeof(std::uint64_t) : codec.root_bytes();
+  entry_scratch_.resize(entry_bytes_);
+  comps_.resize(codec.component_count());
+  index_scratch_.resize(codec.component_count());
+  std::size_t max_key = 0;
+  for (std::size_t c = 0; c < codec.component_count(); ++c) {
+    if (codec.component(c).index_bits == 0) continue;
+    if (codec.component(c).key_bits <= 64) {
+      comps_[c].fast_table.assign(kInitialCompTableSize,
+                                  CompTable::FastSlot{});
+    } else {
+      comps_[c].table.assign(kInitialCompTableSize, kInvalidIndex);
+      max_key = std::max(max_key, codec.component(c).key_bytes);
     }
-    key_scratch_.resize(max_key);
   }
+  key_scratch_.resize(max_key);
 }
 
 // ---- None-mode probing (raw slots + stored hashes) ----
@@ -88,7 +81,7 @@ std::uint32_t StateStore::probe(std::span<const ta::Slot> slots,
   }
 }
 
-// ---- compressed-mode probing (short encoded entries, no stored
+// ---- Collapse-mode probing (short encoded entries, no stored
 // hashes: the memcmp is cheap and dropping the hash array is a large
 // part of the footprint win) ----
 
@@ -235,11 +228,6 @@ std::uint32_t StateStore::comp_find(std::size_t c,
 bool StateStore::encode_entry(std::span<const ta::Slot> slots,
                               bool insert_components,
                               std::uint64_t& hash) const {
-  if (mode_ == ta::Compression::Pack) {
-    codec_->pack(slots, entry_scratch_.data());
-    hash = hash_bytes({entry_scratch_.data(), entry_bytes_});
-    return true;
-  }
   for (std::size_t c = 0; c < codec_->component_count(); ++c) {
     if (codec_->component(c).index_bits == 0) {
       index_scratch_[c] = 0;
@@ -350,10 +338,6 @@ void StateStore::load(std::uint32_t index, ta::State& out) const {
   switch (mode_) {
     case ta::Compression::None: {
       out.assign({arena_.data() + index * stride_, stride_});
-      return;
-    }
-    case ta::Compression::Pack: {
-      codec_->unpack(entry_of(index), out.slots_mut());
       return;
     }
     case ta::Compression::Collapse: {

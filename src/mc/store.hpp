@@ -5,19 +5,17 @@
 // state bytes to indices. This matters: proving a requirement *holds*
 // means exhausting the reachable state space.
 //
-// Three encodings (ta::Compression), fixed at construction:
-//  - None: raw Slot vectors + a per-entry 64-bit hash, byte-identical to
-//    the historical store (raw() spans stay available).
-//  - Pack: each state bit-packed by the network's StateCodec; entries
-//    shrink from stride*16 bits to the sum of the actual slot widths.
+// Two encodings (ta::Compression), fixed at construction:
+//  - None: raw Slot vectors + a per-entry 64-bit hash (raw() spans stay
+//    available).
 //  - Collapse: each automaton's local sub-vector is interned once in a
 //    per-component table and the arena keeps only the tuple of component
 //    indices plus the packed residue (clocks, shared variables).
-// Compressed modes drop the per-entry hash array as well — probes
-// memcmp the (short) encoded entries and table growth rehashes them —
-// which is where much of the footprint reduction comes from.
+// Collapse drops the per-entry hash array as well — probes memcmp the
+// (short) encoded entries and table growth rehashes them — which is
+// where much of the footprint reduction comes from.
 //
-// Identity is preserved in every mode: two slot vectors intern to the
+// Identity is preserved in both modes: two slot vectors intern to the
 // same index iff they are equal, so state counts, verdicts and trace
 // lengths are invariant under compression.
 #pragma once
@@ -95,7 +93,7 @@ class StateStore {
   };
 
   void grow_table();
-  /// Table hash of an encoded entry (compressed modes): the inline-key
+  /// Table hash of an encoded entry (Collapse): the inline-key
   /// mix when the root takes the fast path, the byte hash otherwise.
   std::uint64_t entry_hash(const std::byte* entry) const;
   std::uint32_t probe(std::span<const ta::Slot> slots, std::uint64_t hash,
@@ -107,8 +105,8 @@ class StateStore {
   std::uint32_t comp_intern_fast(std::size_t c, std::uint64_t key);
   std::uint32_t comp_find_fast(std::size_t c, std::uint64_t key) const;
 
-  /// Encodes `slots` into entry_scratch_ per mode_, interning components
-  /// (Collapse). With `insert_components` false, unknown components make
+  /// Encodes `slots` into entry_scratch_ as a Collapse root, interning
+  /// components. With `insert_components` false, unknown components make
   /// it return false instead. Also yields the table hash of the entry.
   bool encode_entry(std::span<const ta::Slot> slots, bool insert_components,
                     std::uint64_t& hash) const;
@@ -129,7 +127,7 @@ class StateStore {
 
   std::vector<ta::Slot> arena_;        // None: raw slots, index * stride
   std::vector<std::uint64_t> hashes_;  // None: per interned state
-  std::vector<std::byte> bytes_;       // Pack/Collapse: encoded entries
+  std::vector<std::byte> bytes_;       // Collapse: encoded entries
   std::vector<CompTable> comps_;       // Collapse: per-component tables
   std::vector<std::uint32_t> table_;   // open addressing, power-of-two size
   std::size_t count_ = 0;

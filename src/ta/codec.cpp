@@ -58,8 +58,6 @@ const char* to_string(Compression mode) {
   switch (mode) {
     case Compression::None:
       return "none";
-    case Compression::Pack:
-      return "pack";
     case Compression::Collapse:
       return "collapse";
   }

@@ -6,9 +6,10 @@
 // when unannotated). The StateCodec derives two encodings from that
 // metadata:
 //
-//  - Pack: every slot bit-packed to its actual width (booleans 1 bit,
+//  - Bit-packing: every slot packed to its actual width (booleans 1 bit,
 //    clocks ceil(log2(cap+1)) bits) instead of 16. Injective, fixed
-//    stride, order-preserving per slot.
+//    stride, order-preserving per slot. No store keeps whole packed
+//    states; the packed image is the bitstate filter's hash key.
 //  - Collapse (after SPIN's COLLAPSE mode): each automaton's local
 //    sub-vector — its location slot plus the variables declared as owned
 //    by it — is interned once in a small per-component table; the global
@@ -34,7 +35,7 @@
 namespace ahb::ta {
 
 /// Store encoding selected via mc::SearchLimits::compression.
-enum class Compression : std::uint8_t { None, Pack, Collapse };
+enum class Compression : std::uint8_t { None, Collapse };
 
 const char* to_string(Compression mode);
 
@@ -94,8 +95,8 @@ class StateCodec {
   std::size_t slot_count() const { return fields_.size(); }
   const Field& field(std::size_t slot) const { return fields_[slot]; }
 
-  // ---- full-state bit-packing (Pack mode; also the canonical hash
-  // image for sharding/filters in every compressed mode) ----
+  // ---- full-state bit-packing (the bitstate filter's hash image under
+  // compression) ----
 
   std::size_t packed_bytes() const { return packed_bytes_; }
 

@@ -1,7 +1,7 @@
 // Compression invariance and concurrency tests (the acceptance bar of
 // the compressed-store work): every verification result — verdicts,
 // state counts, transition counts, depths, counterexample traces — must
-// be identical across {none, pack, collapse} x {1, 8} threads, and the
+// be identical across {none, collapse} x {1, 8} threads, and the
 // collapse-mode ConcurrentStateStore must stay exact under concurrent
 // intern storms (this binary carries the "compression" ctest label the
 // sanitizer presets run).
@@ -24,8 +24,8 @@ using models::BuildOptions;
 using models::Flavor;
 using models::HeartbeatModel;
 
-constexpr ta::Compression kModes[] = {
-    ta::Compression::None, ta::Compression::Pack, ta::Compression::Collapse};
+constexpr ta::Compression kModes[] = {ta::Compression::None,
+                                      ta::Compression::Collapse};
 
 TEST(CompressionDeterminism, VerdictsAndCountsMatchAcrossModesAndThreads) {
   // Table-1 points for the fast flavors. Verdicts must agree everywhere.
@@ -35,8 +35,8 @@ TEST(CompressionDeterminism, VerdictsAndCountsMatchAcrossModesAndThreads) {
   // parallel search finishes the BFS level (that is what makes its
   // shortest counterexample deterministic), so the two legitimately
   // intern slightly different totals — a pre-existing explorer property,
-  // orthogonal to compression. Within a thread count, {none, pack,
-  // collapse} must be indistinguishable.
+  // orthogonal to compression. Within a thread count, none and collapse
+  // must be indistinguishable.
   const std::pair<int, int> points[] = {
       {1, 10}, {4, 10}, {5, 10}, {9, 10}, {10, 10}};
   const Flavor flavors[] = {Flavor::Binary, Flavor::RevisedBinary,
@@ -122,9 +122,9 @@ TEST(CompressionDeterminism, StoreBytesShrinkUnderCompression) {
   options.timing = {4, 10};
   options.participants = 2;
   const auto model = HeartbeatModel::build(Flavor::Static, options);
-  std::size_t bytes[3] = {};
-  std::uint64_t states[3] = {};
-  for (int m = 0; m < 3; ++m) {
+  std::size_t bytes[2] = {};
+  std::uint64_t states[2] = {};
+  for (int m = 0; m < 2; ++m) {
     mc::Explorer explorer{model.net()};
     mc::SearchLimits limits;
     limits.threads = 1;
@@ -134,13 +134,10 @@ TEST(CompressionDeterminism, StoreBytesShrinkUnderCompression) {
     states[m] = stats.states;
   }
   EXPECT_EQ(states[0], states[1]);
-  EXPECT_EQ(states[0], states[2]);
-  EXPECT_LT(bytes[1], bytes[0]);
-  EXPECT_LT(bytes[2], bytes[0]);
   // The acceptance bar (>= 3x on the static n=2 sweep) is measured by
   // bench_statespace --json; here we pin a conservative 2x so the test
   // stays robust to small models.
-  EXPECT_LT(bytes[2] * 2, bytes[0]);
+  EXPECT_LT(bytes[1] * 2, bytes[0]);
 }
 
 TEST(ConcurrentStoreCompression, CollapseHammerStaysExact) {

@@ -103,6 +103,27 @@ TEST(ParallelCounterexamples, ShortestTraceLengthIsThreadCountInvariant) {
   const auto base = ex.reach(model.r1_violation(), seq);
   ASSERT_TRUE(base.found);
 
+  // Pinned sequential counterexample: the action labels and the states
+  // interned before the stop. Any change to the sequential loop's
+  // intern/stop order or to trace reconstruction moves these.
+  const std::vector<std::string> expected_labels{
+      "",
+      "tick", "tick", "tick", "tick", "tick",
+      "tick", "tick", "tick", "tick", "tick",
+      "p0.timeout",
+      "p0.send_beat >> ch1.accept_beat",
+      "ch1.lose_beat",
+      "tick", "tick", "tick", "tick", "tick",
+      "tick", "tick", "tick", "tick", "tick",
+      "p0.timeout",
+      "p0.send_beat >> ch1.accept_beat",
+      "tick",
+      "mon1.error_r1"};
+  std::vector<std::string> labels;
+  for (const auto& step : base.trace) labels.push_back(step.action);
+  EXPECT_EQ(labels, expected_labels);
+  EXPECT_EQ(base.stats.states, 430u);
+
   for (unsigned threads : {2u, 8u}) {
     mc::SearchLimits limits;
     limits.threads = threads;

@@ -1,4 +1,4 @@
-// StateCodec property tests: the compressed encodings (pack and
+// StateCodec property tests: the codec's encodings (bit-packing and
 // collapse, see ta/codec.hpp) must be exact — every reachable state
 // encodes and decodes back to itself, and the packed hash is a function
 // of the state value alone. The states come from a BFS prefix of a real
@@ -100,30 +100,23 @@ TEST(StateCodec, CollapseRootRoundTripsViaComponents) {
 
 TEST(StateCodec, CompressedStoresRoundTripAndAgreeOnIdentity) {
   // The store-level property behind count invariance: for any sampled
-  // state multiset, all three encodings intern to the same set of
+  // state multiset, both store encodings intern to the same set of
   // indices (same order, same novelty) and decode back to the original.
   for (const auto flavor : {Flavor::RevisedBinary, Flavor::Dynamic}) {
     const auto model = build_model(flavor, 2, 4, 10);
     const auto& codec = model.net().codec();
     const auto states = sample_reachable(model.net(), 3000);
     mc::StateStore none{codec, ta::Compression::None};
-    mc::StateStore pack{codec, ta::Compression::Pack};
     mc::StateStore collapse{codec, ta::Compression::Collapse};
     for (const auto& s : states) {
       const auto [ni, nfresh] = none.intern(s);
-      const auto [pi, pfresh] = pack.intern(s);
       const auto [ci, cfresh] = collapse.intern(s);
-      ASSERT_EQ(ni, pi);
       ASSERT_EQ(ni, ci);
-      ASSERT_EQ(nfresh, pfresh);
       ASSERT_EQ(nfresh, cfresh);
     }
-    ASSERT_EQ(none.size(), pack.size());
     ASSERT_EQ(none.size(), collapse.size());
     ta::State out{codec.slot_count()};
     for (std::uint32_t i = 0; i < none.size(); ++i) {
-      pack.load(i, out);
-      ASSERT_EQ(out, none.get(i));
       collapse.load(i, out);
       ASSERT_EQ(out, none.get(i));
       ASSERT_EQ(collapse.find(out), i);
