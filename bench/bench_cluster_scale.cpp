@@ -13,16 +13,12 @@
 //   - membership churn: an expanding join storm (every member starts
 //     unjoined and beats in) and, for the dynamic variant, a staggered
 //     leave/rejoin wave riding a steady cluster.
-// One legacy hb::Cluster baseline runs at 10k for the speedup ratio;
-// at 100k the legacy harness is no longer a reasonable thing to run in
-// a benchmark loop — which is the point of the scale engine.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "hb/cluster.hpp"
 #include "hb/cluster_scale.hpp"
 #include "rv/availability.hpp"
 #include "rv/monitor.hpp"
@@ -133,27 +129,6 @@ MonitoredResult steady_state_scale_monitored(int n) {
   r.violations = requirements.violations().size() +
                  suspicion.violations().size();
   r.up_fraction = availability.summary().up_fraction();
-  return r;
-}
-
-SteadyResult steady_state_legacy(int n, std::uint64_t rounds) {
-  hb::Cluster cluster{scale_config(hb::Variant::Static, n, 42)};
-  std::uint64_t beats = 0;
-  std::uint64_t round_count = 0;
-  cluster.on_protocol_event([&](const hb::ProtocolEvent& e) {
-    if (e.kind == hb::ProtocolEvent::Kind::CoordinatorBeat) {
-      ++round_count;
-      beats += e.fanout;
-    }
-  });
-  const auto start = std::chrono::steady_clock::now();
-  cluster.start();
-  cluster.run_until(static_cast<sim::Time>(rounds) * kTmax + 1);
-  SteadyResult r;
-  r.seconds = seconds_since(start);
-  r.rounds = round_count;
-  r.beats = beats;
-  r.net = cluster.network_stats();
   return r;
 }
 
@@ -268,10 +243,8 @@ int main(int argc, char** argv) {
                 "beats/sec", "ns/beat", "detect p50/p99/max (ticks)");
   }
 
-  double scale_bps_10k = 0;
   for (const int n : sizes) {
     const auto steady = steady_state_scale(n);
-    if (n == 10'000) scale_bps_10k = steady.beats_per_sec();
     const auto monitored = steady_state_scale_monitored(n);
     const double overhead_pct =
         steady.beats_per_sec() > 0
@@ -328,29 +301,6 @@ int main(int argc, char** argv) {
                   "", "", "", monitored.steady.beats_per_sec(),
                   monitored.steady.ns_per_beat(), overhead_pct,
                   monitor_ns_per_event, monitored.violations);
-    }
-  }
-
-  // Legacy baseline at 10k (skipped when a single other size was asked
-  // for): same protocol work on the binary-heap simulator and
-  // map-routed network.
-  if (std::find(sizes.begin(), sizes.end(), 10'000) != sizes.end()) {
-    const auto legacy = steady_state_legacy(10'000, 10);
-    const double speedup = legacy.beats > 0 && scale_bps_10k > 0
-                               ? scale_bps_10k / legacy.beats_per_sec()
-                               : 0;
-    if (args.json) {
-      std::printf(
-          "{\"bench\": \"cluster_scale/legacy_n10000\", \"participants\": "
-          "10000, \"rounds\": %llu, \"beats\": %llu, \"seconds\": %.3f, "
-          "\"beats_per_sec\": %.0f, \"speedup\": %.1f}\n",
-          static_cast<unsigned long long>(legacy.rounds),
-          static_cast<unsigned long long>(legacy.beats), legacy.seconds,
-          legacy.beats_per_sec(), speedup);
-    } else {
-      std::printf("\nlegacy hb::Cluster at n=10000: %.0f beats/sec "
-                  "(scale engine: %.0f, %.1fx)\n",
-                  legacy.beats_per_sec(), scale_bps_10k, speedup);
     }
   }
 

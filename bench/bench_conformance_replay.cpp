@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "hb/cluster.hpp"
+#include "hb/cluster_scale.hpp"
 #include "proto/conformance.hpp"
 #include "proto/rules.hpp"
 
@@ -44,7 +44,7 @@ std::vector<Workload> record_workloads() {
     config.min_delay = 0;
     config.max_delay = -1;  // cluster default: tmin / 2
     config.seed = 7;
-    hb::Cluster cluster{config};
+    hb::ScaleCluster cluster{config};
     proto::TraceRecorder recorder{cluster};
     cluster.crash_participant_at(1, 2 * tmax + 1);
     cluster.start();

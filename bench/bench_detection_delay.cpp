@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "hb/cluster.hpp"
+#include "hb/cluster_scale.hpp"
 
 namespace {
 
@@ -50,14 +50,14 @@ DelayStats participant_crash_sweep(hb::Time tmin, hb::Time tmax,
     config.participants = 1;
     config.seed = static_cast<std::uint64_t>(seed);
 
-    hb::Cluster cluster{config};
+    hb::ScaleCluster cluster{config};
     // Crash at a pseudo-random phase within a few rounds.
     const sim::Time crash_at = 100 + (seed * 37) % (3 * tmax);
     cluster.crash_participant_at(1, crash_at);
     cluster.start();
     cluster.run_until(crash_at + 20 * tmax);
 
-    const hb::Time at = cluster.coordinator().inactivated_at();
+    const hb::Time at = cluster.coordinator_inactivated_at();
     if (at == hb::kNever) continue;
     const hb::Time delay = at - crash_at;
     ++stats.detected;
@@ -82,13 +82,13 @@ DelayStats coordinator_crash_sweep(hb::Time tmin, hb::Time tmax,
     config.participants = 1;
     config.seed = static_cast<std::uint64_t>(seed);
 
-    hb::Cluster cluster{config};
+    hb::ScaleCluster cluster{config};
     const sim::Time crash_at = 100 + (seed * 41) % (3 * tmax);
     cluster.crash_coordinator_at(crash_at);
     cluster.start();
     cluster.run_until(crash_at + 20 * tmax);
 
-    const hb::Time at = cluster.participant(1).inactivated_at();
+    const hb::Time at = cluster.participant_inactivated_at(1);
     if (at == hb::kNever) continue;
     ++stats.detected;
     const hb::Time delay = at - crash_at;

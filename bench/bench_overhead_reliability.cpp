@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "hb/cluster.hpp"
+#include "hb/cluster_scale.hpp"
 #include "hb/plain.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
@@ -177,14 +177,14 @@ Row bench_accelerated(const char* name, const char* slug, bool fixed_bounds,
       config.participants = 1;
       config.loss_probability = loss;
       config.seed = static_cast<std::uint64_t>(seed);
-      hb::Cluster cluster{config};
+      hb::ScaleCluster cluster{config};
       cluster.start();
       cluster.run_until(kHorizon);
-      const bool ok = cluster.coordinator().status() == hb::Status::Active &&
-                      cluster.participant(1).status() == hb::Status::Active;
+      const bool ok = cluster.coordinator_status() == hb::Status::Active &&
+                      cluster.participant_status(1) == hb::Status::Active;
       if (ok) ++survived;
-      // Count only the coordinator+participant sends (the overhead).
-      healthy_msgs += cluster.node_stats(0).sent + cluster.node_stats(1).sent;
+      // Every send is a coordinator or participant beat (the overhead).
+      healthy_msgs += cluster.network_stats().sent;
       add_stats(row.net, cluster.network_stats());
     }
     {
@@ -195,12 +195,12 @@ Row bench_accelerated(const char* name, const char* slug, bool fixed_bounds,
       config.protocol.fixed_bounds = fixed_bounds;
       config.participants = 1;
       config.seed = static_cast<std::uint64_t>(seed);
-      hb::Cluster cluster{config};
+      hb::ScaleCluster cluster{config};
       const sim::Time crash_at = 1000 + (seed * 13) % (3 * kTmax);
       cluster.crash_participant_at(1, crash_at);
       cluster.start();
       cluster.run_until(kHorizon);
-      const hb::Time at = cluster.coordinator().inactivated_at();
+      const hb::Time at = cluster.coordinator_inactivated_at();
       if (at != hb::kNever && at > crash_at) {
         ++detected;
         const hb::Time delay = at - crash_at;

@@ -22,7 +22,7 @@
 #include <sys/resource.h>
 
 #include "mc/explorer.hpp"
-#include "sim/network.hpp"
+#include "sim/link.hpp"
 #include "ta/codec.hpp"
 
 namespace ahb::bench {

@@ -14,10 +14,28 @@
 // Build & run:  ./build/examples/cluster_membership
 #include <cstdio>
 
-#include "hb/cluster.hpp"
+#include "hb/cluster_scale.hpp"
+
+namespace {
+
+using namespace ahb;
+
+/// Prints every non-voluntary inactivation as it happens.
+class InactivationLog final : public rv::EventSink {
+ public:
+  std::uint32_t protocol_interest() const override {
+    return rv::protocol_bit(hb::ProtocolEvent::Kind::CoordinatorInactivated) |
+           rv::protocol_bit(hb::ProtocolEvent::Kind::ParticipantInactivated);
+  }
+  void on_protocol_event(const hb::ProtocolEvent& event) override {
+    std::printf("[t=%5lld] node %d deactivated non-voluntarily\n",
+                static_cast<long long>(event.at), event.node);
+  }
+};
+
+}  // namespace
 
 int main() {
-  using namespace ahb;
 
   hb::ClusterConfig config;
   config.protocol.variant = hb::Variant::Dynamic;
@@ -32,11 +50,9 @@ int main() {
   config.loss_probability = 0.01;
   config.seed = 42;
 
-  hb::Cluster cluster{config};
-  cluster.on_inactivation([](int node, sim::Time at) {
-    std::printf("[t=%5lld] node %d deactivated non-voluntarily\n",
-                static_cast<long long>(at), node);
-  });
+  InactivationLog log;
+  hb::ScaleCluster cluster{config};
+  cluster.add_sink(&log);
 
   cluster.leave_at(2, 400);
   cluster.leave_at(4, 800);
@@ -47,19 +63,20 @@ int main() {
   // Poll membership as the run progresses.
   for (const sim::Time checkpoint : {200, 600, 1000, 1190}) {
     cluster.run_until(checkpoint);
-    const auto members = cluster.coordinator().member_ids();
     std::printf("[t=%5lld] members:", static_cast<long long>(checkpoint));
-    for (const int id : members) std::printf(" %d", id);
+    for (int id = 1; id <= config.participants; ++id) {
+      if (cluster.is_member(id)) std::printf(" %d", id);
+    }
     std::printf("\n");
   }
 
   cluster.run_until(3000);
 
   std::printf("\n--- final statuses ---\n");
-  std::printf("coordinator: %s\n", to_string(cluster.coordinator().status()));
+  std::printf("coordinator: %s\n", to_string(cluster.coordinator_status()));
   for (int i = 1; i <= config.participants; ++i) {
     std::printf("worker %d:    %s\n", i,
-                to_string(cluster.participant(i).status()));
+                to_string(cluster.participant_status(i)));
   }
   std::printf(
       "\nGraceful departures (workers 2 and 4) did not disturb the\n"

@@ -11,10 +11,28 @@
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
 
-#include "hb/cluster.hpp"
+#include "hb/cluster_scale.hpp"
+
+namespace {
+
+using namespace ahb;
+
+/// Prints every non-voluntary inactivation as it happens.
+class InactivationLog final : public rv::EventSink {
+ public:
+  std::uint32_t protocol_interest() const override {
+    return rv::protocol_bit(hb::ProtocolEvent::Kind::CoordinatorInactivated) |
+           rv::protocol_bit(hb::ProtocolEvent::Kind::ParticipantInactivated);
+  }
+  void on_protocol_event(const hb::ProtocolEvent& event) override {
+    std::printf("[t=%5lld] node %d non-voluntarily inactivated\n",
+                static_cast<long long>(event.at), event.node);
+  }
+};
+
+}  // namespace
 
 int main() {
-  using namespace ahb;
 
   hb::ClusterConfig config;
   config.protocol.variant = hb::Variant::Binary;
@@ -24,11 +42,9 @@ int main() {
   config.loss_probability = 0.02;
   config.seed = 7;
 
-  hb::Cluster cluster{config};
-  cluster.on_inactivation([](int node, sim::Time at) {
-    std::printf("[t=%5lld] node %d non-voluntarily inactivated\n",
-                static_cast<long long>(at), node);
-  });
+  InactivationLog log;
+  hb::ScaleCluster cluster{config};
+  cluster.add_sink(&log);
 
   // Inject a crash of the participant at t = 500.
   const sim::Time crash_at = 500;
@@ -39,10 +55,10 @@ int main() {
 
   std::printf("\n--- outcome ---\n");
   std::printf("participant status: %s\n",
-              to_string(cluster.participant(1).status()));
+              to_string(cluster.participant_status(1)));
   std::printf("coordinator status: %s\n",
-              to_string(cluster.coordinator().status()));
-  const sim::Time detected = cluster.coordinator().inactivated_at();
+              to_string(cluster.coordinator_status()));
+  const sim::Time detected = cluster.coordinator_inactivated_at();
   std::printf("crash injected at t=%lld, detected at t=%lld "
               "(delay %lld, guaranteed bound %lld)\n",
               static_cast<long long>(crash_at),

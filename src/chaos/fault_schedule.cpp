@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace ahb::chaos {
 
@@ -100,6 +101,11 @@ bool read_string(const std::string& line, const char* key, std::string& out) {
   if (end == nullptr) return false;
   out.assign(value + 1, end);
   return true;
+}
+
+bool fits_int(std::int64_t value) {
+  return value >= std::numeric_limits<int>::min() &&
+         value <= std::numeric_limits<int>::max();
 }
 
 std::string format_action(const FaultAction& action) {
@@ -243,7 +249,8 @@ std::optional<RunSpec> parse_run(const std::string& text) {
       read_bool(line, "wire_validation", spec.wire_validation);
       read_bool(line, "clock_guard", spec.clock_guard);
       const auto variant = variant_from_string(variant_name);
-      if (!variant || participants < 1 || !spec.timing().valid()) {
+      if (!variant || participants < 1 || !fits_int(participants) ||
+          spec.horizon <= 0 || !spec.timing().valid()) {
         return std::nullopt;
       }
       spec.variant = *variant;
@@ -266,7 +273,11 @@ std::optional<RunSpec> parse_run(const std::string& text) {
       return std::nullopt;
     }
     const auto kind = fault_kind_from_string(kind_name);
-    if (!kind) return std::nullopt;
+    // Actions fire at the run's start or later, on node ids an int
+    // holds (anything else would be truncated into a different node).
+    if (!kind || action.at < 0 || !fits_int(a) || !fits_int(b)) {
+      return std::nullopt;
+    }
     action.kind = *kind;
     action.a = static_cast<int>(a);
     action.b = static_cast<int>(b);

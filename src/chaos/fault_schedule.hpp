@@ -3,9 +3,9 @@
 //
 // A FaultSchedule is an ordered list of timed fault actions (network
 // degradation, partitions, crashes, leaves, clock drift) applied to a
-// Cluster at absolute simulation times. Together with the RunSpec
+// cluster at absolute simulation times. Together with the RunSpec
 // header (variant, timing, seed, horizon) it fully determines an
-// execution: the simulator, the network and the schedule are all
+// execution: the engine, its transport and the schedule are all
 // seeded, so replaying a serialized schedule reproduces the run — and
 // any monitor violation — byte for byte. Serialization is JSON lines
 // (one header line, one line per action) to keep shrunk counterexample
@@ -122,7 +122,10 @@ struct RunSpec {
 };
 
 /// JSONL round-trip. The first line is the RunSpec header, each further
-/// line one action; parse returns nullopt on any malformed line.
+/// line one action; parse returns nullopt on any malformed line, and on
+/// values a run cannot execute: a participant count outside [1, INT_MAX],
+/// a non-positive horizon, an invalid timing, an action time before 0,
+/// or node operands an int cannot hold.
 std::string serialize_run(const RunSpec& spec);
 std::optional<RunSpec> parse_run(const std::string& text);
 

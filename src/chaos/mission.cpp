@@ -22,18 +22,19 @@ constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 /// The checkpoint digest: every protocol-visible piece of cluster state
 /// plus the network counters. Two executions of the same spec agree on
 /// this at every instant, whatever chunking drove them there.
-std::uint64_t state_digest(const hb::Cluster& cluster) {
+std::uint64_t state_digest(const hb::ScaleCluster& cluster) {
   std::uint64_t hash = kFnvOffset;
   fnv_u64(hash, static_cast<std::uint64_t>(
-                    static_cast<int>(cluster.coordinator().status())));
-  fnv_u64(hash, static_cast<std::uint64_t>(cluster.coordinator().current_wait()));
+                    static_cast<int>(cluster.coordinator_status())));
+  fnv_u64(hash, static_cast<std::uint64_t>(cluster.coordinator_wait()));
   fnv_u64(hash,
-          static_cast<std::uint64_t>(cluster.coordinator().inactivated_at()));
+          static_cast<std::uint64_t>(cluster.coordinator_inactivated_at()));
   for (int i = 1; i <= cluster.participant_count(); ++i) {
-    const auto& p = cluster.participant(i);
-    fnv_u64(hash, static_cast<std::uint64_t>(static_cast<int>(p.status())));
-    fnv_u64(hash, static_cast<std::uint64_t>(p.joined()));
-    fnv_u64(hash, static_cast<std::uint64_t>(p.inactivated_at()));
+    fnv_u64(hash, static_cast<std::uint64_t>(
+                      static_cast<int>(cluster.participant_status(i))));
+    fnv_u64(hash, static_cast<std::uint64_t>(cluster.participant_joined(i)));
+    fnv_u64(hash,
+            static_cast<std::uint64_t>(cluster.participant_inactivated_at(i)));
   }
   const auto& net = cluster.network_stats();
   fnv_u64(hash, net.sent);
@@ -70,7 +71,7 @@ MissionResult run_mission(const MissionOptions& options) {
   AHB_EXPECTS(spec.horizon > 0);
   result.out_of_spec = spec.out_of_spec();
 
-  hb::Cluster cluster(cluster_config_for(spec));
+  hb::ScaleCluster cluster(cluster_config_for(spec));
 
   const rv::MonitorBounds bounds = rv::MonitorBounds::defaults(
       spec.timing(), spec.variant, spec.fixed_bounds);

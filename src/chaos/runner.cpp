@@ -30,6 +30,30 @@ const char* kind_name(hb::ProtocolEvent::Kind kind) {
   return "?";
 }
 
+/// Records the protocol events of a run into its RunResult: the raw
+/// events and/or the serialized trace ("at kind node msg_id" lines).
+class Recorder final : public rv::EventSink {
+ public:
+  Recorder(RunResult& result, bool trace, bool events)
+      : result_(result), trace_(trace), events_(events) {}
+
+  void on_protocol_event(const hb::ProtocolEvent& event) override {
+    if (events_) result_.events.push_back(event);
+    if (trace_) {
+      char line[96];
+      std::snprintf(line, sizeof line, "%" PRId64 " %s %d %" PRIu64 "\n",
+                    event.at, kind_name(event.kind), event.node,
+                    event.msg_id);
+      result_.trace += line;
+    }
+  }
+
+ private:
+  RunResult& result_;
+  bool trace_;
+  bool events_;
+};
+
 bool valid_node(const RunSpec& spec, int id) {
   return id >= 0 && id <= spec.participants;
 }
@@ -38,88 +62,95 @@ bool valid_participant(const RunSpec& spec, int id) {
   return id >= 1 && id <= spec.participants;
 }
 
-void apply_link_change(hb::Cluster& cluster, const FaultAction& action) {
-  auto& net = cluster.network();
-  auto params = net.link_params(action.a, action.b);
+/// The one-field link change a link action stands for (a storm: its
+/// burst), operands clamped to valid probabilities and delay ranges.
+sim::LinkChange link_change(const FaultAction& action) {
+  using Field = sim::LinkChange::Field;
+  const auto unit = [](double p) { return std::clamp(p, 0.0, 1.0); };
+  sim::LinkChange change;
   switch (action.kind) {
     case FaultKind::SetLoss:
-      params.loss_probability = std::clamp(action.p, 0.0, 1.0);
+      change.field = Field::Loss;
+      change.p = unit(action.p);
       break;
     case FaultKind::SetBurst:
-      params.burst.p_enter = std::clamp(action.p, 0.0, 1.0);
-      params.burst.p_exit = std::clamp(action.q, 0.0, 1.0);
-      params.burst.loss = std::clamp(action.r, 0.0, 1.0);
+    case FaultKind::AsymmetricStorm:
+      change.field = Field::Burst;
+      change.p = unit(action.p);
+      change.q = unit(action.q);
+      change.r = unit(action.r);
       break;
     case FaultKind::SetDelay:
-      params.min_delay = std::max<Time>(action.d1, 0);
-      params.max_delay = std::max(params.min_delay, action.d2);
+      change.field = Field::Delay;
+      change.lo = std::max<Time>(action.d1, 0);
+      change.hi = std::max(change.lo, action.d2);
       break;
     case FaultKind::SetDuplication:
-      params.duplicate_probability = std::clamp(action.p, 0.0, 1.0);
+      change.field = Field::Duplication;
+      change.p = unit(action.p);
       break;
     case FaultKind::CorruptPayload:
-      params.corrupt_probability = std::clamp(action.p, 0.0, 1.0);
+      change.field = Field::Corruption;
+      change.p = unit(action.p);
+      break;
+    case FaultKind::LinkUp:
+    case FaultKind::Heal:
+      change.field = Field::Up;
+      break;
+    case FaultKind::LinkDown:
+    case FaultKind::Partition:
+      change.field = Field::Down;
       break;
     default:
-      return;
+      AHB_EXPECTS(false && "not a link action");
   }
-  net.set_link(action.a, action.b, params);
+  return change;
 }
 
-/// One directed half of an asymmetric storm: burst (p,q,r) on the
-/// uplink (member -> coordinator, d2 == 0) or downlink of every member
-/// in [lo, hi], reverting to burst-off when the storm ends.
-void apply_storm(hb::Cluster& cluster, const FaultAction& action, int lo,
-                 int hi, bool start) {
-  auto& net = cluster.network();
+/// One directed half of an asymmetric storm at `at`: burst (p,q,r) on
+/// the uplink (member -> coordinator, d2 == 0) or downlink of every
+/// member in [lo, hi] when it starts, burst-off when it ends.
+void schedule_storm(hb::ScaleCluster& cluster, const FaultAction& action,
+                    Time at, int lo, int hi, bool start) {
+  constexpr sim::LinkChange kBurstOff{.field = sim::LinkChange::Field::Burst,
+                                      .p = 0.0, .q = 1.0, .r = 0.0};
+  const sim::LinkChange change = start ? link_change(action) : kBurstOff;
   for (int i = lo; i <= hi; ++i) {
     const int from = action.d2 == 0 ? i : 0;
     const int to = action.d2 == 0 ? 0 : i;
-    auto params = net.link_params(from, to);
-    params.burst.p_enter = start ? std::clamp(action.p, 0.0, 1.0) : 0.0;
-    params.burst.p_exit = start ? std::clamp(action.q, 0.0, 1.0) : 1.0;
-    params.burst.loss = start ? std::clamp(action.r, 0.0, 1.0) : 0.0;
-    net.set_link(from, to, params);
+    cluster.change_link_at(at, from, to, change);
   }
 }
 
 /// Schedules one action. Malformed operands (node ids outside the
-/// cluster, non-positive drift rates) make the action a no-op rather
-/// than an abort: shrunk and hand-edited schedules must stay safe to
-/// replay.
-void schedule_action(hb::Cluster& cluster, const RunSpec& spec,
+/// cluster, non-positive drift rates, storm or churn offsets that
+/// overflow the time range) make the action a no-op rather than an
+/// abort: shrunk and hand-edited schedules must stay safe to replay.
+void schedule_action(hb::ScaleCluster& cluster, const RunSpec& spec,
                      const FaultAction& action) {
-  auto& sim = cluster.simulator();
   switch (action.kind) {
     case FaultKind::SetLoss:
     case FaultKind::SetBurst:
     case FaultKind::SetDelay:
     case FaultKind::SetDuplication:
     case FaultKind::CorruptPayload:
-      if (!valid_node(spec, action.a) || !valid_node(spec, action.b)) return;
-      sim.at(action.at,
-             [&cluster, action] { apply_link_change(cluster, action); });
-      break;
     case FaultKind::LinkDown:
     case FaultKind::LinkUp:
       if (!valid_node(spec, action.a) || !valid_node(spec, action.b)) return;
-      sim.at(action.at, [&cluster, action] {
-        cluster.network().set_link_up(action.a, action.b,
-                                      action.kind == FaultKind::LinkUp);
-      });
+      cluster.change_link_at(action.at, action.a, action.b,
+                             link_change(action));
       break;
     case FaultKind::Partition:
     case FaultKind::Heal: {
       const int lo = std::max(action.a, 1);
       const int hi = std::min(action.b, spec.participants);
       if (lo > hi) return;
-      sim.at(action.at, [&cluster, action, lo, hi] {
-        const bool up = action.kind == FaultKind::Heal;
-        for (int i = lo; i <= hi; ++i) {
-          cluster.network().set_link_up(0, i, up);
-          cluster.network().set_link_up(i, 0, up);
-        }
-      });
+      // Both directions between the coordinator and each member.
+      const sim::LinkChange change = link_change(action);
+      for (int i = lo; i <= hi; ++i) {
+        cluster.change_link_at(action.at, 0, i, change);
+        cluster.change_link_at(action.at, i, 0, change);
+      }
       break;
     }
     case FaultKind::CrashParticipant:
@@ -141,9 +172,7 @@ void schedule_action(hb::Cluster& cluster, const RunSpec& spec,
       if (!valid_node(spec, action.a) || action.d1 <= 0 || action.d2 <= 0) {
         return;
       }
-      sim.at(action.at, [&cluster, action] {
-        cluster.set_drift(action.a, action.d1, action.d2);
-      });
+      cluster.set_drift_at(action.a, action.at, action.d1, action.d2);
       break;
     case FaultKind::SetClockOffset:
       if (!valid_node(spec, action.a) || action.d1 == 0) return;
@@ -157,19 +186,29 @@ void schedule_action(hb::Cluster& cluster, const RunSpec& spec,
     case FaultKind::AsymmetricStorm: {
       const int lo = std::max(action.a, 1);
       const int hi = std::min(action.b, spec.participants);
-      if (lo > hi || action.d1 <= 0) return;
-      sim.at(action.at, [&cluster, action, lo, hi] {
-        apply_storm(cluster, action, lo, hi, true);
-      });
-      sim.at(action.at + action.d1, [&cluster, action, lo, hi] {
-        apply_storm(cluster, action, lo, hi, false);
-      });
+      Time end = 0;
+      if (lo > hi || action.d1 <= 0 ||
+          __builtin_add_overflow(action.at, action.d1, &end)) {
+        return;
+      }
+      schedule_storm(cluster, action, action.at, lo, hi, true);
+      schedule_storm(cluster, action, end, lo, hi, false);
       break;
     }
     case FaultKind::ChurnStorm: {
       const int lo = std::max(action.a, 1);
       const int hi = std::min(action.b, spec.participants);
       if (lo > hi || action.d1 < 0 || action.d2 < 0) return;
+      // The last member leaves at at + (hi - lo) * d1 and rejoins d2
+      // later; both must be representable times.
+      Time last_leave = 0;
+      Time last_rejoin = 0;
+      if (__builtin_mul_overflow(static_cast<Time>(hi - lo), action.d1,
+                                 &last_leave) ||
+          __builtin_add_overflow(action.at, last_leave, &last_leave) ||
+          __builtin_add_overflow(last_leave, action.d2, &last_rejoin)) {
+        return;
+      }
       for (int i = lo; i <= hi; ++i) {
         const Time leave = action.at + static_cast<Time>(i - lo) * action.d1;
         cluster.leave_at(i, leave);
@@ -182,7 +221,7 @@ void schedule_action(hb::Cluster& cluster, const RunSpec& spec,
 
 }  // namespace
 
-void schedule_actions(hb::Cluster& cluster, const RunSpec& spec) {
+void schedule_actions(hb::ScaleCluster& cluster, const RunSpec& spec) {
   for (const auto& action : spec.schedule.actions) {
     schedule_action(cluster, spec, action);
   }
@@ -207,7 +246,7 @@ RunResult run_chaos(const RunSpec& spec, const rv::MonitorBounds* bounds,
   AHB_EXPECTS(spec.timing().valid());
   AHB_EXPECTS(spec.horizon > 0);
 
-  hb::Cluster cluster(cluster_config_for(spec));
+  hb::ScaleCluster cluster(cluster_config_for(spec));
 
   const rv::MonitorBounds monitor_bounds =
       bounds != nullptr ? *bounds
@@ -225,9 +264,8 @@ RunResult run_chaos(const RunSpec& spec, const rv::MonitorBounds* bounds,
   rv::AvailabilityStats availability(spec.participants);
   rv::IntegrityMonitor integrity;
 
-  // The whole monitor stack rides the sink chain; the trace/event
-  // recorder is the legacy callback adapter, which the cluster
-  // registered first.
+  // The whole monitor stack rides the sink chain, next to the
+  // trace/event recorder.
   monitor.attach(cluster);
   suspicion.attach(cluster);
   cluster.add_sink(&availability);
@@ -254,18 +292,8 @@ RunResult run_chaos(const RunSpec& spec, const rv::MonitorBounds* bounds,
   RunResult result;
   result.out_of_spec = spec.out_of_spec();
 
-  if (record_trace || record_events) {
-    cluster.on_protocol_event([&](const hb::ProtocolEvent& event) {
-      if (record_events) result.events.push_back(event);
-      if (record_trace) {
-        char line[96];
-        std::snprintf(line, sizeof line, "%" PRId64 " %s %d %" PRIu64 "\n",
-                      event.at, kind_name(event.kind), event.node,
-                      event.msg_id);
-        result.trace += line;
-      }
-    });
-  }
+  Recorder recorder{result, record_trace, record_events};
+  if (record_trace || record_events) cluster.add_sink(&recorder);
 
   schedule_actions(cluster, spec);
 

@@ -1,4 +1,4 @@
-// Executes one chaos run: builds a Cluster from a RunSpec, applies the
+// Executes one chaos run: builds a ScaleCluster from a RunSpec, applies the
 // fault schedule at its prescribed instants, monitors R1–R3, and
 // returns the verdicts plus the observables that make runs comparable
 // (the serialized protocol-event trace and the network counters).
@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "chaos/fault_schedule.hpp"
-#include "hb/cluster.hpp"
+#include "hb/cluster_scale.hpp"
 #include "rv/availability.hpp"
 #include "rv/integrity.hpp"
 #include "rv/monitor.hpp"
@@ -71,6 +71,6 @@ hb::ClusterConfig cluster_config_for(const RunSpec& spec);
 /// start(), in schedule order — same-instant actions fire FIFO exactly
 /// as listed). Exposed so the mission runner applies schedules to its
 /// own long-lived clusters through the one shared interpreter.
-void schedule_actions(hb::Cluster& cluster, const RunSpec& spec);
+void schedule_actions(hb::ScaleCluster& cluster, const RunSpec& spec);
 
 }  // namespace ahb::chaos

@@ -13,20 +13,22 @@ ScaleCluster::ScaleCluster(const ClusterConfig& config)
       timing_(config.protocol.timing()),
       timer_priority_(config.receive_priority ? 1 : 0),
       rng_(config.seed),
-      loss_probability_(config.loss_probability),
-      corrupt_probability_(config.corrupt_probability),
-      min_delay_(config.min_delay),
-      delay_span_((config.max_delay >= 0
-                       ? config.max_delay
-                       : std::max<sim::Time>(config.protocol.tmin / 2, 0)) -
-                  config.min_delay),
+      links_(sim::LinkParams{
+          .loss_probability = config.loss_probability,
+          .min_delay = config.min_delay,
+          .max_delay = config.max_delay >= 0
+                           ? config.max_delay
+                           : std::max<sim::Time>(config.protocol.tmin / 2, 0),
+          .corrupt_probability = config.corrupt_probability,
+      }),
+      // The channel assumption bounds the round trip by tmin, so a
+      // one-way delay beyond tmin/2 is out of spec (NetworkStats::
+      // out_of_spec_delay counts such samples when chaos injects them).
       spec_max_delay_(config.protocol.tmin / 2),
       t_(config.protocol.tmax) {
   AHB_EXPECTS(config.protocol.valid());
   AHB_EXPECTS(config.participants >= 1);
-  AHB_EXPECTS(delay_span_ >= 0);
-
-  sinks_.add(&legacy_);
+  AHB_EXPECTS(links_.defaults().max_delay >= links_.defaults().min_delay);
 
   const auto slots = static_cast<std::size_t>(participants_) + 1;
   newest_to_coord_.assign(slots, 0);
@@ -45,8 +47,8 @@ ScaleCluster::ScaleCluster(const ClusterConfig& config)
   p_timer_.assign(slots, Wheel::Handle{});
 
   // A-priori membership (binary/static family): every participant
-  // starts registered, joined and with a granted first round, exactly
-  // like the legacy Coordinator's constructor.
+  // starts registered, joined and with a granted first round (the
+  // rcvd-initially-true initialisation of the protocol).
   if (!variant_joins(config.protocol.variant)) {
     for (int i = 1; i <= participants_; ++i) {
       joined_.set(static_cast<std::size_t>(i));
@@ -64,7 +66,7 @@ void ScaleCluster::start() {
 
   // Coordinator start: arm the first round; the revised-binary variant
   // beats immediately.
-  round_deadline_ = now_ + config_.protocol.tmax;
+  round_deadline_ = local_now(0) + config_.protocol.tmax;
   if (proto::rules_for(config_.protocol.variant).initial_beat) {
     std::uint64_t beat_id = 0;
     std::uint32_t fanout = 0;
@@ -81,13 +83,16 @@ void ScaleCluster::start() {
   }
   arm_node_timer(0);
 
+  // Participants arm their inactivation deadline; the join-phase
+  // variants send their first join beat one join period after start-up.
   for (int i = 1; i <= participants_; ++i) {
     const auto idx = static_cast<std::size_t>(i);
+    const sim::Time local = local_now(i);
     if (p_joined_.test(idx)) {
-      p_deadline_[idx] = now_ + config_.protocol.participant_deadline();
+      p_deadline_[idx] = local + config_.protocol.participant_deadline();
     } else {
-      p_deadline_[idx] = now_ + config_.protocol.join_deadline();
-      p_next_join_[idx] = now_ + proto::join_beat_period(timing_);
+      p_deadline_[idx] = local + config_.protocol.join_deadline();
+      p_next_join_[idx] = local + proto::join_beat_period(timing_);
     }
     arm_node_timer(i);
   }
@@ -106,36 +111,54 @@ void ScaleCluster::run_until(sim::Time horizon) {
 }
 
 void ScaleCluster::crash_coordinator_at(sim::Time when) {
-  wheel_.arm(when, 0, Ev{Ev::Kind::CrashCoordinator, true, 0, 0, 0});
+  wheel_.arm(when, 0, Ev{Ev::Kind::CrashCoordinator, 0, 0});
 }
 
 void ScaleCluster::crash_participant_at(int id, sim::Time when) {
   AHB_EXPECTS(id >= 1 && id <= participants_);
-  wheel_.arm(when, 0, Ev{Ev::Kind::CrashParticipant, true, 0, id, 0});
+  wheel_.arm(when, 0, Ev{Ev::Kind::CrashParticipant, 0, id});
 }
 
 void ScaleCluster::leave_at(int id, sim::Time when) {
   AHB_EXPECTS(id >= 1 && id <= participants_);
-  wheel_.arm(when, 0, Ev{Ev::Kind::Leave, true, 0, id, 0});
+  wheel_.arm(when, 0, Ev{Ev::Kind::Leave, 0, id});
 }
 
 void ScaleCluster::rejoin_at(int id, sim::Time when) {
   AHB_EXPECTS(id >= 1 && id <= participants_);
-  wheel_.arm(when, 0, Ev{Ev::Kind::Rejoin, true, 0, id, 0});
+  wheel_.arm(when, 0, Ev{Ev::Kind::Rejoin, 0, id});
+}
+
+void ScaleCluster::set_drift_at(int id, sim::Time when, std::int64_t num,
+                                std::int64_t den) {
+  AHB_EXPECTS(id >= 0 && id <= participants_);
+  AHB_EXPECTS(num > 0 && den > 0);
+  touch_clock(id);
+  wheel_.arm(when, 0, Ev{Ev::Kind::Drift, 0, id, 0, drift_rates_.size()});
+  drift_rates_.emplace_back(num, den);
 }
 
 void ScaleCluster::corrupt_clock_at(int id, sim::Time when,
                                     std::int64_t delta) {
   AHB_EXPECTS(id >= 0 && id <= participants_);
+  touch_clock(id);
   wheel_.arm(when, 0,
-             Ev{Ev::Kind::ClockOffset, true, 0, id, 0,
+             Ev{Ev::Kind::ClockOffset, 0, id, 0,
                 static_cast<std::uint64_t>(delta)});
 }
 
 void ScaleCluster::wrap_clock_at(int id, sim::Time when,
                                  std::uint64_t margin) {
   AHB_EXPECTS(id >= 0 && id <= participants_);
-  wheel_.arm(when, 0, Ev{Ev::Kind::ClockWrap, true, 0, id, 0, margin});
+  touch_clock(id);
+  wheel_.arm(when, 0, Ev{Ev::Kind::ClockWrap, 0, id, 0, margin});
+}
+
+void ScaleCluster::change_link_at(sim::Time when, int from, int to,
+                                  const sim::LinkChange& change) {
+  wheel_.arm(when, 0,
+             Ev{Ev::Kind::LinkChange, 0, 0, 0, link_changes_.size()});
+  link_changes_.push_back(TimedLinkChange{from, to, change});
 }
 
 bool ScaleCluster::is_member(int id) const {
@@ -170,19 +193,19 @@ void ScaleCluster::handle(const Ev& ev) {
   switch (ev.kind) {
     case Ev::Kind::Deliver:
       if (ev.node == 0) {
-        deliver_to_coordinator(ev.from, ev.wire, ev.msg_id);
+        deliver_to_coordinator(ev.from, ev.operand, ev.msg_id);
       } else {
-        deliver_to_participant(ev.node, ev.from, ev.wire, ev.msg_id);
+        deliver_to_participant(ev.node, ev.from, ev.operand, ev.msg_id);
       }
       break;
     case Ev::Kind::NodeTimer:
-      if (ev.node == 0) {
-        coordinator_elapsed();
-      } else {
-        participant_elapsed(ev.node);
-      }
+      // The fired timer's handle is stale now (generation-checked), so
+      // the re-arm's cancel of it is a no-op.
+      node_elapsed(ev.node, local_now(ev.node));
+      arm_node_timer(ev.node);
       break;
     case Ev::Kind::CrashCoordinator:
+      (void)local_now(0);  // a crash is a clock read like any transition
       if (coord_status_ == Status::Active) {
         coord_status_ = Status::CrashedVoluntarily;
         emit(ProtocolEvent::Kind::CoordinatorCrashed, 0);
@@ -190,6 +213,7 @@ void ScaleCluster::handle(const Ev& ev) {
       break;
     case Ev::Kind::CrashParticipant: {
       const auto idx = static_cast<std::size_t>(ev.node);
+      (void)local_now(ev.node);
       if (p_status_[idx] == Status::Active) {
         p_status_[idx] = Status::CrashedVoluntarily;
         emit(ProtocolEvent::Kind::ParticipantCrashed, ev.node);
@@ -206,148 +230,205 @@ void ScaleCluster::handle(const Ev& ev) {
     case Ev::Kind::Rejoin: {
       const auto idx = static_cast<std::size_t>(ev.node);
       if (p_status_[idx] != Status::Left) break;
-      if (now_ < proto::earliest_rejoin(p_left_at_[idx], timing_)) break;
+      // The reincarnation hazard: rejoining before the leave beat's
+      // delay bound has drained risks a stale leave de-registering the
+      // new incarnation. The leave happens at the reply to the next
+      // beat, so its instant is not known when the rejoin is scheduled;
+      // a rejoin that comes too early is dropped.
+      const sim::Time local = local_now(ev.node);
+      if (local < proto::earliest_rejoin(p_left_at_[idx], timing_)) break;
       emit(ProtocolEvent::Kind::ParticipantRejoined, ev.node);
       p_status_[idx] = Status::Active;
       p_joined_.reset(idx);
       p_leave_requested_.reset(idx);
-      p_deadline_[idx] = now_ + config_.protocol.join_deadline();
-      p_next_join_[idx] = now_ + proto::join_beat_period(timing_);
+      p_deadline_[idx] = local + config_.protocol.join_deadline();
+      p_next_join_[idx] = local + proto::join_beat_period(timing_);
       arm_node_timer(ev.node);
       break;
     }
+    case Ev::Kind::Drift: {
+      const auto [num, den] = drift_rates_[ev.operand];
+      apply_drift(ev.node, num, den);
+      break;
+    }
     case Ev::Kind::ClockOffset:
-      apply_clock_offset(ev.node, static_cast<std::int64_t>(ev.wire));
+      apply_clock_offset(ev.node, static_cast<std::int64_t>(ev.operand));
       break;
     case Ev::Kind::ClockWrap:
-      // Modular idiom (guard on): only ages are ever compared, so the
-      // register's absolute position — wrap included — is unobservable.
-      // Guard off: the raw comparison breaks when the register crosses
-      // 2^64, i.e. `margin` ticks from now.
-      if (!config_.clock_guard) {
-        constexpr sim::Time kFar = kNever / 4;
-        const sim::Time margin =
-            ev.wire > static_cast<std::uint64_t>(kFar - now_)
-                ? kFar - now_
-                : static_cast<sim::Time>(ev.wire);
-        wheel_.arm(now_ + margin, 0,
-                   Ev{Ev::Kind::ClockWrapCross, true, 0, ev.node, 0, 0});
-      }
+      apply_clock_wrap(ev.node, ev.operand);
       break;
-    case Ev::Kind::ClockWrapCross:
-      apply_wrap_cross(ev.node);
+    case Ev::Kind::LinkChange: {
+      const TimedLinkChange& timed = link_changes_[ev.operand];
+      links_.apply(timed.from, timed.to, timed.change);
       break;
+    }
   }
 }
 
-/// Deadline image of a register jump by `delta`: a forward jump pulls
-/// the deadline closer (clamped to fire immediately), a backward jump
-/// pushes it out (saturated well below the kNever sentinel).
 namespace {
-sim::Time shift_deadline(sim::Time deadline, std::int64_t delta,
-                         sim::Time now) {
-  if (deadline == kNever) return kNever;
-  static constexpr sim::Time kFar = kNever / 4;
-  const __int128 shifted = static_cast<__int128>(deadline) - delta;
-  if (shifted <= now) return now;
-  if (shifted >= kFar) return kFar;
-  return static_cast<sim::Time>(shifted);
+
+/// Lower bound of `node` in a node-sorted table of (node, value) pairs.
+template <typename Table>
+auto find_node(Table& table, int node) {
+  return std::lower_bound(
+      table.begin(), table.end(), node,
+      [](const auto& entry, int key) { return entry.first < key; });
 }
+
 }  // namespace
 
-void ScaleCluster::fence_node(int node) {
+ScaleCluster::NodeClock* ScaleCluster::clock_of(int node) {
+  const auto it = find_node(clocks_, node);
+  return it != clocks_.end() && it->first == node ? &it->second : nullptr;
+}
+
+ScaleCluster::NodeClock& ScaleCluster::touch_clock(int node) {
+  const auto it = find_node(clocks_, node);
+  if (it != clocks_.end() && it->first == node) return it->second;
+  // The new clock reads the global clock, as if read right now.
+  const auto at = static_cast<std::uint64_t>(now_);
+  return clocks_
+      .insert(it, {node, NodeClock{.base_global = now_, .hw_base = at,
+                                   .hw_last = at, .base_engine = now_,
+                                   .engine_local = now_}})
+      ->second;
+}
+
+sim::Time ScaleCluster::advance_clock(NodeClock& clock) {
+  const std::uint64_t hw_now = clock.hw(now_);
+  if (hw_now == clock.hw_last) return clock.engine_local;
+  if (config_.clock_guard) {
+    // Modular-time idiom: only the age between two reads is meaningful,
+    // and only when it fits the half range. An invalid age is never
+    // acted on — the fault latches and the caller fences the node.
+    const std::uint64_t age = hw_now - clock.hw_last;
+    clock.hw_last = hw_now;
+    if (age < (1ULL << 63)) {
+      clock.engine_local += static_cast<sim::Time>(age);
+    } else {
+      clock.fault = true;
+    }
+    return clock.engine_local;
+  }
+  // Guard off (the historical bug): absolute register values compared
+  // raw, so a wrap or backward jump makes local time leap backwards.
+  // Saturating arithmetic keeps the leap itself well-defined.
+  static constexpr sim::Time kClamp = kNever / 4;
+  const auto clamped = [](__int128 value) {
+    if (value > kClamp) return kClamp;
+    if (value < -kClamp) return -kClamp;
+    return static_cast<sim::Time>(value);
+  };
+  if (hw_now >= clock.hw_last) {
+    clock.engine_local = clamped(static_cast<__int128>(clock.engine_local) +
+                                 (hw_now - clock.hw_last));
+  } else {
+    clock.engine_local = clamped(static_cast<__int128>(clock.engine_local) -
+                                 (clock.hw_last - hw_now));
+    // The reconstruction left the affine track timers were mapped on;
+    // re-anchor so future deadlines translate from the leaped clock.
+    clock.hw_base = hw_now;
+    clock.base_global = now_;
+    clock.base_engine = clock.engine_local;
+  }
+  clock.hw_last = hw_now;
+  return clock.engine_local;
+}
+
+void ScaleCluster::apply_drift(int node, std::int64_t num, std::int64_t den) {
+  NodeClock& clock = *clock_of(node);
+  // Close the old affine segment (register and engine anchor stay
+  // continuous across the rate change).
+  clock.hw_base = clock.hw(now_);
+  clock.base_engine =
+      clock.base_engine + (now_ - clock.base_global) * clock.num / clock.den;
+  clock.base_global = now_;
+  clock.num = num;
+  clock.den = den;
+  // Timers were armed under the old rate; re-arm at the new one.
+  if (started_) arm_node_timer(node);
+}
+
+void ScaleCluster::apply_clock_offset(int node, std::int64_t delta) {
+  NodeClock& clock = *clock_of(node);
+  // Jump the register (rebasing the rate segment at the injection
+  // instant) and force a clock read right away, so the node's reaction
+  // — fail-safe fence on a backward jump, conservative timeout on a
+  // forward one — is deterministic.
+  clock.hw_base = clock.hw(now_) + static_cast<std::uint64_t>(delta);
+  clock.base_global = now_;
+  const sim::Time local = advance_clock(clock);
+  clock.base_engine = local;  // re-anchor the timer mapping
+  clock.base_global = now_;
+  if (clock.fault) {
+    fence_node(node, local);
+    return;
+  }
+  // A forward jump may have blown straight past engine deadlines.
+  node_elapsed(node, local);
+  arm_node_timer(node);
+}
+
+void ScaleCluster::apply_clock_wrap(int node, std::uint64_t margin) {
+  NodeClock& clock = *clock_of(node);
+  const std::uint64_t hw_now = clock.hw(now_);
+  // Reposition the register `margin` ticks before the 2^64 boundary,
+  // translating the read history by the same shift: no age changes,
+  // only the absolute position — which the modular idiom never looks
+  // at, and the raw comparison fatally does once the wrap crosses. The
+  // engine<->global affine segment closes here like on a rate change:
+  // the reposition must not move any armed deadline.
+  const std::uint64_t shift = (0 - margin) - hw_now;
+  clock.hw_base = hw_now + shift;
+  clock.base_engine =
+      clock.base_engine + (now_ - clock.base_global) * clock.num / clock.den;
+  clock.base_global = now_;
+  clock.hw_last += shift;
+}
+
+void ScaleCluster::fence_node(int node, sim::Time local) {
   if (node == 0) {
-    if (coord_status_ != Status::Active) return;
-    coord_status_ = Status::InactiveNonVoluntarily;
-    coord_inactivated_at_ = now_;
-    emit(ProtocolEvent::Kind::CoordinatorInactivated, 0);
+    if (coord_status_ == Status::Active) {
+      coord_status_ = Status::InactiveNonVoluntarily;
+      coord_inactivated_at_ = local;
+      emit(ProtocolEvent::Kind::CoordinatorInactivated, 0);
+    }
   } else {
     const auto idx = static_cast<std::size_t>(node);
-    if (p_status_[idx] != Status::Active) return;
-    p_status_[idx] = Status::InactiveNonVoluntarily;
-    p_inactivated_at_[idx] = now_;
-    emit(ProtocolEvent::Kind::ParticipantInactivated, node);
+    if (p_status_[idx] == Status::Active) {
+      p_status_[idx] = Status::InactiveNonVoluntarily;
+      p_inactivated_at_[idx] = local;
+      emit(ProtocolEvent::Kind::ParticipantInactivated, node);
+    }
   }
   arm_node_timer(node);  // inactive: cancels the pending timer
 }
 
-void ScaleCluster::apply_clock_offset(int node, std::int64_t delta) {
-  if (delta < 0 && config_.clock_guard) {
-    // Half-range rule: a backward jump is an invalid age — fail-safe
-    // fence, never act (matches hb::Cluster's modular reconstruction).
-    fence_node(node);
-    return;
-  }
-  // Forward jump (or guard off): local time moved by `delta`, so every
-  // absolute deadline moves by -delta relative to it. Guard-off
-  // backward jumps leave the node silently over-waiting, which is
-  // exactly the bug the half-range rule removes.
-  if (node == 0) {
-    if (coord_status_ != Status::Active) return;
-    round_deadline_ = shift_deadline(round_deadline_, delta, now_);
-  } else {
-    const auto idx = static_cast<std::size_t>(node);
-    if (p_status_[idx] != Status::Active) return;
-    p_deadline_[idx] = shift_deadline(p_deadline_[idx], delta, now_);
-    p_next_join_[idx] = shift_deadline(p_next_join_[idx], delta, now_);
-  }
-  arm_node_timer(node);
-}
-
-void ScaleCluster::apply_wrap_cross(int node) {
-  // Guard off only (never armed otherwise): at the crossing the raw
-  // reconstruction leaps back ~2^64, so every armed deadline becomes
-  // unreachable. A later delivery re-arms participant deadlines
-  // relative to the leaped clock (transient recovery); the coordinator
-  // has no delivery-driven deadline refresh and stalls for good.
-  if (node == 0) {
-    if (coord_status_ != Status::Active) return;
-    round_deadline_ = kNever;
-  } else {
-    const auto idx = static_cast<std::size_t>(node);
-    if (p_status_[idx] != Status::Active) return;
-    p_deadline_[idx] = kNever;
-    p_next_join_[idx] = kNever;
-  }
-  arm_node_timer(node);
-}
-
 std::uint64_t ScaleCluster::send(int from, int to, bool flag) {
   const std::uint64_t id = next_msg_id_++;
-  ++net_stats_.sent;
-  if (sinks_.wants(sim::ChannelEvent::Kind::Sent)) {
-    sinks_.emit(sim::ChannelEvent{sim::ChannelEvent::Kind::Sent, from, to, id,
-                                  now_, 0});
+  const sim::SendFate fate =
+      sim::decide_send(rng_, links_, from, to, false, sizeof(WireMessage) * 8,
+                       spec_max_delay_, net_stats_);
+  channel(sim::ChannelEvent::Kind::Sent, from, to, id);
+  if (fate.outcome == sim::SendFate::Outcome::Blocked) {
+    channel(sim::ChannelEvent::Kind::Blocked, from, to, id);
+    return id;
   }
-  // Same per-send draw order as sim::Network: the loss Bernoulli first
-  // (a no-draw when the probability is zero), then the corruption roll
-  // (chance + bit index, only when armed), then the delay sample — this
-  // is what keeps the seeded stream identical to the legacy run.
-  if (rng_.chance(loss_probability_)) {
-    ++net_stats_.lost;
-    if (sinks_.wants(sim::ChannelEvent::Kind::Lost)) {
-      sinks_.emit(sim::ChannelEvent{sim::ChannelEvent::Kind::Lost, from, to,
-                                    id, now_, 0});
-    }
+  if (fate.outcome == sim::SendFate::Outcome::Lost) {
+    channel(sim::ChannelEvent::Kind::Lost, from, to, id);
     return id;
   }
   WireMessage wire = wire_encode(Message{from, flag});
-  if (corrupt_probability_ > 0 && rng_.chance(corrupt_probability_)) {
-    sim::corrupt_bit(wire, rng_.below(sizeof(WireMessage) * 8));
-    ++net_stats_.corrupted;
-    if (sinks_.wants(sim::ChannelEvent::Kind::Corrupted)) {
-      sinks_.emit(sim::ChannelEvent{sim::ChannelEvent::Kind::Corrupted, from,
-                                    to, id, now_, 0});
-    }
+  if (fate.corrupt) {
+    sim::corrupt_bit(wire, fate.corrupt_bit);
+    channel(sim::ChannelEvent::Kind::Corrupted, from, to, id);
   }
-  const sim::Time delay =
-      min_delay_ + static_cast<sim::Time>(rng_.below(
-                       static_cast<std::uint64_t>(delay_span_) + 1));
-  if (spec_max_delay_ >= 0 && delay > spec_max_delay_) {
-    ++net_stats_.out_of_spec_delay;
+  const Ev delivery{Ev::Kind::Deliver, from, to, id, wire.image};
+  wheel_.arm(now_ + fate.delay, 0, delivery);
+  if (fate.duplicate) {
+    channel(sim::ChannelEvent::Kind::Duplicated, from, to, id);
+    wheel_.arm(now_ + fate.duplicate_delay, 0, delivery);
   }
-  wheel_.arm(now_ + delay, 0,
-             Ev{Ev::Kind::Deliver, flag, from, to, id, wire.image});
   return id;
 }
 
@@ -365,52 +446,59 @@ std::optional<Message> ScaleCluster::decode_wire(
     int from, const WireMessage& wire) const {
   if (!config_.wire_validation) return wire_decode_unchecked(wire);
   std::optional<Message> msg = wire_decode(wire);
-  // Origin check, same as the legacy engine: the sender field must
-  // match the link the image arrived on.
+  // The checksum cannot catch a flip that lands a *different* valid
+  // image; the transport-level origin does: the sender field must match
+  // the link the image arrived on.
   if (msg && msg->sender != from) return std::nullopt;
   return msg;
+}
+
+void ScaleCluster::reject(int from, int to, std::uint64_t id) {
+  ++net_stats_.rejected;
+  channel(sim::ChannelEvent::Kind::Rejected, from, to, id);
 }
 
 void ScaleCluster::deliver_to_coordinator(int from, std::uint64_t wire,
                                           std::uint64_t id) {
   ++net_stats_.delivered;
-  if (sinks_.wants(sim::ChannelEvent::Kind::Delivered)) {
-    sinks_.emit(sim::ChannelEvent{sim::ChannelEvent::Kind::Delivered, from, 0,
-                                  id, now_, 0});
-  }
+  channel(sim::ChannelEvent::Kind::Delivered, from, 0, id);
   track_delivery(newest_to_coord_, from, id);
-  // Boundary validation, after the same delivery bookkeeping and before
-  // any protocol effect — the exact legacy receive path. A rejected
-  // image returns without re-arming the timer, like the legacy handler.
+  // Boundary validation before any protocol effect: a corrupted image
+  // is rejected and counted, never acted on (fail-safe), and the timer
+  // is left as it was.
   const std::optional<Message> msg = decode_wire(from, WireMessage{wire});
   if (!msg) {
-    ++net_stats_.rejected;
-    if (sinks_.wants(sim::ChannelEvent::Kind::Rejected)) {
-      sinks_.emit(sim::ChannelEvent{sim::ChannelEvent::Kind::Rejected, from,
-                                    0, id, now_, 0});
-    }
+    reject(from, 0, id);
     return;
   }
-  const bool flag = msg->flag;
+  (void)local_now(0);  // a delivery is a clock read like any transition
+  // A delivery to a crashed/inactive coordinator is absorbed silently.
   if (coord_status_ == Status::Active) {
+    const bool flag = msg->flag;
     emit(flag ? ProtocolEvent::Kind::CoordinatorReceivedBeat
               : ProtocolEvent::Kind::CoordinatorReceivedLeave,
          from, id);
-    const auto idx = static_cast<std::size_t>(from);
-    if (flag) {
-      registered_.set(idx);
-      if (!joined_.test(idx)) {
-        joined_.set(idx);
-        tm_[idx] = config_.protocol.tmax;
+    // Membership follows the decoded sender, which differs from the
+    // link origin only when validation is off and a flip rewrote it. A
+    // sender without a member slot is dropped.
+    const int sender = msg->sender;
+    if (sender >= 1 && sender <= participants_) {
+      const auto idx = static_cast<std::size_t>(sender);
+      if (flag) {
+        registered_.set(idx);
+        if (!joined_.test(idx)) {
+          joined_.set(idx);
+          tm_[idx] = config_.protocol.tmax;
+        }
+        rcvd_.set(idx);
+      } else if (proto::variant_leaves(config_.protocol.variant) &&
+                 registered_.test(idx)) {
+        joined_.reset(idx);
+        rcvd_.reset(idx);
+        // Acknowledge the departure with a false-flag beat (no
+        // protocol event).
+        send(0, sender, false);
       }
-      rcvd_.set(idx);
-    } else if (proto::variant_leaves(config_.protocol.variant) &&
-               registered_.test(idx)) {
-      joined_.reset(idx);
-      rcvd_.reset(idx);
-      // Acknowledge the departure with a false-flag beat (no protocol
-      // event — same as the legacy dispatch path).
-      send(0, from, false);
     }
   }
   arm_node_timer(0);
@@ -420,25 +508,21 @@ void ScaleCluster::deliver_to_participant(int id, int from,
                                           std::uint64_t wire,
                                           std::uint64_t msg_id) {
   ++net_stats_.delivered;
-  if (sinks_.wants(sim::ChannelEvent::Kind::Delivered)) {
-    sinks_.emit(sim::ChannelEvent{sim::ChannelEvent::Kind::Delivered, from, id,
-                                  msg_id, now_, 0});
-  }
+  channel(sim::ChannelEvent::Kind::Delivered, from, id, msg_id);
   track_delivery(newest_from_coord_, id, msg_id);
   const auto idx = static_cast<std::size_t>(id);
   const std::optional<Message> msg = decode_wire(from, WireMessage{wire});
   if (!msg) {
-    ++net_stats_.rejected;
-    if (sinks_.wants(sim::ChannelEvent::Kind::Rejected)) {
-      sinks_.emit(sim::ChannelEvent{sim::ChannelEvent::Kind::Rejected, from,
-                                    id, msg_id, now_, 0});
-    }
+    reject(from, id, msg_id);
     return;
   }
   const bool flag = msg->flag;
   if (flag && p_status_[idx] == Status::Active) {
     emit(ProtocolEvent::Kind::ParticipantReceivedBeat, id, msg_id);
   }
+  const sim::Time local = local_now(id);
+  // Only the coordinator's true-flag beats act; a leave acknowledgement
+  // (false flag) is ignored.
   if (p_status_[idx] == Status::Active && msg->sender == 0 && flag) {
     if (!p_joined_.test(idx)) {
       p_joined_.set(idx);
@@ -447,12 +531,12 @@ void ScaleCluster::deliver_to_participant(int id, int from,
     if (p_leave_requested_.test(idx) &&
         proto::variant_leaves(config_.protocol.variant)) {
       p_status_[idx] = Status::Left;
-      p_left_at_[idx] = now_;
+      p_left_at_[idx] = local;
       const std::uint64_t out = send(id, 0, false);
       ++scale_stats_.replies;
       emit(ProtocolEvent::Kind::ParticipantLeft, id, out, 1);
     } else {
-      p_deadline_[idx] = now_ + config_.protocol.participant_deadline();
+      p_deadline_[idx] = local + config_.protocol.participant_deadline();
       const std::uint64_t out = send(id, 0, true);
       ++scale_stats_.replies;
       emit(ProtocolEvent::Kind::ParticipantReplied, id, out, 1);
@@ -461,16 +545,22 @@ void ScaleCluster::deliver_to_participant(int id, int from,
   arm_node_timer(id);
 }
 
-void ScaleCluster::coordinator_elapsed() {
-  coord_timer_ = Wheel::Handle{};
-  if (coord_status_ == Status::Active && started_ &&
-      now_ >= round_deadline_) {
-    close_round();
+void ScaleCluster::node_elapsed(int node, sim::Time local) {
+  if (node == 0) {
+    coordinator_elapsed(local);
+  } else {
+    participant_elapsed(node, local);
   }
-  arm_node_timer(0);
 }
 
-void ScaleCluster::close_round() {
+void ScaleCluster::coordinator_elapsed(sim::Time local) {
+  if (coord_status_ == Status::Active && started_ &&
+      local >= round_deadline_) {
+    close_round(local);
+  }
+}
+
+void ScaleCluster::close_round(sim::Time local) {
   // One struct-of-arrays pass over the member table: step every joined
   // member down the waiting-time ladder (reset on a received beat,
   // accelerate on a miss) and track the round minimum.
@@ -487,20 +577,21 @@ void ScaleCluster::close_round() {
       min_t = std::min(min_t, tm_[idx]);
     }
   }
-  rcvd_.clear_all();  // batched: one word pass instead of n map writes
+  rcvd_.clear_all();  // batched: one word pass instead of n writes
 
   if (proto::wait_inactivates(min_t, timing_)) {
     coord_status_ = Status::InactiveNonVoluntarily;
-    coord_inactivated_at_ = now_;
+    coord_inactivated_at_ = local;
     emit(ProtocolEvent::Kind::CoordinatorInactivated, 0);
     return;
   }
 
   t_ = min_t;
-  round_deadline_ = now_ + t_;
+  round_deadline_ = local + t_;
   ++scale_stats_.rounds;
   // Batched beat generation: the whole round fans out in one pass over
-  // the joined bitset, ids consecutive in ascending member order.
+  // the joined bitset, ids consecutive in ascending member order. A
+  // member-less round is still one (empty) broadcast event.
   std::uint64_t beat_id = 0;
   std::uint32_t fanout = 0;
   for (std::size_t wi = 0; wi < joined_.word_count(); ++wi) {
@@ -518,22 +609,19 @@ void ScaleCluster::close_round() {
   emit(ProtocolEvent::Kind::CoordinatorBeat, 0, beat_id, fanout);
 }
 
-void ScaleCluster::participant_elapsed(int id) {
+void ScaleCluster::participant_elapsed(int id, sim::Time local) {
   const auto idx = static_cast<std::size_t>(id);
-  p_timer_[idx] = Wheel::Handle{};
-  if (p_status_[idx] == Status::Active && started_) {
-    if (now_ >= p_deadline_[idx]) {
-      p_status_[idx] = Status::InactiveNonVoluntarily;
-      p_inactivated_at_[idx] = now_;
-      emit(ProtocolEvent::Kind::ParticipantInactivated, id);
-    } else if (!p_joined_.test(idx) && now_ >= p_next_join_[idx]) {
-      p_next_join_[idx] = now_ + proto::join_beat_period(timing_);
-      const std::uint64_t out = send(id, 0, true);
-      ++scale_stats_.replies;
-      emit(ProtocolEvent::Kind::ParticipantJoinBeat, id, out, 1);
-    }
+  if (p_status_[idx] != Status::Active || !started_) return;
+  if (local >= p_deadline_[idx]) {
+    p_status_[idx] = Status::InactiveNonVoluntarily;
+    p_inactivated_at_[idx] = local;
+    emit(ProtocolEvent::Kind::ParticipantInactivated, id);
+  } else if (!p_joined_.test(idx) && local >= p_next_join_[idx]) {
+    p_next_join_[idx] = local + proto::join_beat_period(timing_);
+    const std::uint64_t out = send(id, 0, true);
+    ++scale_stats_.replies;
+    emit(ProtocolEvent::Kind::ParticipantJoinBeat, id, out, 1);
   }
-  arm_node_timer(id);
 }
 
 sim::Time ScaleCluster::node_next_event(int id) const {
@@ -551,10 +639,15 @@ void ScaleCluster::arm_node_timer(int id) {
       id == 0 ? coord_timer_ : p_timer_[static_cast<std::size_t>(id)];
   wheel_.cancel(handle);
   handle = Wheel::Handle{};
-  const sim::Time when = node_next_event(id);
+  sim::Time when = node_next_event(id);
+  // Engine deadlines live on the node's (possibly drifting) clock; the
+  // timer fires at the global instant that reaches them.
+  if (!clocks_.empty()) {
+    if (const NodeClock* clock = clock_of(id)) when = clock->global_for(when);
+  }
   if (when == kNever) return;
   handle = wheel_.arm(std::max(when, now_), timer_priority_,
-                      Ev{Ev::Kind::NodeTimer, true, 0, id, 0});
+                      Ev{Ev::Kind::NodeTimer, 0, id});
 }
 
 void ScaleCluster::emit(ProtocolEvent::Kind kind, int node,

@@ -1,62 +1,96 @@
-// ScaleCluster: the massive-cluster heartbeat engine.
+// ScaleCluster: the heartbeat engine.
 //
-// Same protocol, different mechanics. hb::Cluster simulates a handful
-// of nodes with one heap-allocated Coordinator/Participant object per
-// process, std::map-routed message delivery and a binary-heap simulator
-// whose every timer rearm is O(log n) — fine for conformance work,
-// hopeless for a coordinator watching 100k members. ScaleCluster keeps
-// the protocol state in struct-of-arrays form (status, deadline,
-// next-join, waiting-time ladders as parallel flat vectors indexed by
-// dense node id; joined/received/leave-requested as word-packed
-// bitsets), arms every deadline on a hierarchical timer wheel
-// (sim/timer_wheel.hpp, O(1) arm/cancel/rearm), and runs beats through
-// an inlined flat transport with no per-message heap allocation: a
-// round boundary is one pass over the member table that fans out every
-// beat of the round.
+// Wires the coordinator and its participants onto a deterministic
+// discrete-event loop and a lossy flat transport: configure timing,
+// loss and seed, inject crashes, leaves, link and clock faults, run,
+// and inspect statuses and inactivation times. It serves every host in
+// the repository — the examples, the conformance replays, the chaos
+// campaigns and long missions, and the 100k-node steady state.
 //
-// Equivalence contract: for the same ClusterConfig and the same
-// injected fault schedule, ScaleCluster consumes the seeded RNG stream
-// in exactly the legacy order (loss draw, then delay draw, per send)
-// and schedules work in exactly the legacy (time, priority,
-// schedule-order) sequence, so its ProtocolEvent stream — kinds, times,
-// node ids, message ids, fan-outs — is bit-for-bit identical to
-// hb::Cluster's. tests/hb_scale_equivalence_test.cpp pins this on all
-// six variants; the conformance replayer accepts its traces unchanged,
-// which is what makes the fast engine provably the same protocol.
+// Mechanics. The protocol state is kept in struct-of-arrays form
+// (status, deadline, next-join, waiting-time ladders as parallel flat
+// vectors indexed by dense node id; joined/received/leave-requested as
+// word-packed bitsets), every deadline is armed on a hierarchical timer
+// wheel (sim/timer_wheel.hpp, O(1) arm/cancel/rearm), and beats run
+// through an inlined flat transport with no per-message heap
+// allocation: a round boundary is one pass over the member table that
+// fans out every beat of the round. The transitions are those of the
+// sans-I/O hb::Coordinator and hb::Participant classes, which stay the
+// library's per-process API.
 //
-// Deliberately unsupported (use hb::Cluster, which stays the chaos and
-// small-n harness): clock drift, per-link parameter overrides, link
-// up/down faults, burst loss, duplication. Channel events (Sent, Lost,
-// Delivered, Corrupted, Rejected) are tapped inline in the flat
-// transport and fanned out through the sink chain when some sink
-// subscribes; Delivered events report delay 0 because the flat
-// transport does not carry the sampled delay to the delivery
-// (Blocked/Duplicated never occur here).
+// Determinism. Same-instant work fires in (time, priority,
+// schedule-order) sequence — deliveries and injected faults at priority
+// 0, deadline timers at priority 1 (0 when receive_priority is off) —
+// and every send consumes the seeded RNG stream through
+// sim::decide_send (sim/link.hpp), the one per-send fault decision. Two
+// runs of the same configuration and fault schedule therefore produce
+// the same event stream bit for bit; tests/hb_scale_golden_test.cpp
+// pins those streams, and the conformance replayer checks them against
+// the timed-automata models.
 //
-// Like the legacy engine the flat transport carries validated 8-byte
-// wire images (hb/wire.hpp): ClusterConfig::corrupt_probability arms
-// uniform payload corruption with the same per-send draw order as
-// sim::Network (loss, corruption chance + bit index, delay), so the
-// equivalence contract extends to corrupted runs. Clock faults
-// (corrupt_clock_at / wrap_clock_at) are emulated on the SoA deadline
-// table with the same externally observable reactions as hb::Cluster's
-// modular-clock reconstruction — fail-safe fence on an invalid age,
-// conservative timeout on a forward jump, silent stall in the
-// guard-off wrap control — but event streams under *clock* faults are
-// behaviourally, not bit-for-bit, matched across engines.
+// Transport faults. ClusterConfig sets the default link (i.i.d. loss,
+// delay range, corruption); links() adjusts the sparse per-link fault
+// state immediately (overrides, Gilbert–Elliott bursts, duplication,
+// link up/down) and change_link_at() patches one field of one link at
+// a scheduled instant. The transport carries validated 8-byte wire
+// images (hb/wire.hpp); receivers parse-or-drop them. Channel events
+// (Sent, Lost, Blocked, Duplicated, Corrupted, Delivered, Rejected)
+// are tapped inline and fanned out through the sink chain when some
+// sink subscribes; Delivered events report delay 0 because the flat
+// transport does not carry the sampled delay to the delivery.
+//
+// Clocks. A node runs on the global clock unless a drift or clock
+// fault is scheduled on it; from then on the node carries a modular
+// hardware clock (NodeClock below) that every transition reads: its
+// engine deadlines live on that clock and its timers fire at the global
+// instant whose image reaches them. Nodes without clock faults carry no
+// clock state, so fault-free runs pay nothing.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <optional>
+#include <utility>
 #include <vector>
 
-#include "hb/cluster.hpp"
-#include "sim/network.hpp"
+#include "hb/protocol_event.hpp"
+#include "hb/types.hpp"
+#include "hb/wire.hpp"
+#include "rv/sink_chain.hpp"
+#include "sim/link.hpp"
 #include "sim/timer_wheel.hpp"
 #include "util/dense_bitset.hpp"
 #include "util/rng.hpp"
 
 namespace ahb::hb {
+
+struct ClusterConfig {
+  Config protocol;
+  int participants = 1;
+  double loss_probability = 0.0;
+  /// One-way delay range; defaults keep the round trip within tmin as
+  /// the protocol assumes (set from `protocol.tmin` when max_delay < 0).
+  sim::Time min_delay = 0;
+  sim::Time max_delay = -1;
+  std::uint64_t seed = 1;
+  /// Process message deliveries before timer expirations at the same
+  /// instant (the Section 6.1 correction). Without it, a beat arriving
+  /// exactly at a deadline can lose the race against the timeout — the
+  /// very anomaly (Figs. 11/12 of the analysis) the fix removes; it is
+  /// essential when the tight `fixed_bounds` deadlines are used.
+  bool receive_priority = true;
+  /// Per-send payload bit-flip probability on every link (the chaos
+  /// layer can also arm it per link via ScaleCluster::change_link_at).
+  double corrupt_probability = 0.0;
+  /// Receivers parse-or-drop the wire image (hb/wire.hpp). Disabling
+  /// this is the mutation canary: corrupted payloads reach the engines.
+  bool wire_validation = true;
+  /// Half-range rule on node clock reads: an age >= 2^63 between two
+  /// reads of the modular hardware clock is invalid and fences the node
+  /// (fail-safe non-voluntary inactivation) instead of being acted on.
+  /// Disabling it models the historical bug — raw ordered comparison of
+  /// absolute register values, which a wrap or backward jump breaks.
+  bool clock_guard = true;
+};
 
 /// Aggregate throughput counters of one ScaleCluster run.
 struct ScaleStats {
@@ -74,23 +108,58 @@ class ScaleCluster {
 
   void run_until(sim::Time horizon);
 
-  // Fault/behaviour injection (scheduled at absolute times), mirroring
-  // hb::Cluster's API and semantics.
+  // Fault/behaviour injection, scheduled at absolute times (>= now).
+  // Node 0 is the coordinator.
   void crash_coordinator_at(sim::Time when);
   void crash_participant_at(int id, sim::Time when);
   void leave_at(int id, sim::Time when);
+  /// Dynamic variant: re-enter the join phase at `when` (no-op unless
+  /// the participant has left by then, and dropped when it comes before
+  /// the leave beat's delay bound has drained — chaos schedules hit
+  /// that race by design).
   void rejoin_at(int id, sim::Time when);
-  /// Clock corruption/wrap, mirroring hb::Cluster's semantics (see its
-  /// declarations); emulated on the flat deadline table.
+
+  /// Clock drift: from `when` on, node `id`'s local clock advances
+  /// `num/den` local time units per global (simulation) unit. The node
+  /// sees local time in every transition and its timers fire at the
+  /// global instant whose local image reaches the deadline — so a slow
+  /// clock stretches real waiting times and a fast one shrinks them,
+  /// exactly like a drifting hardware timer.
+  void set_drift_at(int id, sim::Time when, std::int64_t num, std::int64_t den);
+
+  /// Clock corruption: at `when`, node `id`'s hardware clock register
+  /// jumps by `delta` ticks (negative = backwards). The node observes
+  /// the jump immediately. Under the half-range rule a backward jump is
+  /// an invalid age and fences the node; a forward jump is
+  /// indistinguishable from elapsed time, so the node conservatively
+  /// times out whatever deadlines the jump crossed.
   void corrupt_clock_at(int id, sim::Time when, std::int64_t delta);
+
+  /// Clock wrap: at `when`, node `id`'s hardware clock register is
+  /// repositioned `margin` ticks before the 2^64 wrap point, preserving
+  /// all pending ages (only the absolute position moves). With the
+  /// modular-time idiom (clock_guard on) the subsequent wrap is
+  /// unobservable; with the guard off the raw comparison sees time leap
+  /// backwards at the first clock read after the crossing.
   void wrap_clock_at(int id, sim::Time when, std::uint64_t margin);
 
+  /// Transport fault: at `when`, applies `change` to the directed link
+  /// from -> to (one parameter patched in place, or the link taken
+  /// up/down). Same-instant changes apply in scheduling order.
+  void change_link_at(sim::Time when, int from, int to,
+                      const sim::LinkChange& change);
+
+  /// The transport's link-fault state, for immediate changes between
+  /// run_until calls (overrides, defaults, link up/down). Changes
+  /// affect messages sent from then on, never in-flight ones.
+  sim::LinkFaults& links() { return links_; }
+
   /// Registers a runtime-verification sink (not owned; must outlive the
-  /// cluster). Install before start(). Event construction is gated on
-  /// the chain's cached interest masks, so the 100k-node hot path never
-  /// pays for observability nothing subscribed to. run_until does not
-  /// call finish on the sinks — drive `sinks().finish(horizon)` when
-  /// the run ends.
+  /// cluster). Install before start() to capture the complete trace.
+  /// Event construction is gated on the chain's cached interest masks,
+  /// so the 100k-node hot path never pays for observability nothing
+  /// subscribed to. run_until does not call finish on the sinks — drive
+  /// `sinks().finish(horizon)` when the run ends.
   void add_sink(rv::EventSink* sink) { sinks_.add(sink); }
   /// Deregisters a sink mid-run (between run_until calls), so it can be
   /// destroyed before the cluster without leaving a dangling pointer in
@@ -98,33 +167,13 @@ class ScaleCluster {
   void remove_sink(rv::EventSink* sink) { sinks_.remove(sink); }
   rv::SinkChain& sinks() { return sinks_; }
 
-  // Legacy lambda observers, the same thin adapter over the sink chain
-  // as hb::Cluster's (the duplicated per-engine callback bookkeeping
-  // lives once in rv::CallbackSink now).
-
-  /// Observer over every protocol-level event. Install before start().
-  void on_protocol_event(std::function<void(const ProtocolEvent&)> cb) {
-    legacy_.set_protocol(std::move(cb));
-    sinks_.refresh();
-  }
-
-  /// Observer over every non-voluntary inactivation (node id, time).
-  void on_inactivation(std::function<void(int, sim::Time)> cb) {
-    legacy_.set_inactivation(std::move(cb));
-    sinks_.refresh();
-  }
-
-  /// Observer over the flat transport's channel events (see the header
-  /// comment for the tap's semantics).
-  void on_channel_event(std::function<void(const sim::ChannelEvent&)> cb) {
-    legacy_.set_channel(std::move(cb));
-    sinks_.refresh();
-  }
-
   const ClusterConfig& config() const { return config_; }
   int participant_count() const { return participants_; }
   sim::Time now() const { return now_; }
 
+  // Protocol state. Times a process recorded itself (inactivation,
+  // leave) are on its own clock, which is the global clock unless a
+  // drift or clock fault touched the node.
   Status coordinator_status() const { return coord_status_; }
   sim::Time coordinator_inactivated_at() const { return coord_inactivated_at_; }
   /// Current round length t of the coordinator.
@@ -137,7 +186,8 @@ class ScaleCluster {
   sim::Time participant_inactivated_at(int id) const;
   bool participant_joined(int id) const;
 
-  /// True iff every process has stopped participating.
+  /// True iff every process has stopped participating (crashed, left,
+  /// or inactivated).
   bool all_inactive() const;
 
   const sim::NetworkStats& network_stats() const { return net_stats_; }
@@ -154,46 +204,115 @@ class ScaleCluster {
       CrashParticipant,
       Leave,
       Rejoin,
-      ClockOffset,       ///< node's register jumps by (int64)wire
-      ClockWrap,         ///< node's register repositioned `wire` before 2^64
-      ClockWrapCross,    ///< guard-off wrap crossing (internal)
+      Drift,             ///< node's clock rate := drift_rates_[operand]
+      ClockOffset,       ///< node's register jumps by (int64)operand
+      ClockWrap,         ///< node's register repositioned operand before 2^64
+      LinkChange,        ///< link_changes_[operand] applies
     };
     Kind kind{};
-    bool flag = true;
     std::int32_t from = 0;
     std::int32_t node = 0;
     std::uint64_t msg_id = 0;
-    std::uint64_t wire = 0;  ///< Deliver: wire image; Clock*: operand
+    std::uint64_t operand = 0;  ///< Deliver: the wire image
   };
   using Wheel = sim::TimerWheel<Ev>;
+
+  /// Node clock, pulse-style: the *hardware* register is a free-running
+  /// modular uint64 advancing at rate num/den per global unit, and the
+  /// *engine* clock the protocol transitions see is reconstructed from
+  /// it one age at a time — age(a, b) = (a - b) mod 2^64, valid iff
+  /// < 2^63 (the half-range rule). Ages telescope, so in normal
+  /// operation the reconstruction is exactly the piecewise-affine local
+  /// clock; the difference only shows when chaos jumps or wraps the
+  /// register. `base_engine`/`base_global` anchor the affine segment
+  /// timers are mapped through; they are rebased on rate changes, clock
+  /// jumps, and raw-mode divergence so engine deadlines stay
+  /// translatable. A new clock equals the global clock, read at its
+  /// creation (when the first clock fault is scheduled on the node).
+  struct NodeClock {
+    std::int64_t num = 1;
+    std::int64_t den = 1;
+    sim::Time base_global = 0;
+    std::uint64_t hw_base = 0;    ///< register value at base_global
+    std::uint64_t hw_last = 0;    ///< register value at the last read
+    sim::Time base_engine = 0;    ///< engine clock at base_global
+    sim::Time engine_local = 0;   ///< reconstructed engine clock
+    bool fault = false;           ///< latched half-range violation
+
+    std::uint64_t hw(sim::Time global) const {
+      return hw_base +
+             static_cast<std::uint64_t>((global - base_global) * num / den);
+    }
+    /// Earliest global instant whose engine-clock image reaches
+    /// `local_when` (clamped to kNever when the affine segment cannot
+    /// reach it within the representable range).
+    sim::Time global_for(sim::Time local_when) const {
+      if (local_when == kNever) return kNever;
+      const __int128 span =
+          static_cast<__int128>(local_when) - base_engine;
+      if (span <= 0) return base_global;
+      const __int128 global = base_global + (span * den + num - 1) / num;
+      return global >= kNever ? kNever : static_cast<sim::Time>(global);
+    }
+  };
+
+  struct TimedLinkChange {
+    int from;
+    int to;
+    sim::LinkChange change;
+  };
 
   void handle(const Ev& ev);
   void deliver_to_coordinator(int from, std::uint64_t wire, std::uint64_t id);
   void deliver_to_participant(int id, int from, std::uint64_t wire,
-                              std::uint64_t id_);
-  void coordinator_elapsed();
-  void participant_elapsed(int id);
-  void close_round();
+                              std::uint64_t msg_id);
+  /// The deadline transitions of one node at its local time `local`.
+  void node_elapsed(int node, sim::Time local);
+  void coordinator_elapsed(sim::Time local);
+  void participant_elapsed(int id, sim::Time local);
+  void close_round(sim::Time local);
   /// Parse-or-drop boundary validation of a delivered wire image.
   std::optional<Message> decode_wire(int from, const WireMessage& wire) const;
+  /// Counts and reports a boundary rejection of message `id`.
+  void reject(int from, int to, std::uint64_t id);
+  void apply_drift(int node, std::int64_t num, std::int64_t den);
   void apply_clock_offset(int node, std::int64_t delta);
-  void apply_wrap_cross(int node);
+  void apply_clock_wrap(int node, std::uint64_t margin);
   /// Fail-safe reaction to an invalid clock age: fence the node.
-  void fence_node(int node);
+  void fence_node(int node, sim::Time local);
 
-  /// Sends one beat: assigns the next message id, applies the loss and
-  /// delay draws in exactly the legacy per-send order, and arms the
-  /// delivery on the wheel. Returns the assigned id.
+  /// The clock of `node`, or null while it runs on the global clock.
+  NodeClock* clock_of(int node);
+  /// The clock of `node`, created on first use.
+  NodeClock& touch_clock(int node);
+  /// Reads node `node`'s clock: advances the reconstruction by the age
+  /// since the previous read (latching `fault` on a half-range
+  /// violation when the guard is on) and returns the engine clock.
+  sim::Time advance_clock(NodeClock& clock);
+  sim::Time local_now(int node) {
+    if (clocks_.empty()) return now_;  // hot path: no clock faults
+    NodeClock* clock = clock_of(node);
+    return clock != nullptr ? advance_clock(*clock) : now_;
+  }
+
+  /// Sends one beat: assigns the next message id, draws its fate from
+  /// the link's fault models (sim::decide_send) and arms the
+  /// delivery (and any duplicate) on the wheel. Returns the id.
   std::uint64_t send(int from, int to, bool flag);
 
-  /// Cancels and re-arms node `id`'s deadline timer at its next event
-  /// time — called wherever the legacy harness calls arm_timer so timer
-  /// sequence numbers (the same-instant tiebreaker) allocate in the
-  /// same order.
+  /// Cancels and re-arms node `id`'s deadline timer at the global
+  /// instant of its next event.
   void arm_node_timer(int id);
+  /// Next event of node `id` on its own clock.
   sim::Time node_next_event(int id) const;
   void emit(ProtocolEvent::Kind kind, int node, std::uint64_t msg_id = 0,
             std::uint32_t fanout = 0);
+  void channel(sim::ChannelEvent::Kind kind, int from, int to,
+               std::uint64_t id) {
+    if (sinks_.wants(kind)) {
+      sinks_.emit(sim::ChannelEvent{kind, from, to, id, now_, 0});
+    }
+  }
   void track_delivery(std::vector<std::uint64_t>& newest, int index,
                       std::uint64_t id);
 
@@ -207,11 +326,8 @@ class ScaleCluster {
   sim::Time now_ = 0;
   bool started_ = false;
 
-  // Flat transport (homogeneous links).
-  double loss_probability_;
-  double corrupt_probability_;
-  sim::Time min_delay_;
-  sim::Time delay_span_;  ///< max_delay - min_delay
+  // Flat transport.
+  sim::LinkFaults links_;
   sim::Time spec_max_delay_;
   std::uint64_t next_msg_id_ = 1;
   sim::NetworkStats net_stats_;
@@ -221,6 +337,13 @@ class ScaleCluster {
   std::vector<std::uint64_t> newest_to_coord_;
   std::vector<std::uint64_t> newest_from_coord_;
 
+  // Scheduled fault operands too wide for an Ev, indexed by its operand.
+  std::vector<TimedLinkChange> link_changes_;
+  std::vector<std::pair<std::int64_t, std::int64_t>> drift_rates_;
+  /// Clocks of the nodes with drift or clock faults scheduled, sorted
+  /// by node.
+  std::vector<std::pair<int, NodeClock>> clocks_;
+
   // Coordinator: struct-of-arrays member table indexed by node id.
   Status coord_status_ = Status::Active;
   sim::Time t_;               ///< current round length
@@ -228,7 +351,7 @@ class ScaleCluster {
   sim::Time coord_inactivated_at_ = kNever;
   DenseBitset joined_;      ///< member currently registered and joined
   DenseBitset rcvd_;        ///< beat received in the current round
-  DenseBitset registered_;  ///< ever registered (the legacy map's key set)
+  DenseBitset registered_;  ///< ever registered
   std::vector<sim::Time> tm_;  ///< per-member waiting-time ladder
   Wheel::Handle coord_timer_;
 
@@ -242,7 +365,6 @@ class ScaleCluster {
   std::vector<sim::Time> p_left_at_;
   std::vector<Wheel::Handle> p_timer_;
 
-  rv::CallbackSink legacy_;  ///< adapter behind the lambda observer API
   rv::SinkChain sinks_;
 };
 

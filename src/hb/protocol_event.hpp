@@ -1,9 +1,9 @@
 // ProtocolEvent: one protocol-level event of a cluster execution, as
 // observed at the simulator boundary. The stream of these events is a
-// cluster's timed trace; both heartbeat engines (hb/cluster.hpp and
-// hb/cluster_scale.hpp) emit the identical stream, the conformance
-// layer (proto/conformance.hpp) replays it through the timed-automata
-// models, and the runtime-verification sinks (src/rv) check it online.
+// cluster's timed trace: the heartbeat engine (hb/cluster_scale.hpp)
+// emits it, the conformance layer (proto/conformance.hpp) replays it
+// through the timed-automata models, and the runtime-verification sinks
+// (src/rv) check it online.
 #pragma once
 
 #include <cstdint>

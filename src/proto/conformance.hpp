@@ -2,7 +2,7 @@
 // timed-automata models.
 //
 // A TraceRecorder captures the protocol-level event stream of a
-// simulated hb::Cluster run (beats, replies, joins, leaves, crashes,
+// simulated hb::ScaleCluster run (beats, replies, joins, leaves, crashes,
 // inactivations — each with its simulation time and network message
 // id). replay_cluster_trace then asks the membership question: is that
 // timed trace a trace of the ta::Network model built for the same
@@ -13,7 +13,7 @@
 //
 // Message identity is what makes the replay sound on nonzero-delay
 // traces: every send and every delivery is a separate observation
-// paired by the monotone id sim::Network stamped on the message, so a
+// paired by the monotone id the transport stamped on the message, so a
 // delayed delivery matches the channel edge of *its own* send (a
 // delivered join beat and a delivered reply are distinct actions even
 // though their payloads are identical), duplicated deliveries collapse
@@ -38,23 +38,24 @@
 #include <string>
 #include <vector>
 
-#include "hb/cluster.hpp"
+#include "hb/cluster_scale.hpp"
 #include "mc/guided.hpp"
 #include "models/options.hpp"
 
 namespace ahb::proto {
 
 /// Captures the protocol-event trace of one cluster execution. Install
-/// before Cluster::start(); the recorder must outlive the run.
-class TraceRecorder {
+/// before ScaleCluster::start(); the recorder must outlive the run.
+class TraceRecorder final : public rv::EventSink {
  public:
-  explicit TraceRecorder(hb::Cluster& cluster) {
-    cluster.on_protocol_event(
-        [this](const hb::ProtocolEvent& e) { events_.push_back(e); });
-  }
+  explicit TraceRecorder(hb::ScaleCluster& cluster) { cluster.add_sink(this); }
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
+
+  void on_protocol_event(const hb::ProtocolEvent& e) override {
+    events_.push_back(e);
+  }
 
   const std::vector<hb::ProtocolEvent>& events() const { return events_; }
 

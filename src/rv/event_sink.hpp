@@ -2,11 +2,11 @@
 //
 // A sink is a passive observer of one cluster execution: it receives
 // the protocol-event stream (hb/protocol_event.hpp), optionally the
-// channel-event stream (sim/network.hpp), and a final finish(horizon)
-// when the run ends. Both heartbeat engines fan events out through an
-// rv::SinkChain (sink_chain.hpp), so a monitor written once attaches
-// unchanged to hb::Cluster and hb::ScaleCluster — including the
-// 100k-node engine at millions of events/sec.
+// channel-event stream (sim/link.hpp), and a final finish(horizon)
+// when the run ends. hb::ScaleCluster fans events out through an
+// rv::SinkChain (sink_chain.hpp), at millions of events/sec on a
+// 100k-node cluster. Recording a run is a sink too: override the
+// on_*_event calls you need.
 //
 // The line-rate contract: a sink declares the event kinds it wants via
 // the interest masks, and the chain caches those masks at registration
@@ -19,7 +19,7 @@
 #include <cstdint>
 
 #include "hb/protocol_event.hpp"
-#include "sim/network.hpp"
+#include "sim/link.hpp"
 
 namespace ahb::rv {
 

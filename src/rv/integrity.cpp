@@ -4,16 +4,11 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "hb/cluster.hpp"
 #include "hb/cluster_scale.hpp"
 
 namespace ahb::rv {
 
 IntegrityMonitor::IntegrityMonitor(const Config& config) : config_(config) {}
-
-void IntegrityMonitor::attach(hb::Cluster& cluster) {
-  cluster.add_sink(this);
-}
 
 void IntegrityMonitor::attach(hb::ScaleCluster& cluster) {
   cluster.add_sink(this);

@@ -30,7 +30,6 @@
 #include "rv/monitor.hpp"
 
 namespace ahb::hb {
-class Cluster;
 class ScaleCluster;
 }  // namespace ahb::hb
 
@@ -69,7 +68,6 @@ class IntegrityMonitor final : public EventSink {
   IntegrityMonitor() : IntegrityMonitor(Config{}) {}
   explicit IntegrityMonitor(const Config& config);
 
-  void attach(hb::Cluster& cluster);
   void attach(hb::ScaleCluster& cluster);
 
   std::uint32_t protocol_interest() const override;

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <limits>
 
-#include "hb/cluster.hpp"
 #include "hb/cluster_scale.hpp"
 #include "hb/types.hpp"
 #include "util/contracts.hpp"
@@ -65,10 +64,6 @@ RequirementMonitor::RequirementMonitor(const Config& config,
   live_count_ = config.participants;
   registered_count_ =
       proto::variant_joins(config.variant) ? 0 : config.participants;
-}
-
-void RequirementMonitor::attach(hb::Cluster& cluster) {
-  cluster.add_sink(this);
 }
 
 void RequirementMonitor::attach(hb::ScaleCluster& cluster) {

@@ -42,7 +42,6 @@
 #include "rv/event_sink.hpp"
 
 namespace ahb::hb {
-class Cluster;
 class ScaleCluster;
 }  // namespace ahb::hb
 
@@ -92,7 +91,6 @@ class RequirementMonitor final : public EventSink {
   RequirementMonitor(const Config& config, const MonitorBounds& bounds);
 
   /// Convenience: registers this monitor as a sink of the cluster.
-  void attach(hb::Cluster& cluster);
   void attach(hb::ScaleCluster& cluster);
 
   std::uint32_t protocol_interest() const override;

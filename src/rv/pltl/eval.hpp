@@ -37,7 +37,7 @@
 #include "rv/event_sink.hpp"
 #include "rv/monitor.hpp"
 #include "rv/pltl/pltl.hpp"
-#include "sim/network.hpp"
+#include "sim/link.hpp"
 
 namespace ahb::rv::pltl {
 

@@ -1,6 +1,4 @@
-// SinkChain: the engines' fan-out point for runtime-verification sinks,
-// plus the CallbackSink adapter that keeps the legacy std::function
-// observer API alive on top of it.
+// SinkChain: the engine's fan-out point for runtime-verification sinks.
 //
 // The chain caches each sink's interest masks at registration and the
 // OR of all of them, so an engine's emit path is
@@ -13,8 +11,6 @@
 // single-threaded (the simulator's callback discipline).
 #pragma once
 
-#include <functional>
-#include <utility>
 #include <vector>
 
 #include "rv/event_sink.hpp"
@@ -43,7 +39,7 @@ class SinkChain {
   }
 
   /// Re-caches every sink's interest masks. Call after a sink's
-  /// interests change (e.g. a callback adapter gained a callback).
+  /// interests change.
   void refresh() {
     protocol_mask_ = 0;
     channel_mask_ = 0;
@@ -93,54 +89,6 @@ class SinkChain {
   std::vector<Entry> entries_;
   std::uint32_t protocol_mask_ = 0;
   std::uint32_t channel_mask_ = 0;
-};
-
-/// Adapter sink behind the engines' legacy lambda observers
-/// (on_protocol_event / on_inactivation / on_channel_event). Its
-/// interest masks are exactly what the installed callbacks need, so a
-/// cluster with no observers keeps a zero mask and the hot path skips
-/// event construction entirely — the pre-refactor behaviour of the
-/// `if (event_cb_)` gate.
-class CallbackSink final : public EventSink {
- public:
-  void set_protocol(std::function<void(const hb::ProtocolEvent&)> fn) {
-    protocol_fn_ = std::move(fn);
-  }
-  void set_channel(std::function<void(const sim::ChannelEvent&)> fn) {
-    channel_fn_ = std::move(fn);
-  }
-  void set_inactivation(std::function<void(int, Time)> fn) {
-    inactivation_fn_ = std::move(fn);
-  }
-
-  std::uint32_t protocol_interest() const override {
-    std::uint32_t mask = protocol_fn_ ? kAllProtocolEvents : 0;
-    if (inactivation_fn_) {
-      mask |= protocol_bit(hb::ProtocolEvent::Kind::CoordinatorInactivated) |
-              protocol_bit(hb::ProtocolEvent::Kind::ParticipantInactivated);
-    }
-    return mask;
-  }
-  std::uint32_t channel_interest() const override {
-    return channel_fn_ ? kAllChannelEvents : 0;
-  }
-
-  void on_protocol_event(const hb::ProtocolEvent& event) override {
-    if (protocol_fn_) protocol_fn_(event);
-    if (inactivation_fn_ &&
-        (event.kind == hb::ProtocolEvent::Kind::CoordinatorInactivated ||
-         event.kind == hb::ProtocolEvent::Kind::ParticipantInactivated)) {
-      inactivation_fn_(event.node, event.at);
-    }
-  }
-  void on_channel_event(const sim::ChannelEvent& event) override {
-    if (channel_fn_) channel_fn_(event);
-  }
-
- private:
-  std::function<void(const hb::ProtocolEvent&)> protocol_fn_;
-  std::function<void(const sim::ChannelEvent&)> channel_fn_;
-  std::function<void(int, Time)> inactivation_fn_;
 };
 
 }  // namespace ahb::rv

@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "hb/cluster.hpp"
 #include "hb/cluster_scale.hpp"
 #include "hb/types.hpp"
 #include "util/contracts.hpp"
@@ -39,8 +38,6 @@ SuspicionMonitor::SuspicionMonitor(const Config& config,
     }
   }
 }
-
-void SuspicionMonitor::attach(hb::Cluster& cluster) { cluster.add_sink(this); }
 
 void SuspicionMonitor::attach(hb::ScaleCluster& cluster) {
   cluster.add_sink(this);

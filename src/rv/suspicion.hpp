@@ -52,7 +52,6 @@ class SuspicionMonitor final : public EventSink {
   /// predating the suspicion laws stay safe).
   SuspicionMonitor(const Config& config, const MonitorBounds& bounds);
 
-  void attach(hb::Cluster& cluster);
   void attach(hb::ScaleCluster& cluster);
 
   std::uint32_t protocol_interest() const override;

@@ -1,22 +1,25 @@
-// Hierarchical timer wheel: O(1) arm/cancel/rearm for the
-// cluster-scale heartbeat engine.
+// Hierarchical timer wheel: O(1) arm/cancel/rearm for the heartbeat
+// engine (hb::ScaleCluster).
 //
-// The small-n path (sim::Simulator) keeps every pending event in one
-// binary heap of heap-allocated closures; arming a deadline is O(log n)
-// and cancel+rearm — which the heartbeat engines do on *every* message
-// delivery — churns the heap. At hundreds of thousands of monitored
+// A binary heap of heap-allocated closures (sim::Simulator) makes
+// arming a deadline O(log n), and cancel+rearm — which the heartbeat
+// engine does on *every* message delivery — churns the heap. At hundreds of thousands of monitored
 // participants that dominates the run. This wheel stores plain payload
 // records in pooled, index-linked slot lists (no per-event allocation
 // after warm-up) bucketed by expiry tick across kLevels levels of 64
 // slots each: level k spans 64^(k+1) ticks, so any deadline within
 // ~6.9e10 ticks of now is an O(1) list insert, and cancellation unlinks
-// in O(1) via a generation-checked handle.
+// in O(1) via a generation-checked handle. Arms beyond that span (a
+// crash scheduled at 2^40, a timer behind a clock that leapt back) wait
+// in a small min-heap by expiry tick and are filed into the wheel when
+// they come within span; they cost O(log k) for the k such entries and
+// nothing while there are none.
 //
 // Determinism contract (matches sim::Simulator exactly): entries due at
 // the same tick fire ordered by (priority, arm-sequence) — deliveries
 // at priority 0 outrun timers at priority 1, ties fall back to FIFO arm
-// order. The cluster-scale engine relies on this to reproduce the
-// legacy engine's event interleavings bit-for-bit; the property test in
+// order. The heartbeat engine's bit-for-bit reproducible event
+// interleavings rest on this; the property test in
 // tests/sim_timer_wheel_test.cpp pins the order against a sorted-set
 // oracle.
 #pragma once
@@ -59,13 +62,12 @@ class TimerWheel {
   Time now() const { return now_; }
   std::size_t pending() const { return pending_; }
 
-  /// Arms an entry at absolute tick `when` (>= now(), and within the
-  /// wheel span of ~64^kLevels ticks — callers never arm the kNever
-  /// sentinel). Priority is 0 (deliveries) or 1 (timers) — the two
-  /// lanes the simulator's receive-priority tiebreak needs. O(1).
+  /// Arms an entry at absolute tick `when` (>= now()). Priority is 0
+  /// (deliveries) or 1 (timers) — the two lanes the simulator's
+  /// receive-priority tiebreak needs. O(1) within the wheel span of
+  /// 64^kLevels ticks, O(log k) beyond it.
   Handle arm(Time when, int priority, const Payload& payload) {
     AHB_EXPECTS(when >= now_);
-    AHB_EXPECTS(when - now_ < kSpanTicks);
     AHB_EXPECTS(priority == 0 || priority == 1);
     const std::uint32_t idx = alloc();
     Node& node = pool_[idx];
@@ -80,8 +82,9 @@ class TimerWheel {
   }
 
   /// Cancels a pending entry; returns true if it was still pending.
-  /// O(1): wheel-resident entries unlink immediately, entries already
-  /// staged in the current-tick ready heap are discarded lazily.
+  /// O(1): wheel-resident entries unlink immediately, entries staged in
+  /// the current-tick ready lanes or waiting beyond the span are
+  /// discarded lazily.
   bool cancel(Handle h) {
     if (!h.valid() || h.index >= pool_.size()) return false;
     Node& node = pool_[h.index];
@@ -92,7 +95,7 @@ class TimerWheel {
       unlink(h.index);
       free_node(h.index);
     }
-    // Location::Ready: the ready heap drops it when popped.
+    // Location::Ready/Far: dropped when popped or filed.
     return true;
   }
 
@@ -150,7 +153,7 @@ class TimerWheel {
   /// Total tick span the wheel can hold: 64^kLevels.
   static constexpr Time kSpanTicks = Time{1} << (kLevelBits * kLevels);
 
-  enum class Location : std::uint8_t { Free, Wheel, Ready };
+  enum class Location : std::uint8_t { Free, Wheel, Ready, Far };
 
   struct Node {
     Time when = 0;
@@ -197,12 +200,19 @@ class TimerWheel {
 
   /// Files a node by its delta from now: level k holds deltas in
   /// [64^k, 64^(k+1)), slot index is the node's absolute tick sliced at
-  /// that level. Entries due exactly now go straight to the ready heap.
+  /// that level. Entries due exactly now go straight to the ready heap,
+  /// entries beyond the span to the far heap.
   void place(std::uint32_t idx) {
     Node& node = pool_[idx];
     const Time delta = node.when - now_;
     if (delta == 0) {
       push_ready(idx);
+      return;
+    }
+    if (delta >= kSpanTicks) {
+      node.location = Location::Far;
+      far_.push_back(idx);
+      std::push_heap(far_.begin(), far_.end(), far_later());
       return;
     }
     int level = 0;
@@ -260,7 +270,7 @@ class TimerWheel {
   std::uint32_t pop_ready() {
     // Lane 0 always outranks lane 1 at the same tick; a lane-0 arm that
     // lands while lane 1 is draining simply fires next, exactly like
-    // the legacy binary heap.
+    // a (when, priority, seq) binary heap.
     const int lane = lane_head_[0] < lanes_[0].size() ? 0 : 1;
     const std::uint32_t idx = lanes_[lane][lane_head_[lane]++].idx;
     if (ready_empty()) {
@@ -281,7 +291,8 @@ class TimerWheel {
   /// due entries: advancing there either stages level-0 work or
   /// re-files a coarser slot, and the scan repeats.
   Time next_event_tick() const {
-    Time best = -1;
+    // A far entry needs attention once it comes within span.
+    Time best = far_.empty() ? -1 : pool_[far_.front()].when - kSpanTicks + 1;
     for (int k = 0; k < kLevels; ++k) {
       if (occupied_[k] == 0) continue;
       const int cur =
@@ -322,8 +333,9 @@ class TimerWheel {
 
   /// Jumps now() to tick `t`, cascading every level whose slot boundary
   /// `t` starts (highest level first, so cascades can deposit into the
-  /// lower-level slots cascaded right after) and staging the entries of
-  /// the new level-0 slot into the ready heap.
+  /// lower-level slots cascaded right after), filing the far entries
+  /// that came within span, and staging the entries of the new level-0
+  /// slot into the ready heap.
   void advance_to_tick(Time t) {
     now_ = t;
     for (int k = kLevels - 1; k >= 1; --k) {
@@ -331,7 +343,24 @@ class TimerWheel {
         cascade(k, static_cast<int>((t >> (kLevelBits * k)) & (kSlots - 1)));
       }
     }
+    while (!far_.empty() && pool_[far_.front()].when - now_ < kSpanTicks) {
+      std::pop_heap(far_.begin(), far_.end(), far_later());
+      const std::uint32_t idx = far_.back();
+      far_.pop_back();
+      if (pool_[idx].live) {
+        place(idx);
+      } else {
+        free_node(idx);
+      }
+    }
     collect_current_slot();
+  }
+
+  /// Heap order of the far entries: earliest expiry on top.
+  auto far_later() const {
+    return [this](std::uint32_t a, std::uint32_t b) {
+      return pool_[a].when > pool_[b].when;
+    };
   }
 
   void collect_current_slot() {
@@ -366,6 +395,7 @@ class TimerWheel {
   std::size_t lane_head_[2] = {0, 0};
   LevelHeads heads_[kLevels];
   std::uint64_t occupied_[kLevels] = {};
+  std::vector<std::uint32_t> far_;  ///< min-heap by expiry (far_later)
 };
 
 }  // namespace ahb::sim

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "chaos/campaign.hpp"
-#include "hb/cluster.hpp"
+#include "hb/cluster_scale.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -85,29 +85,35 @@ TEST(Cluster, MessageIdsPairSendsWithDeliveries) {
   config.protocol = hb::Config{2, 8, proto::Variant::Binary, true};
   config.participants = 1;
   config.seed = 3;
-  hb::Cluster cluster{config};
-  std::set<std::uint64_t> sent_ids;
-  std::vector<std::uint64_t> reply_ids;
-  std::vector<std::uint64_t> delivered_to_coordinator;
-  cluster.on_protocol_event([&](const hb::ProtocolEvent& event) {
-    using Kind = hb::ProtocolEvent::Kind;
-    switch (event.kind) {
-      case Kind::CoordinatorBeat:
-      case Kind::ParticipantReplied:
-      case Kind::ParticipantJoinBeat:
-        EXPECT_GT(event.msg_id, 0u);
-        sent_ids.insert(event.msg_id);
-        if (event.kind == Kind::ParticipantReplied) {
-          reply_ids.push_back(event.msg_id);
-        }
-        break;
-      case Kind::CoordinatorReceivedBeat:
-        delivered_to_coordinator.push_back(event.msg_id);
-        break;
-      default:
-        break;
+  hb::ScaleCluster cluster{config};
+  struct IdLog final : rv::EventSink {
+    void on_protocol_event(const hb::ProtocolEvent& event) override {
+      using Kind = hb::ProtocolEvent::Kind;
+      switch (event.kind) {
+        case Kind::CoordinatorBeat:
+        case Kind::ParticipantReplied:
+        case Kind::ParticipantJoinBeat:
+          EXPECT_GT(event.msg_id, 0u);
+          sent_ids.insert(event.msg_id);
+          if (event.kind == Kind::ParticipantReplied) {
+            reply_ids.push_back(event.msg_id);
+          }
+          break;
+        case Kind::CoordinatorReceivedBeat:
+          delivered_to_coordinator.push_back(event.msg_id);
+          break;
+        default:
+          break;
+      }
     }
-  });
+    std::set<std::uint64_t> sent_ids;
+    std::vector<std::uint64_t> reply_ids;
+    std::vector<std::uint64_t> delivered_to_coordinator;
+  } log;
+  cluster.add_sink(&log);
+  const auto& sent_ids = log.sent_ids;
+  const auto& reply_ids = log.reply_ids;
+  const auto& delivered_to_coordinator = log.delivered_to_coordinator;
   cluster.start();
   cluster.run_until(200);
   ASSERT_FALSE(reply_ids.empty());
@@ -161,6 +167,71 @@ TEST(FaultSchedule, ParseRejectsMalformedInput) {
   const auto pos = text.find("set-drift");
   text.replace(pos, 9, "no-such-f");
   EXPECT_FALSE(parse_run(text).has_value());
+}
+
+TEST(FaultSchedule, ParseFailsClosedOnValuesARunCannotExecute) {
+  // Each row either must not parse (values that used to parse and then
+  // truncate or abort the run) or must parse into a run whose
+  // overflowing storm/churn offsets are a no-op: its trace equals the
+  // trace of the same header with no actions.
+  const auto header = [](const std::string& participants,
+                         const std::string& horizon) {
+    return "{\"schedule\": \"ahb-chaos\", \"variant\": \"dynamic\", "
+           "\"tmin\": 2, \"tmax\": 8, \"fixed_bounds\": true, "
+           "\"receive_priority\": true, \"participants\": " +
+           participants + ", \"seed\": 1, \"horizon\": " + horizon + "}\n";
+  };
+  const auto action = [](const std::string& kind, const std::string& at,
+                         const std::string& a, const std::string& b,
+                         const std::string& d1, const std::string& d2) {
+    return "{\"kind\": \"" + kind + "\", \"at\": " + at + ", \"a\": " + a +
+           ", \"b\": " + b + ", \"p\": 0.5, \"q\": 0.5, \"r\": 1, \"d1\": " +
+           d1 + ", \"d2\": " + d2 + "}\n";
+  };
+  const std::string ok = header("3", "400");
+  const std::string kMax = "9223372036854775807";
+  struct Row {
+    const char* what;
+    std::string text;
+    bool parses;
+  };
+  const Row rows[] = {
+      {"participants past INT_MAX", header("1099511627776", "400"), false},
+      {"zero participants", header("0", "400"), false},
+      {"zero horizon", header("3", "0"), false},
+      {"negative horizon", header("3", "-5"), false},
+      {"negative action time", ok + action("crash-participant", "-1", "1", "0",
+                                           "0", "0"),
+       false},
+      {"node a past INT_MAX", ok + action("crash-participant", "5",
+                                          "4294967297", "0", "0", "0"),
+       false},
+      {"node b below INT_MIN", ok + action("link-down", "5", "0",
+                                           "-2147483649", "0", "0"),
+       false},
+      {"in-range leave", ok + action("leave", "50", "1", "0", "0", "0"), true},
+      {"storm end overflows", ok + action("asymmetric-storm", "100", "1", "3",
+                                          kMax, "0"),
+       true},
+      {"churn stagger overflows", ok + action("churn-storm", "100", "1", "3",
+                                              "4611686018427387904", "10"),
+       true},
+      {"churn rejoin overflows", ok + action("churn-storm", "100", "1", "3",
+                                             "1", kMax),
+       true},
+  };
+  const auto baseline = parse_run(ok);
+  ASSERT_TRUE(baseline.has_value());
+  const std::string baseline_trace = run_chaos(*baseline, nullptr, true).trace;
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.what);
+    const auto spec = parse_run(row.text);
+    ASSERT_EQ(spec.has_value(), row.parses);
+    if (!spec || spec->schedule.actions.front().kind == FaultKind::Leave) {
+      continue;
+    }
+    EXPECT_EQ(run_chaos(*spec, nullptr, true).trace, baseline_trace);
+  }
 }
 
 TEST(FaultSchedule, OutOfSpecClassification) {

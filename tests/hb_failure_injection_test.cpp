@@ -4,10 +4,13 @@
 // down permanently, both sides must deactivate within their bounds.
 #include <gtest/gtest.h>
 
-#include "hb/cluster.hpp"
+#include "hb/cluster_scale.hpp"
 
 namespace ahb::hb {
 namespace {
+
+constexpr sim::LinkChange kLinkDown{.field = sim::LinkChange::Field::Down};
+constexpr sim::LinkChange kLinkUp{.field = sim::LinkChange::Field::Up};
 
 ClusterConfig base_config(Variant v, int participants) {
   ClusterConfig c;
@@ -30,18 +33,16 @@ LinkDownOutcome run_link_down(bool both_directions, sim::Time down_at,
                               std::uint64_t seed) {
   auto cfg = base_config(Variant::Binary, 1);
   cfg.seed = seed;
-  Cluster cluster{cfg};
+  ScaleCluster cluster{cfg};
   // Fault injection: flip the link(s) down at `down_at`.
-  cluster.simulator().at(down_at, [&cluster, both_directions] {
-    cluster.fail_link(0, 1);
-    if (both_directions) cluster.fail_link(1, 0);
-  });
+  cluster.change_link_at(down_at, 0, 1, kLinkDown);
+  if (both_directions) cluster.change_link_at(down_at, 1, 0, kLinkDown);
   cluster.start();
   cluster.run_until(down_at + 1000);
   return LinkDownOutcome{
-      cluster.coordinator().status(), cluster.participant(1).status(),
-      cluster.coordinator().inactivated_at(),
-      cluster.participant(1).inactivated_at()};
+      cluster.coordinator_status(), cluster.participant_status(1),
+      cluster.coordinator_inactivated_at(),
+      cluster.participant_inactivated_at(1)};
 }
 
 TEST(FailureInjection, FullLinkFailureDeactivatesEverybodyWithinBounds) {
@@ -78,13 +79,13 @@ TEST(FailureInjection, TransientLinkFlapIsSurvivable) {
   auto cfg = base_config(Variant::Binary, 1);
   cfg.protocol.tmin = 1;
   cfg.protocol.tmax = 16;
-  Cluster cluster{cfg};
-  cluster.simulator().at(300, [&cluster] { cluster.fail_link(0, 1); });
-  cluster.simulator().at(316, [&cluster] { cluster.restore_link(0, 1); });
+  ScaleCluster cluster{cfg};
+  cluster.change_link_at(300, 0, 1, kLinkDown);
+  cluster.change_link_at(316, 0, 1, kLinkUp);
   cluster.start();
   cluster.run_until(5000);
-  EXPECT_EQ(cluster.coordinator().status(), Status::Active);
-  EXPECT_EQ(cluster.participant(1).status(), Status::Active);
+  EXPECT_EQ(cluster.coordinator_status(), Status::Active);
+  EXPECT_EQ(cluster.participant_status(1), Status::Active);
 }
 
 TEST(FailureInjection, StaticSingleMemberLinkFailureKillsWholeNetwork) {
@@ -92,16 +93,14 @@ TEST(FailureInjection, StaticSingleMemberLinkFailureKillsWholeNetwork) {
   // coordinator (its tm[i] keeps halving) and therefore everyone: group
   // liveness in the 1998 design is all-or-nothing by construction.
   auto cfg = base_config(Variant::Static, 3);
-  Cluster cluster{cfg};
-  cluster.simulator().at(300, [&cluster] {
-    cluster.fail_link(0, 2);
-    cluster.fail_link(2, 0);
-  });
+  ScaleCluster cluster{cfg};
+  cluster.change_link_at(300, 0, 2, kLinkDown);
+  cluster.change_link_at(300, 2, 0, kLinkDown);
   cluster.start();
   cluster.run_until(5000);
-  EXPECT_EQ(cluster.coordinator().status(), Status::InactiveNonVoluntarily);
+  EXPECT_EQ(cluster.coordinator_status(), Status::InactiveNonVoluntarily);
   for (int i = 1; i <= 3; ++i) {
-    EXPECT_EQ(cluster.participant(i).status(),
+    EXPECT_EQ(cluster.participant_status(i),
               Status::InactiveNonVoluntarily)
         << i;
   }

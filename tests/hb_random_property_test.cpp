@@ -8,7 +8,7 @@
 //   determinism: identical seeds give identical histories.
 #include <gtest/gtest.h>
 
-#include "hb/cluster.hpp"
+#include "hb/cluster_scale.hpp"
 #include "util/rng.hpp"
 
 namespace ahb::hb {
@@ -42,7 +42,7 @@ TEST_P(RandomRuns, NoSpuriousInactivationWithoutLossOrCrash) {
   config.loss_probability = sc.loss;
   config.seed = seed;
 
-  Cluster cluster{config};
+  ScaleCluster cluster{config};
   // Random graceful leaves are allowed (they must not kill anyone).
   if (sc.variant == Variant::Dynamic && rng.chance(0.5)) {
     cluster.leave_at(1, static_cast<sim::Time>(100 + rng.below(400)));
@@ -51,10 +51,10 @@ TEST_P(RandomRuns, NoSpuriousInactivationWithoutLossOrCrash) {
   cluster.run_until(static_cast<sim::Time>(2000 + rng.below(3000)));
 
   ASSERT_EQ(cluster.network_stats().lost, 0u);
-  EXPECT_NE(cluster.coordinator().status(),
+  EXPECT_NE(cluster.coordinator_status(),
             Status::InactiveNonVoluntarily);
   for (int i = 1; i <= sc.participants; ++i) {
-    EXPECT_NE(cluster.participant(i).status(),
+    EXPECT_NE(cluster.participant_status(i),
               Status::InactiveNonVoluntarily)
         << to_string(sc.variant) << " participant " << i;
   }
@@ -74,7 +74,7 @@ TEST_P(RandomRuns, CrashDeactivatesWholeNetworkWithinBounds) {
           : static_cast<int>(1 + rng.below(4));
   config.seed = seed;
 
-  Cluster cluster{config};
+  ScaleCluster cluster{config};
   const int victim = static_cast<int>(1 + rng.below(
                          static_cast<std::uint64_t>(config.participants)));
   const auto crash_at = static_cast<sim::Time>(50 + rng.below(200));
@@ -93,7 +93,7 @@ TEST_P(RandomRuns, CrashDeactivatesWholeNetworkWithinBounds) {
       << to_string(cfg.variant) << " tmin=" << cfg.tmin
       << " tmax=" << cfg.tmax << " n=" << config.participants
       << " victim=" << victim << " crash_at=" << crash_at;
-  EXPECT_LE(cluster.coordinator().inactivated_at(),
+  EXPECT_LE(cluster.coordinator_inactivated_at(),
             crash_at + cfg.tmin + cfg.coordinator_detection_bound());
 }
 
@@ -107,14 +107,14 @@ TEST_P(RandomRuns, IdenticalSeedsGiveIdenticalHistories) {
     config.participants = 2;
     config.loss_probability = 0.15;
     config.seed = seed;
-    Cluster cluster{config};
+    ScaleCluster cluster{config};
     cluster.start();
     cluster.run_until(4000);
     return std::tuple{
         cluster.network_stats().sent,     cluster.network_stats().delivered,
-        cluster.network_stats().lost,     cluster.coordinator().status(),
-        cluster.coordinator().inactivated_at(),
-        cluster.participant(1).status(),  cluster.participant(2).status(),
+        cluster.network_stats().lost,     cluster.coordinator_status(),
+        cluster.coordinator_inactivated_at(),
+        cluster.participant_status(1),  cluster.participant_status(2),
     };
   };
   EXPECT_EQ(run(), run());

@@ -22,7 +22,7 @@
 #include "chaos/campaign.hpp"
 #include "chaos/mission.hpp"
 #include "chaos/runner.hpp"
-#include "hb/cluster.hpp"
+#include "hb/cluster_scale.hpp"
 #include "mc/ndfs.hpp"
 #include "models/formula_check.hpp"
 #include "models/heartbeat_model.hpp"
@@ -272,7 +272,7 @@ TEST(SinkChain, DetachMidRunThenDestroyIsSafe) {
   spec.tmax = 10;
   spec.participants = 2;
   spec.horizon = 400;
-  hb::Cluster cluster(chaos::cluster_config_for(spec));
+  hb::ScaleCluster cluster(chaos::cluster_config_for(spec));
 
   auto made = pltl::make_monitor({"r1", std::string{pltl::find_shipped("r1")->text}, 1},
                                  pltl::BindParams{spec.variant, spec.timing(),

@@ -1,6 +1,6 @@
 // Engine-vs-model trace conformance (src/proto/conformance.hpp).
 //
-// Every test records the protocol-event trace of a simulated hb::Cluster
+// Every test records the protocol-event trace of a simulated hb::ScaleCluster
 // run and asks the guided walk whether the timed-automata model of the
 // same variant and timing can reproduce it. Deterministic scenarios
 // cover all six variants at the five (tmin, tmax) points of Tables 1
@@ -15,7 +15,7 @@
 #include <utility>
 
 #include "chaos/runner.hpp"
-#include "hb/cluster.hpp"
+#include "hb/cluster_scale.hpp"
 #include "proto/conformance.hpp"
 #include "proto/rules.hpp"
 
@@ -54,7 +54,7 @@ hb::ClusterConfig conformance_config(hb::Variant variant, int tmin,
 // exists for.
 hb::ClusterConfig delayed_config(hb::Variant variant, int tmin, int tmax) {
   auto config = conformance_config(variant, tmin, tmax);
-  config.max_delay = -1;  // Cluster default: tmin / 2
+  config.max_delay = -1;  // engine default: tmin / 2
   config.seed = 7;
   return config;
 }
@@ -65,7 +65,7 @@ TEST(Conformance, ParticipantCrashCascadeReplaysForEveryVariant) {
       SCOPED_TRACE(testing::Message() << to_string(variant) << " tmin="
                                       << tmin << " tmax=" << tmax);
       const auto config = conformance_config(variant, tmin, tmax);
-      hb::Cluster cluster{config};
+      hb::ScaleCluster cluster{config};
       TraceRecorder recorder{cluster};
       // A few healthy rounds, then p[1] dies: the coordinator misses it,
       // accelerates down the waiting-time ladder and inactivates; any
@@ -87,7 +87,7 @@ TEST(Conformance, CoordinatorCrashStarvationReplaysForEveryVariant) {
       SCOPED_TRACE(testing::Message() << to_string(variant) << " tmin="
                                       << tmin << " tmax=" << tmax);
       const auto config = conformance_config(variant, tmin, tmax);
-      hb::Cluster cluster{config};
+      hb::ScaleCluster cluster{config};
       TraceRecorder recorder{cluster};
       // The coordinator dies mid-run: beats stop and every participant
       // must non-voluntarily inactivate at its deadline.
@@ -107,7 +107,7 @@ TEST(Conformance, DynamicLeaveAndGracefulRejoinReplays) {
     SCOPED_TRACE(testing::Message() << "tmin=" << tmin << " tmax=" << tmax);
     const auto config =
         conformance_config(hb::Variant::Dynamic, tmin, tmax);
-    hb::Cluster cluster{config};
+    hb::ScaleCluster cluster{config};
     TraceRecorder recorder{cluster};
     // p[1] departs gracefully, waits out the leave beat, re-enters the
     // join phase and participates again; finally the coordinator dies.
@@ -149,19 +149,19 @@ TEST(Conformance, DynamicLossRejoinOverlapReplays) {
   // it is the state-count pin in rejoin_test.cpp, and this test pins
   // that decayed rounds, leave, rejoin and overlapping loss replay.)
   const auto config = conformance_config(hb::Variant::Dynamic, 4, 10);
-  hb::Cluster cluster{config};
+  hb::ScaleCluster cluster{config};
   TraceRecorder recorder{cluster};
   cluster.leave_at(1, 38);   // leaves with the next beat, at t=40
   cluster.rejoin_at(1, 46);  // graceful: > tmin after the t=40 leave
   cluster.start();
   cluster.run_until(25);    // healthy joined rounds close at 10, 20, 30
-  cluster.fail_link(1, 0);  // p[1]'s t=30 reply vanishes: tm[1] decays
+  cluster.links().set_up(1, 0, false);  // p[1]'s t=30 reply vanishes: tm[1] decays
   cluster.run_until(35);    //   (the decayed t=40..45 round is recorded)
-  cluster.restore_link(1, 0);  // up again so the leave beat gets through
+  cluster.links().set_up(1, 0, true);  // up again so the leave beat gets through
   cluster.run_until(51);       // leave at 40, rejoin registers at t=50
-  cluster.fail_link(1, 0);     // loss overlapping the re-registration:
+  cluster.links().set_up(1, 0, false);     // loss overlapping the re-registration:
   cluster.run_until(75);       //   p[1] starves p[0], which inactivates
-  cluster.restore_link(1, 0);
+  cluster.links().set_up(1, 0, true);
   cluster.run_until(120);
   ASSERT_FALSE(recorder.events().empty());
   const auto saw = [&](hb::ProtocolEvent::Kind kind) {
@@ -194,7 +194,7 @@ TEST(Conformance, RandomLossAndCrashTracesReplay) {
       SCOPED_TRACE(testing::Message()
                    << to_string(variant) << " tmin=" << tmin << " tmax="
                    << tmax << " seed=" << config.seed << " rep=" << rep);
-      hb::Cluster cluster{config};
+      hb::ScaleCluster cluster{config};
       TraceRecorder recorder{cluster};
       const auto crash_time = [&] {
         return static_cast<sim::Time>(1 + rng() % (4 * tmax));
@@ -214,7 +214,7 @@ TEST(Conformance, RandomLossAndCrashTracesReplay) {
 
 TEST(ConformanceCanary, PerturbedTimingConstantIsRejected) {
   const auto config = conformance_config(hb::Variant::Binary, 4, 10);
-  hb::Cluster cluster{config};
+  hb::ScaleCluster cluster{config};
   TraceRecorder recorder{cluster};
   cluster.crash_participant_at(1, 21);
   cluster.start();
@@ -238,7 +238,7 @@ TEST(ConformanceCanary, PerturbedDeadlineLawIsRejected) {
   // model is forced to inactivate p[1] earlier than the recorded NV
   // event, an observable mismatch.
   const auto config = conformance_config(hb::Variant::Binary, 4, 10);
-  hb::Cluster cluster{config};
+  hb::ScaleCluster cluster{config};
   TraceRecorder recorder{cluster};
   cluster.crash_coordinator_at(21);
   cluster.start();
@@ -265,7 +265,7 @@ TEST(ConformanceDelay, PureDelayCrashCascadeReplaysForEveryVariant) {
       SCOPED_TRACE(testing::Message() << to_string(variant) << " tmin="
                                       << tmin << " tmax=" << tmax);
       const auto config = delayed_config(variant, tmin, tmax);
-      hb::Cluster cluster{config};
+      hb::ScaleCluster cluster{config};
       TraceRecorder recorder{cluster};
       cluster.crash_participant_at(1, 2 * tmax + 1);
       cluster.start();
@@ -286,13 +286,13 @@ TEST(ConformanceDelay, DelayAndLinkLossDecayReplays) {
   for (const auto& [tmin, tmax] : {std::pair{4, 10}, std::pair{9, 10}}) {
     SCOPED_TRACE(testing::Message() << "tmin=" << tmin << " tmax=" << tmax);
     const auto config = delayed_config(hb::Variant::Static, tmin, tmax);
-    hb::Cluster cluster{config};
+    hb::ScaleCluster cluster{config};
     TraceRecorder recorder{cluster};
     cluster.start();
     cluster.run_until(2 * tmax + 5);
-    cluster.fail_link(1, 0);  // p[1]'s replies are lost: tm[1] decays
+    cluster.links().set_up(1, 0, false);  // p[1]'s replies are lost: tm[1] decays
     cluster.run_until(4 * tmax + 5);
-    cluster.restore_link(1, 0);
+    cluster.links().set_up(1, 0, true);
     cluster.run_until(8 * tmax);
     ASSERT_FALSE(recorder.events().empty());
     const auto r = proto::replay_cluster_trace(config, recorder.events());
@@ -306,11 +306,11 @@ TEST(ConformanceDelay, DelayAndDuplicationReplays) {
   // participant answers both copies, so the trace holds duplicate beat
   // deliveries and echo replies. Identity folds each onto its original.
   const auto config = conformance_config(hb::Variant::Binary, 4, 10);
-  hb::Cluster cluster{config};
-  using Params = sim::Network<hb::Message>::LinkParams;
-  cluster.network().set_link(
+  hb::ScaleCluster cluster{config};
+  using Params = sim::LinkParams;
+  cluster.links().set(
       0, 1, Params{.min_delay = 1, .max_delay = 1, .duplicate_probability = 1.0});
-  cluster.network().set_link(1, 0, Params{.min_delay = 1, .max_delay = 1});
+  cluster.links().set(1, 0, Params{.min_delay = 1, .max_delay = 1});
   TraceRecorder recorder{cluster};
   cluster.start();
   cluster.run_until(60);
@@ -366,7 +366,7 @@ TEST(ConformanceDelay, RandomDelayLossAndDuplicationTracesReplay) {
                      << to_string(variant) << " tmin=" << tmin << " tmax="
                      << tmax << " seed=" << config.seed
                      << " dup=" << mix.duplication);
-        hb::Cluster cluster{config};
+        hb::ScaleCluster cluster{config};
         TraceRecorder recorder{cluster};
         if (rng() % 2 == 0) {
           cluster.crash_participant_at(
@@ -374,8 +374,8 @@ TEST(ConformanceDelay, RandomDelayLossAndDuplicationTracesReplay) {
         }
         cluster.start();
         cluster.run_until(mix.duplication > 0 ? 3 * tmax : 1);
-        cluster.network().default_params().loss_probability = mix.loss;
-        cluster.network().default_params().duplicate_probability =
+        cluster.links().defaults().loss_probability = mix.loss;
+        cluster.links().defaults().duplicate_probability =
             mix.duplication;
         cluster.run_until(8 * tmax);
         const auto r = proto::replay_cluster_trace(config, recorder.events());
@@ -391,7 +391,7 @@ TEST(ConformanceDelay, ParallelReplayVerdictsAreThreadInvariant) {
   // and rejecting replays must return the same verdict and the same
   // matched prefix at every thread count.
   const auto config = delayed_config(hb::Variant::Dynamic, 4, 10);
-  hb::Cluster cluster{config};
+  hb::ScaleCluster cluster{config};
   TraceRecorder recorder{cluster};
   cluster.crash_participant_at(1, 21);
   cluster.start();
@@ -434,19 +434,19 @@ TEST(ConformanceIdentity, StaleJoinRescueReplays) {
   // stale joins too (latching `stale_join` for the R3 analysis), and the
   // same trace must replay cleanly under full message identity.
   const auto config = conformance_config(hb::Variant::Expanding, 4, 10);
-  hb::Cluster cluster{config};
+  hb::ScaleCluster cluster{config};
   TraceRecorder recorder{cluster};
-  using Params = sim::Network<hb::Message>::LinkParams;
+  using Params = sim::LinkParams;
   cluster.start();
   cluster.run_until(7);  // join beat 1 (t=4) delivered instantly
   // Join beat 2 (t=8) rides a 3-tick delay: it lands at t=11, after the
   // t=10 heartbeat has made p[1] a member.
-  cluster.network().set_link(1, 0, Params{.min_delay = 3, .max_delay = 3});
+  cluster.links().set(1, 0, Params{.min_delay = 3, .max_delay = 3});
   cluster.run_until(8);
-  cluster.network().set_link(1, 0, Params{.min_delay = 0, .max_delay = 0});
-  cluster.fail_link(1, 0);  // the t=10 reply is lost
+  cluster.links().set(1, 0, Params{.min_delay = 0, .max_delay = 0});
+  cluster.links().set_up(1, 0, false);  // the t=10 reply is lost
   cluster.run_until(10);
-  cluster.restore_link(1, 0);
+  cluster.links().set_up(1, 0, true);
   cluster.run_until(45);
   ASSERT_FALSE(recorder.events().empty());
   const auto saw_rescue = [&] {
@@ -480,10 +480,10 @@ TEST(ConformanceIdentity, StaleJoinAfterCrashRegistersGhostAndReplays) {
   // `deliver_join_stale`, so the recorded trace replays under full
   // message identity.
   const auto config = conformance_config(hb::Variant::Expanding, 4, 10);
-  hb::Cluster cluster{config};
+  hb::ScaleCluster cluster{config};
   TraceRecorder recorder{cluster};
-  using Params = sim::Network<hb::Message>::LinkParams;
-  cluster.network().set_link(1, 0, Params{.min_delay = 2, .max_delay = 2});
+  using Params = sim::LinkParams;
+  cluster.links().set(1, 0, Params{.min_delay = 2, .max_delay = 2});
   cluster.crash_participant_at(1, 5);
   cluster.start();
   // Join beat at t=4 arrives at t=6 — one tick after the crash.

@@ -4,7 +4,8 @@
 // library (simulated).
 #include <gtest/gtest.h>
 
-#include "hb/cluster.hpp"
+#include "hb/cluster_scale.hpp"
+#include "hb/participant.hpp"
 #include "mc/explorer.hpp"
 #include "models/heartbeat_model.hpp"
 
@@ -158,20 +159,20 @@ TEST(RejoinLibrary, ClusterLeaveRejoinRoundTrip) {
   config.protocol.tmin = 2;
   config.protocol.tmax = 10;
   config.participants = 2;
-  hb::Cluster cluster{config};
+  hb::ScaleCluster cluster{config};
   cluster.leave_at(1, 200);
   cluster.rejoin_at(1, 500);
   cluster.start();
 
   cluster.run_until(400);
-  EXPECT_EQ(cluster.participant(1).status(), hb::Status::Left);
-  EXPECT_FALSE(cluster.coordinator().is_member(1));
+  EXPECT_EQ(cluster.participant_status(1), hb::Status::Left);
+  EXPECT_FALSE(cluster.is_member(1));
 
   cluster.run_until(2000);
-  EXPECT_EQ(cluster.participant(1).status(), hb::Status::Active);
-  EXPECT_TRUE(cluster.participant(1).joined());
-  EXPECT_TRUE(cluster.coordinator().is_member(1));
-  EXPECT_EQ(cluster.coordinator().status(), hb::Status::Active);
+  EXPECT_EQ(cluster.participant_status(1), hb::Status::Active);
+  EXPECT_TRUE(cluster.participant_joined(1));
+  EXPECT_TRUE(cluster.is_member(1));
+  EXPECT_EQ(cluster.coordinator_status(), hb::Status::Active);
 }
 
 TEST(RejoinLibrary, RejoinBeforeLeaveIsIgnoredByCluster) {
@@ -180,12 +181,12 @@ TEST(RejoinLibrary, RejoinBeforeLeaveIsIgnoredByCluster) {
   config.protocol.tmin = 2;
   config.protocol.tmax = 10;
   config.participants = 1;
-  hb::Cluster cluster{config};
+  hb::ScaleCluster cluster{config};
   cluster.rejoin_at(1, 50);  // participant never left: must be a no-op
   cluster.start();
   cluster.run_until(500);
-  EXPECT_EQ(cluster.participant(1).status(), hb::Status::Active);
-  EXPECT_EQ(cluster.coordinator().status(), hb::Status::Active);
+  EXPECT_EQ(cluster.participant_status(1), hb::Status::Active);
+  EXPECT_EQ(cluster.coordinator_status(), hb::Status::Active);
 }
 
 }  // namespace

@@ -1,14 +1,14 @@
 // Tests for the runtime-verification layer (src/rv): the event-sink
 // plumbing, the suspicion-ladder monitor's negative controls (each
 // obligation demonstrably fires), the availability scorer's interval
-// arithmetic, and the engine-independence of the requirement monitor
-// (identical verdicts on hb::Cluster and hb::ScaleCluster executions).
+// arithmetic, and the stream-determinism of the requirement monitor
+// (identical verdicts live on the engine and replayed offline).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <variant>
 #include <vector>
 
-#include "hb/cluster.hpp"
 #include "hb/cluster_scale.hpp"
 #include "rv/availability.hpp"
 #include "rv/monitor.hpp"
@@ -197,14 +197,13 @@ class CountingSink final : public rv::EventSink {
 
 TEST(SinkChain, InterestMasksGateDelivery) {
   // A narrow sink sees exactly the CoordinatorBeat subsequence of what
-  // a full-interest sink sees, and a zero-interest sink sees nothing —
-  // while a legacy lambda observer keeps working beside them.
+  // a full-interest sink sees, and a zero-interest sink sees nothing.
   hb::ClusterConfig config;
   config.protocol.variant = hb::Variant::Expanding;
   config.protocol.tmin = 4;
   config.protocol.tmax = 10;
   config.participants = 2;
-  hb::Cluster cluster{config};
+  hb::ScaleCluster cluster{config};
 
   CountingSink narrow{rv::protocol_bit(Kind::CoordinatorBeat)};
   CountingSink full{rv::kAllProtocolEvents};
@@ -212,15 +211,12 @@ TEST(SinkChain, InterestMasksGateDelivery) {
   cluster.add_sink(&narrow);
   cluster.add_sink(&full);
   cluster.add_sink(&deaf);
-  std::uint64_t legacy = 0;
-  cluster.on_protocol_event([&](const hb::ProtocolEvent&) { ++legacy; });
 
   cluster.start();
   cluster.run_until(100);
   cluster.sinks().finish(100);
 
   ASSERT_GT(full.count(), 0u);
-  EXPECT_EQ(legacy, full.count());
   EXPECT_EQ(deaf.count(), 0u);
   const auto beats = static_cast<std::uint64_t>(
       std::count(full.kinds().begin(), full.kinds().end(),
@@ -231,14 +227,31 @@ TEST(SinkChain, InterestMasksGateDelivery) {
       [](Kind kind) { return kind == Kind::CoordinatorBeat; }));
 }
 
-// --- engine independence --------------------------------------------------
+// --- stream determinism ---------------------------------------------------
 
-TEST(MonitorEquivalence, ClusterAndScaleClusterYieldIdenticalVerdicts) {
-  // The same out-of-spec configuration (delays up to tmax on a tmin=4
-  // protocol — round trips far beyond the channel assumption) must trip
-  // the requirement monitor identically on both engines: same
-  // violations, same order, same deadlines. This is the monitor-level
-  // restatement of the engines' bit-identical-trace contract.
+/// Records the protocol and channel events of a run in emission order.
+class StreamRecorder final : public rv::EventSink {
+ public:
+  using Event = std::variant<hb::ProtocolEvent, sim::ChannelEvent>;
+  std::uint32_t channel_interest() const override {
+    return rv::kAllChannelEvents;
+  }
+  void on_protocol_event(const hb::ProtocolEvent& event) override {
+    events.emplace_back(event);
+  }
+  void on_channel_event(const sim::ChannelEvent& event) override {
+    events.emplace_back(event);
+  }
+  std::vector<Event> events;
+};
+
+TEST(MonitorEquivalence, LiveAndReplayedStreamsYieldIdenticalVerdicts) {
+  // An out-of-spec configuration (delays up to tmax on a tmin=4
+  // protocol — round trips far beyond the channel assumption) trips the
+  // requirement monitor. Its verdict is a function of the event stream
+  // alone: attached live to the engine or fed the recorded stream
+  // afterwards, it reports the same violations, in the same order, at
+  // the same deadlines.
   hb::ClusterConfig config;
   config.protocol.variant = hb::Variant::Static;
   config.protocol.tmin = 4;
@@ -256,29 +269,35 @@ TEST(MonitorEquivalence, ClusterAndScaleClusterYieldIdenticalVerdicts) {
   const auto bounds = rv::MonitorBounds::defaults(
       monitor_config.timing, monitor_config.variant, true);
 
-  hb::Cluster cluster{config};
-  rv::RequirementMonitor on_cluster{monitor_config, bounds};
-  on_cluster.attach(cluster);
+  hb::ScaleCluster cluster{config};
+  rv::RequirementMonitor live{monitor_config, bounds};
+  StreamRecorder recorder;
+  live.attach(cluster);
+  cluster.add_sink(&recorder);
   cluster.start();
   cluster.run_until(400);
   cluster.sinks().finish(400);
 
-  hb::ScaleCluster scale{config};
-  rv::RequirementMonitor on_scale{monitor_config, bounds};
-  on_scale.attach(scale);
-  scale.start();
-  scale.run_until(400);
-  scale.sinks().finish(400);
-
-  ASSERT_FALSE(on_cluster.violations().empty())
-      << "out-of-spec delays never tripped the monitor";
-  ASSERT_EQ(on_cluster.violations().size(), on_scale.violations().size());
-  for (std::size_t i = 0; i < on_cluster.violations().size(); ++i) {
-    EXPECT_EQ(on_cluster.violations()[i].key(),
-              on_scale.violations()[i].key());
-    EXPECT_EQ(on_cluster.violations()[i].at, on_scale.violations()[i].at);
+  rv::RequirementMonitor replayed{monitor_config, bounds};
+  rv::SinkChain chain;
+  chain.add(&replayed);
+  for (const auto& event : recorder.events) {
+    std::visit(
+        [&](const auto& e) {
+          if (chain.wants(e.kind)) chain.emit(e);
+        },
+        event);
   }
-  EXPECT_EQ(on_cluster.events_seen(), on_scale.events_seen());
+  chain.finish(400);
+
+  ASSERT_FALSE(live.violations().empty())
+      << "out-of-spec delays never tripped the monitor";
+  ASSERT_EQ(live.violations().size(), replayed.violations().size());
+  for (std::size_t i = 0; i < live.violations().size(); ++i) {
+    EXPECT_EQ(live.violations()[i].key(), replayed.violations()[i].key());
+    EXPECT_EQ(live.violations()[i].at, replayed.violations()[i].at);
+  }
+  EXPECT_EQ(live.events_seen(), replayed.events_seen());
 }
 
 TEST(MonitorIntegration, InSpecCrashRunStaysCleanWithFullStack) {
@@ -291,7 +310,7 @@ TEST(MonitorIntegration, InSpecCrashRunStaysCleanWithFullStack) {
   config.protocol.tmin = 4;
   config.protocol.tmax = 10;
   config.participants = 3;
-  hb::Cluster cluster{config};
+  hb::ScaleCluster cluster{config};
   cluster.crash_participant_at(1, 50);
 
   rv::RequirementMonitor::Config monitor_config;

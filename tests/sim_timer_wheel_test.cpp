@@ -3,13 +3,13 @@
 //
 // The wheel's determinism contract — entries fire in exact
 // (when, priority, arm-sequence) order, cancels are O(1) no-ops once
-// popped — is what lets the cluster-scale engine reproduce the legacy
-// simulator's interleavings bit-for-bit, so it is pinned here against
+// popped — is what makes the heartbeat engine's event interleavings
+// reproducible bit-for-bit, so it is pinned here against
 // an oracle that keeps every pending entry in one ordered multiset.
 // The deterministic cases target the wheel's structural edges: same
 // tick ordering, cancel-in-ready laziness, multi-level cascades, and
 // the slot-ring wrap where an entry lands at or behind the current
-// slot index of its level.
+// slot index of its level, and arms beyond the wheel's 64^6-tick span.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -229,6 +229,78 @@ TEST(TimerWheel, RandomisedAgainstOracle) {
       ASSERT_EQ(expired.seq, expect.seq);
     }
     EXPECT_FALSE(wheel.pop(far, expired));
+    EXPECT_EQ(wheel.pending(), 0u);
+  }
+}
+
+TEST(TimerWheel, ArmsBeyondTheSpanWaitAndFireOnTime) {
+  // 64^6 = 2^36 ticks is the wheel span; later arms (a crash scheduled
+  // at 2^40, a timer behind a clock that leapt back) wait outside the
+  // wheel and must still fire exactly on time, in order, and cancel.
+  constexpr Time kSpan = Time{1} << 36;
+  Wheel wheel;
+  std::set<OracleEntry> oracle;
+  std::uint64_t seq = 1;
+  for (const Time when : {Time{1} << 40, kSpan, kSpan - 1, kSpan + 1,
+                          Time{1} << 40, Time{1} << 62, Time{5}}) {
+    wheel.arm(when, 0, static_cast<int>(seq));
+    oracle.insert({when, 0, seq, static_cast<int>(seq)});
+    ++seq;
+  }
+  const auto doomed = wheel.arm(Time{3} << 40, 1, 99);
+  EXPECT_TRUE(wheel.cancel(doomed));
+  EXPECT_FALSE(wheel.cancel(doomed));
+  expect_same_drain(wheel, oracle, Time{1} << 39);
+  expect_same_drain(wheel, oracle, Time{1} << 40);
+  EXPECT_EQ(wheel.pending(), 1u);  // the 2^62 arm
+  expect_same_drain(wheel, oracle, Time{1} << 62);
+  EXPECT_EQ(wheel.pending(), 0u);
+}
+
+TEST(TimerWheel, RandomisedFarArmsAgainstOracle) {
+  // Arms straddling the span boundary and far past it, cancels of
+  // far-waiting entries, and drains that jump whole spans at once.
+  constexpr Time kSpan = Time{1} << 36;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    Rng rng{seed};
+    Wheel wheel;
+    std::set<OracleEntry> oracle;
+    std::vector<std::pair<Wheel::Handle, OracleEntry>> live;
+    std::uint64_t seq = 1;
+    for (int step = 0; step < 2000; ++step) {
+      const auto op = rng.below(10);
+      if (op < 6) {  // arm
+        Time delta;
+        switch (rng.below(3)) {
+          case 0: delta = static_cast<Time>(rng.below(64 * 64)); break;
+          case 1: delta = kSpan - 4 + static_cast<Time>(rng.below(8)); break;
+          default: delta = static_cast<Time>(rng.below(Time{1} << 40)); break;
+        }
+        const Time when = wheel.now() + delta;
+        const int prio = static_cast<int>(rng.below(2));
+        const int payload = static_cast<int>(seq);
+        live.push_back({wheel.arm(when, prio, payload),
+                        OracleEntry{when, prio, seq, payload}});
+        oracle.insert(live.back().second);
+        ++seq;
+      } else if (op < 8 && !live.empty()) {  // cancel
+        const auto pick = rng.below(live.size());
+        const auto [handle, entry] = live[pick];
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+        EXPECT_EQ(wheel.cancel(handle), oracle.erase(entry) > 0);
+      } else {  // drain, sometimes a whole span ahead
+        const Time reach = rng.below(2) == 0 ? 300 : Time{1} << 37;
+        const Time horizon =
+            wheel.now() + static_cast<Time>(rng.below(
+                              static_cast<std::uint64_t>(reach)));
+        expect_same_drain(wheel, oracle, horizon);
+        if (HasFatalFailure()) return;
+      }
+      ASSERT_EQ(wheel.pending(), oracle.size());
+    }
+    expect_same_drain(wheel, oracle, wheel.now() + (Time{1} << 41));
+    EXPECT_TRUE(oracle.empty());
     EXPECT_EQ(wheel.pending(), 0u);
   }
 }
