@@ -278,6 +278,15 @@ std::optional<RunSpec> parse_run(const std::string& text) {
     if (!kind || action.at < 0 || !fits_int(a) || !fits_int(b)) {
       return std::nullopt;
     }
+    // A drifting clock scales elapsed global time by d1 / d2 in int64
+    // (hb::ScaleCluster's NodeClock): the products must fit over the
+    // whole run. (Non-positive rates are a no-op, as in the runner.)
+    Time scaled = 0;
+    if (*kind == FaultKind::SetDrift && action.d1 > 0 && action.d2 > 0 &&
+        (__builtin_mul_overflow(spec.horizon, action.d1, &scaled) ||
+         __builtin_mul_overflow(spec.horizon, action.d2, &scaled))) {
+      return std::nullopt;
+    }
     action.kind = *kind;
     action.a = static_cast<int>(a);
     action.b = static_cast<int>(b);

@@ -125,7 +125,8 @@ struct RunSpec {
 /// line one action; parse returns nullopt on any malformed line, and on
 /// values a run cannot execute: a participant count outside [1, INT_MAX],
 /// a non-positive horizon, an invalid timing, an action time before 0,
-/// or node operands an int cannot hold.
+/// node operands an int cannot hold, or a set-drift rate whose terms
+/// times the horizon overflow int64.
 std::string serialize_run(const RunSpec& spec);
 std::optional<RunSpec> parse_run(const std::string& text);
 

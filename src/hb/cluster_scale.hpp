@@ -310,7 +310,7 @@ class ScaleCluster {
   void channel(sim::ChannelEvent::Kind kind, int from, int to,
                std::uint64_t id) {
     if (sinks_.wants(kind)) {
-      sinks_.emit(sim::ChannelEvent{kind, from, to, id, now_, 0});
+      sinks_.emit(sim::ChannelEvent{kind, from, to, id, now_});
     }
   }
   void track_delivery(std::vector<std::uint64_t>& newest, int index,

@@ -1,5 +1,7 @@
 #include "rv/pltl/eval.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "util/contracts.hpp"
@@ -63,36 +65,6 @@ constexpr std::uint32_t fluent_driver_mask() {
 }
 
 // ---------------------------------------------------------------------------
-// Quantifier expansion: forall/exists become And/Or folds over the
-// participant ids 1..n, substituting the bound variable into atom
-// arguments. Inner bindings shadow outer ones.
-
-NodePtr substitute(const Node& node, const std::string& var, std::int64_t id) {
-  if ((node.kind == Node::Kind::Forall || node.kind == Node::Kind::Exists) &&
-      node.name == var) {
-    return clone(node);  // shadowed: leave the inner binder untouched
-  }
-  NodePtr out = std::make_unique<Node>();
-  out->kind = node.kind;
-  out->name = node.name;
-  out->arg = node.arg;
-  out->arg_var = node.arg_var;
-  out->arg_num = node.arg_num;
-  if (node.arg == Node::Arg::Var && node.arg_var == var) {
-    out->arg = Node::Arg::Num;
-    out->arg_var.clear();
-    out->arg_num = id;
-  }
-  if (node.bound) {
-    auto copy = clone(node);  // reuse clone for the bound subtree
-    out->bound = std::move(copy->bound);
-  }
-  if (node.lhs) out->lhs = substitute(*node.lhs, var, id);
-  if (node.rhs) out->rhs = substitute(*node.rhs, var, id);
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Bound resolution.
 
 bool eval_bexpr(const BoundExpr& expr, const BindParams& params, Time* out,
@@ -136,10 +108,30 @@ struct Flattener {
   const BindParams& params;
   Compiled out;
   std::string error;
+  /// Quantifier variables bound around the node being flattened,
+  /// innermost last: inner bindings shadow outer ones.
+  std::vector<std::pair<std::string_view, int>> bindings;
 
   bool fail(std::string message) {
     if (error.empty()) error = std::move(message);
     return false;
+  }
+
+  /// The participant id an atom argument names: its literal, or the
+  /// innermost binding of its variable. Fails on an unbound variable.
+  bool resolve(const Node& node, std::int64_t* id) {
+    if (node.arg != Node::Arg::Var) {
+      *id = node.arg_num;
+      return true;
+    }
+    for (auto it = bindings.rbegin(); it != bindings.rend(); ++it) {
+      if (it->first == node.arg_var) {
+        *id = it->second;
+        return true;
+      }
+    }
+    return fail("unbound variable '" + node.arg_var + "' in '" + node.name +
+                "'");
   }
 
   /// Appends the instruction(s) for `node` and stores the index of its
@@ -167,25 +159,21 @@ struct Flattener {
                         "' does not take an argument");
           }
         }
-        if (node.arg == Node::Arg::Var) {
-          return fail("unbound variable '" + node.arg_var + "' in '" +
-                      node.name + "'");
-        }
-        if (node.arg == Node::Arg::Num) {
-          if (node.arg_num < 0 || node.arg_num > params.participants) {
+        std::int64_t id = 0;
+        if (!resolve(node, &id)) return false;
+        if (node.arg != Node::Arg::None) {
+          if (id < 0 || id > params.participants) {
             return fail("participant id out of range in '" + node.name + "'");
           }
-          instr.node = static_cast<int>(node.arg_num);
+          instr.node = static_cast<int>(id);
         }
         out.protocol_mask |= instr.protocol_bits;
         out.channel_mask |= instr.channel_bits;
         break;
       }
       case Node::Kind::Fluent: {
-        if (node.arg == Node::Arg::Var) {
-          return fail("unbound variable '" + node.arg_var + "' in '" +
-                      node.name + "'");
-        }
+        std::int64_t id = 0;
+        if (!resolve(node, &id)) return false;
         if (node.name == "coord_live") {
           instr.fluent = Fluent::CoordLive;
         } else if (node.name == "coord_stopped") {
@@ -203,11 +191,11 @@ struct Flattener {
         } else {
           return fail("unknown fluent '" + node.name + "'");
         }
-        if (node.arg == Node::Arg::Num) {
-          if (node.arg_num < 1 || node.arg_num > params.participants) {
+        if (node.arg != Node::Arg::None) {
+          if (id < 1 || id > params.participants) {
             return fail("participant id out of range in '" + node.name + "'");
           }
-          instr.node = static_cast<int>(node.arg_num);
+          instr.node = static_cast<int>(id);
         }
         out.uses_fluents = true;
         break;
@@ -243,30 +231,46 @@ struct Flattener {
         break;
       case Node::Kind::Forall:
       case Node::Kind::Exists: {
-        // Expand here, one substituted copy per participant id.
-        const bool conj = node.kind == Node::Kind::Forall;
+        // Expand here: flatten the body once per participant id, with
+        // the variable bound to it. Each copy is a contiguous range
+        // ending in its root; outermost expansions record their ranges
+        // and joins for the monitor.
+        const bool outermost = bindings.empty();
+        Expansion expansion;
+        expansion.conj = node.kind == Node::Kind::Forall;
+        if (outermost) {
+          expansion.instances.reserve(
+              static_cast<std::size_t>(params.participants));
+        }
         int acc = -1;
         for (int id = 1; id <= params.participants; ++id) {
-          NodePtr body = substitute(*node.lhs, node.name, id);
+          const int begin = static_cast<int>(out.instrs.size());
           int b = -1;
-          if (!flatten(*body, &b)) return false;
+          bindings.emplace_back(node.name, id);
+          const bool flattened = flatten(*node.lhs, &b);
+          bindings.pop_back();
+          if (!flattened) return false;
+          if (outermost) expansion.instances.push_back({begin, b});
           if (acc < 0) {
             acc = b;
           } else {
             Instr join;
-            join.op = conj ? Node::Kind::And : Node::Kind::Or;
+            join.op = expansion.conj ? Node::Kind::And : Node::Kind::Or;
             join.a = acc;
             join.b = b;
             out.instrs.push_back(join);
             acc = static_cast<int>(out.instrs.size()) - 1;
+            if (outermost) expansion.instances.back().join = acc;
           }
         }
         if (acc < 0) {
           // No participants: forall is vacuously true, exists false.
           Instr empty;
-          empty.op = conj ? Node::Kind::True : Node::Kind::False;
+          empty.op = expansion.conj ? Node::Kind::True : Node::Kind::False;
           out.instrs.push_back(empty);
           acc = static_cast<int>(out.instrs.size()) - 1;
+        } else if (outermost) {
+          out.expansions.push_back(std::move(expansion));
         }
         *idx = acc;
         return true;
@@ -336,7 +340,7 @@ bool FluentTracker::member(int node) const {
   return member_[static_cast<std::size_t>(node)] != 0;
 }
 
-void FluentTracker::apply(const hb::ProtocolEvent& event) {
+std::uint8_t FluentTracker::apply(const hb::ProtocolEvent& event) {
   const int node = event.node;
   const bool known = node >= 1 && node <= participants_;
   const auto idx = static_cast<std::size_t>(node);
@@ -345,17 +349,24 @@ void FluentTracker::apply(const hb::ProtocolEvent& event) {
       if (known && !member_[idx]) {
         member_[idx] = 1;
         ++member_count_;
+        return kMemberChanged |
+               (member_count_ == 1 ? kAnyRegisteredChanged : 0);
       }
       break;
     case PKind::CoordinatorReceivedLeave:
       if (known && member_[idx]) {
         member_[idx] = 0;
         --member_count_;
+        return kMemberChanged |
+               (member_count_ == 0 ? kAnyRegisteredChanged : 0);
       }
       break;
     case PKind::CoordinatorInactivated:
     case PKind::CoordinatorCrashed:
-      coordinator_live_ = false;
+      if (coordinator_live_) {
+        coordinator_live_ = false;
+        return kCoordChanged;
+      }
       break;
     case PKind::ParticipantInactivated:
     case PKind::ParticipantCrashed:
@@ -363,17 +374,20 @@ void FluentTracker::apply(const hb::ProtocolEvent& event) {
       if (known && !stopped_[idx]) {
         stopped_[idx] = 1;
         --live_count_;
+        return kStoppedChanged | (live_count_ == 0 ? kAllStoppedChanged : 0);
       }
       break;
     case PKind::ParticipantRejoined:
       if (known && stopped_[idx]) {
         stopped_[idx] = 0;
         ++live_count_;
+        return kStoppedChanged | (live_count_ == 1 ? kAllStoppedChanged : 0);
       }
       break;
     default:
       break;
   }
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -404,6 +418,23 @@ CompileResult compile(const Node& formula, const BindParams& params) {
 // ---------------------------------------------------------------------------
 // FormulaMonitor.
 
+namespace {
+
+/// The wake time of an instance that must be evaluated at every pass.
+constexpr Time kUnsettled = std::numeric_limits<Time>::min();
+
+/// The first time after `now` at which `(T - t) cmp bound` changes
+/// value, or kNever. Each comparison is monotone in T and changes at
+/// most once: where T - t reaches bound (Lt, Ge) or bound + 1 (Le, Gt).
+Time next_flip(Time t, Cmp cmp, Time bound, Time now) {
+  Time at = 0;
+  const Time step = cmp == Cmp::Le || cmp == Cmp::Gt ? 1 : 0;
+  if (__builtin_add_overflow(t, bound + step, &at)) return kNever;
+  return at > now ? at : kNever;
+}
+
+}  // namespace
+
 FormulaMonitor::FormulaMonitor(Compiled compiled, const BindParams& params,
                                std::string name, int requirement)
     : instrs_(std::move(compiled.instrs)),
@@ -420,39 +451,169 @@ FormulaMonitor::FormulaMonitor(Compiled compiled, const BindParams& params,
   }
   scratch_.assign(instrs_.size(), 0);
   committed_.assign(instrs_.size(), 0);
-  // Commit the initial position: time 0, no event, `init` true.
-  const bool root = eval(0, nullptr, nullptr, /*commit=*/true, /*init=*/true);
-  observe(0, root);
+
+  // Groups, their instances, and which instances each participant's
+  // atoms and fluents can wake.
+  std::size_t total = 0;
+  for (const Expansion& expansion : compiled.expansions) {
+    total += expansion.instances.size();
+  }
+  instances_.reserve(total);
+  due_.reserve(total);
+  watches_.reserve(total);
+  groups_.reserve(compiled.expansions.size());
+  const auto add_watch = [this](int node, int k, std::uint32_t protocol_bits,
+                                std::uint8_t fluent_bits) {
+    // An instance's atoms mostly name one participant: merge in place.
+    if (!watches_.empty() && watches_.back().node == node &&
+        watches_.back().instance == k) {
+      watches_.back().protocol_bits |= protocol_bits;
+      watches_.back().fluent_bits |= fluent_bits;
+    } else {
+      watches_.push_back({node, k, protocol_bits, fluent_bits});
+    }
+  };
+  for (Expansion& expansion : compiled.expansions) {
+    Group group;
+    group.first = expansion.instances.front().begin;
+    group.result = expansion.result();
+    group.inst_begin = static_cast<int>(instances_.size());
+    group.conj = expansion.conj;
+    for (const Expansion::Range& range : expansion.instances) {
+      const int k = static_cast<int>(instances_.size());
+      instances_.push_back({range.begin, range.root,
+                            static_cast<int>(groups_.size())});
+      for (int i = range.begin; i <= range.root; ++i) {
+        const Instr& ins = instrs_[static_cast<std::size_t>(i)];
+        if (ins.op == Node::Kind::Event) {
+          if (ins.node < 0) {
+            group.protocol_bits |= ins.protocol_bits;
+            group.channel_bits |= ins.channel_bits;
+          } else {
+            add_watch(ins.node, k, ins.protocol_bits, 0);
+          }
+        } else if (ins.op == Node::Kind::Fluent) {
+          switch (ins.fluent) {
+            case Fluent::CoordLive:
+            case Fluent::CoordStopped:
+              group.fluent_bits |= kCoordChanged;
+              break;
+            case Fluent::AllStopped:
+              group.fluent_bits |= kAllStoppedChanged;
+              break;
+            case Fluent::AnyRegistered:
+              group.fluent_bits |= kAnyRegisteredChanged;
+              break;
+            case Fluent::Stopped:
+            case Fluent::Alive:
+              add_watch(ins.node, k, 0, kStoppedChanged);
+              break;
+            case Fluent::Member:
+              add_watch(ins.node, k, 0, kMemberChanged);
+              break;
+          }
+        }
+      }
+    }
+    group.inst_end = static_cast<int>(instances_.size());
+    // Consistent with committed_ before the initial position: every
+    // instance false.
+    group.committed = group.conj ? group.inst_end - group.inst_begin : 0;
+    group.pass = group.committed;
+    groups_.push_back(std::move(group));
+  }
+
+  // Sorted by node for wake()'s lookup. Duplicates left after sorting
+  // only cost a repeated make_due, which is idempotent.
+  std::sort(watches_.begin(), watches_.end(),
+            [](const Watch& x, const Watch& y) {
+              return x.node != y.node ? x.node < y.node
+                                      : x.instance < y.instance;
+            });
+
+  // Commit the initial position: time 0, no event, `init` true, every
+  // instance evaluated.
+  ++pass_id_;
+  for (int k = 0; k < static_cast<int>(instances_.size()); ++k) make_due(k);
+  observe(0, eval<true>({0, nullptr, nullptr, /*init=*/true}));
+  due_.clear();
 }
 
-bool FormulaMonitor::eval(Time now, const hb::ProtocolEvent* pe,
-                          const sim::ChannelEvent* ce, bool commit, bool init) {
-  auto* vals = scratch_.data();
-  for (std::size_t i = 0; i < instrs_.size(); ++i) {
-    const Instr& ins = instrs_[i];
-    State& st = state_[i];
-    bool v = false;
+// Inlined into every caller (the whole array, the runs between groups,
+// instances): out of line, the call costs small formulas ~10% of their
+// per-event time.
+template <bool kCommit>
+[[gnu::always_inline]] inline bool FormulaMonitor::eval_range(
+    int begin, int end, const Pass& pass, Time* wake) {
+  const Instr* instrs = instrs_.data();
+  State* state = state_.data();
+  std::uint8_t* vals = scratch_.data();
+  std::uint8_t* committed = committed_.data();
+  const FluentTracker& tracker = tracker_;
+  const Time now = pass.now;
+  const Time last_commit = last_commit_;
+  const bool init = pass.init;
+  // Bounded Once/Before: the last witness time. Instructions outside
+  // the instances run at every pass, so `st.t` is current. An instance
+  // may have been skipped since its operand was last true; skipping
+  // implies the operand stayed true, so `st.b` records "true at the
+  // last committed position", whose time is then the witness (trap 1).
+  const bool skippable = wake != nullptr;
+  const auto witness = [skippable, last_commit](const State& st) {
+    return skippable && st.b != 0 ? last_commit : st.t;
+  };
+  const auto commit_witness = [skippable, now](State& st,
+                                               std::uint8_t operand, Time t) {
+    st.t = operand != 0 ? now : t;
+    if (skippable) st.b = operand;
+  };
+  // Committing passes over an instance also lower `*wake`. Connectives
+  // and fluents are functions of their inputs, and Historically, Since
+  // and unbounded Once reach their fixed point in one step; the cases
+  // that lower it below are the only ways a range can change at a
+  // later position without events.
+  const auto unsettle = [wake] {
+    if (wake != nullptr) *wake = kUnsettled;
+  };
+  const auto flip = [wake, now](Time t, const Instr& ins) {
+    if (wake != nullptr) {
+      *wake = std::min(*wake, next_flip(t, ins.cmp, ins.bound, now));
+    }
+  };
+  bool v = false;
+  for (int i = begin; i < end; ++i) {
+    const Instr& ins = instrs[i];
+    State& st = state[i];
     switch (ins.op) {
       case Node::Kind::True: v = true; break;
       case Node::Kind::False: v = false; break;
-      case Node::Kind::Init: v = init; break;
+      case Node::Kind::Init:
+        v = init;
+        if constexpr (kCommit) {
+          if (v) unsettle();  // false at every later position
+        }
+        break;
       case Node::Kind::Event:
-        if (pe != nullptr && ins.protocol_bits != 0) {
-          v = (protocol_bit(pe->kind) & ins.protocol_bits) != 0 &&
-              (ins.node < 0 || pe->node == ins.node);
-        } else if (ce != nullptr && ins.channel_bits != 0) {
-          v = (channel_bit(ce->kind) & ins.channel_bits) != 0;
+        v = false;
+        if (pass.pe != nullptr && ins.protocol_bits != 0) {
+          v = (protocol_bit(pass.pe->kind) & ins.protocol_bits) != 0 &&
+              (ins.node < 0 || pass.pe->node == ins.node);
+        } else if (pass.ce != nullptr && ins.channel_bits != 0) {
+          v = (channel_bit(pass.ce->kind) & ins.channel_bits) != 0;
+        }
+        if constexpr (kCommit) {
+          if (v) unsettle();  // false at an event-free position
         }
         break;
       case Node::Kind::Fluent:
         switch (ins.fluent) {
-          case Fluent::CoordLive: v = tracker_.coordinator_live(); break;
-          case Fluent::CoordStopped: v = !tracker_.coordinator_live(); break;
-          case Fluent::Stopped: v = tracker_.stopped(ins.node); break;
-          case Fluent::Alive: v = !tracker_.stopped(ins.node); break;
-          case Fluent::Member: v = tracker_.member(ins.node); break;
-          case Fluent::AllStopped: v = tracker_.all_stopped(); break;
-          case Fluent::AnyRegistered: v = tracker_.any_registered(); break;
+          case Fluent::CoordLive: v = tracker.coordinator_live(); break;
+          case Fluent::CoordStopped: v = !tracker.coordinator_live(); break;
+          case Fluent::Stopped: v = tracker.stopped(ins.node); break;
+          case Fluent::Alive: v = !tracker.stopped(ins.node); break;
+          case Fluent::Member: v = tracker.member(ins.node); break;
+          case Fluent::AllStopped: v = tracker.all_stopped(); break;
+          case Fluent::AnyRegistered: v = tracker.any_registered(); break;
         }
         break;
       case Node::Kind::Not: v = !vals[ins.a]; break;
@@ -462,39 +623,59 @@ bool FormulaMonitor::eval(Time now, const hb::ProtocolEvent* pe,
       case Node::Kind::Iff: v = vals[ins.a] == vals[ins.b]; break;
       case Node::Kind::Previously:
         v = st.b != 0;
-        if (commit) st.b = vals[ins.a];
+        if constexpr (kCommit) {
+          st.b = vals[ins.a];
+          if (v != (st.b != 0)) unsettle();  // next value: st.b
+        }
         break;
       case Node::Kind::Historically:
         v = st.b != 0 && vals[ins.a] != 0;
-        if (commit) st.b = v ? 1 : 0;
+        if constexpr (kCommit) st.b = v ? 1 : 0;
         break;
       case Node::Kind::Since:
         v = vals[ins.b] != 0 || (vals[ins.a] != 0 && st.b != 0);
-        if (commit) st.b = v ? 1 : 0;
+        if constexpr (kCommit) st.b = v ? 1 : 0;
         break;
       case Node::Kind::Once:
         if (ins.bound == kNever) {
           v = vals[ins.a] != 0 || st.b != 0;
-          if (commit) st.b = v ? 1 : 0;
+          if constexpr (kCommit) st.b = v ? 1 : 0;
         } else {
+          const Time t = witness(st);
           v = vals[ins.a] != 0 ||
-              (st.t != kNever && time_cmp(now - st.t, ins.cmp, ins.bound));
-          if (commit && vals[ins.a] != 0) st.t = now;
+              (t != kNever && time_cmp(now - t, ins.cmp, ins.bound));
+          if constexpr (kCommit) {
+            commit_witness(st, vals[ins.a], t);
+            // Operand false: the value is a function of time alone.
+            if (vals[ins.a] == 0 && t != kNever) flip(t, ins);
+          }
         }
         break;
-      case Node::Kind::Before:
+      case Node::Kind::Before: {
         // Position-strict: the witness is at an earlier position (its
         // timestamp may equal `now`).
-        v = st.t != kNever && time_cmp(now - st.t, ins.cmp, ins.bound);
-        if (commit && vals[ins.a] != 0) st.t = now;
+        const Time t = witness(st);
+        v = t != kNever && time_cmp(now - t, ins.cmp, ins.bound);
+        if constexpr (kCommit) {
+          commit_witness(st, vals[ins.a], t);
+          if (vals[ins.a] != 0) {
+            // Trap 2: the value is the gap to the previous position,
+            // which every position sets anew.
+            unsettle();
+          } else if (t != kNever) {
+            flip(t, ins);
+          }
+        }
         break;
+      }
       case Node::Kind::Holds: {
         // Anchored continuous truth: the anchor is the committed start
         // of the current true stretch of the operand.
         const Time anchor = st.t != kNever ? st.t : now;
         v = vals[ins.a] != 0 && time_cmp(now - anchor, ins.cmp, ins.bound);
-        if (commit) {
-          st.t = vals[ins.a] != 0 ? (st.t != kNever ? st.t : now) : kNever;
+        if constexpr (kCommit) {
+          st.t = vals[ins.a] != 0 ? anchor : kNever;
+          if (st.t != kNever) flip(st.t, ins);
         }
         break;
       }
@@ -503,9 +684,139 @@ bool FormulaMonitor::eval(Time now, const hb::ProtocolEvent* pe,
         AHB_UNREACHABLE("quantifiers are expanded at compile time");
     }
     vals[i] = v ? 1 : 0;
+    if constexpr (kCommit) committed[i] = vals[i];
   }
-  if (commit) committed_ = scratch_;
-  return vals[instrs_.size() - 1] != 0;
+  return v;
+}
+
+template <bool kCommit>
+void FormulaMonitor::eval_due(const Pass& pass) {
+  for (const int k : due_) {
+    Instance& inst = instances_[static_cast<std::size_t>(k)];
+    Group& group = groups_[static_cast<std::size_t>(inst.group)];
+    const bool before = committed_[static_cast<std::size_t>(inst.root)] != 0;
+    Time wake = kNever;
+    const bool after =
+        eval_range<kCommit>(inst.begin, inst.root + 1, pass, &wake);
+    group.pass += static_cast<int>(after != group.conj) -
+                  static_cast<int>(before != group.conj);
+    ++instances_evaluated_;
+    if constexpr (kCommit) {
+      inst.wake = wake;
+      requeue(k);
+    }
+  }
+}
+
+template <bool kCommit>
+bool FormulaMonitor::eval(const Pass& pass) {
+  if (groups_.empty()) {
+    // No quantifier: one run over the whole array.
+    const bool root = eval_range<kCommit>(
+        0, static_cast<int>(instrs_.size()), pass, nullptr);
+    if constexpr (kCommit) last_commit_ = pass.now;
+    return root;
+  }
+  if (!due_.empty()) eval_due<kCommit>(pass);
+  // The instructions outside the groups, in runs between them; each
+  // run is followed by the value of the group it precedes.
+  int begin = 0;
+  for (std::size_t g = 0;; ++g) {
+    const bool last = g == groups_.size();
+    const int end = last ? static_cast<int>(instrs_.size()) : groups_[g].first;
+    eval_range<kCommit>(begin, end, pass, nullptr);  // run at every pass
+    if (last) break;
+    Group& group = groups_[g];
+    begin = group.result + 1;
+    const auto result = static_cast<std::size_t>(group.result);
+    scratch_[result] = (group.pass > 0) != group.conj ? 1 : 0;
+    if constexpr (kCommit) {
+      committed_[result] = scratch_[result];
+      group.committed = group.pass;
+    } else {
+      group.pass = group.committed;
+    }
+  }
+  if constexpr (kCommit) last_commit_ = pass.now;
+  return scratch_.back() != 0;
+}
+
+void FormulaMonitor::make_due(int k) {
+  Instance& inst = instances_[static_cast<std::size_t>(k)];
+  if (inst.queued == pass_id_) return;
+  inst.queued = pass_id_;
+  due_.push_back(k);
+}
+
+void FormulaMonitor::collect_due(Time now) {
+  ++pass_id_;
+  if (now < last_commit_) {
+    // Settling assumes time never runs back past the last commit.
+    for (int k = 0; k < static_cast<int>(instances_.size()); ++k) make_due(k);
+  }
+  for (const int k : unsettled_) make_due(k);
+  unsettled_.clear();
+  while (!flips_.empty() && flips_.top().first <= now) {
+    const auto [at, k] = flips_.top();
+    flips_.pop();
+    Instance& inst = instances_[static_cast<std::size_t>(k)];
+    if (inst.scheduled != at) continue;  // superseded entry
+    inst.scheduled = kNever;
+    if (inst.wake == at) make_due(k);
+  }
+}
+
+void FormulaMonitor::wake(const hb::ProtocolEvent* pe,
+                          const sim::ChannelEvent* ce, std::uint8_t changed) {
+  const std::uint32_t pbit = pe != nullptr ? protocol_bit(pe->kind) : 0;
+  const std::uint32_t cbit = ce != nullptr ? channel_bit(ce->kind) : 0;
+  for (const Group& group : groups_) {
+    if ((group.protocol_bits & pbit) != 0 || (group.channel_bits & cbit) != 0 ||
+        (group.fluent_bits & changed) != 0) {
+      for (int k = group.inst_begin; k < group.inst_end; ++k) make_due(k);
+    }
+  }
+  if (pe == nullptr) return;
+  auto watch = std::lower_bound(
+      watches_.begin(), watches_.end(), pe->node,
+      [](const Watch& w, int node) { return w.node < node; });
+  for (; watch != watches_.end() && watch->node == pe->node; ++watch) {
+    if ((watch->protocol_bits & pbit) != 0 ||
+        (watch->fluent_bits & changed) != 0) {
+      make_due(watch->instance);
+    }
+  }
+}
+
+void FormulaMonitor::requeue(int k) {
+  Instance& inst = instances_[static_cast<std::size_t>(k)];
+  if (inst.wake == kUnsettled) {
+    unsettled_.push_back(k);
+  } else if (inst.wake != kNever && inst.wake != inst.scheduled) {
+    // One entry per flip time: an instance re-woken before its flip
+    // keeps the entry it has.
+    inst.scheduled = inst.wake;
+    flips_.emplace(inst.wake, k);
+  }
+}
+
+bool FormulaMonitor::value_at(std::size_t i) const {
+  // Joins are never evaluated: fold the committed instances they join.
+  // An instance's join directly follows its range (Expansion).
+  for (const Group& group : groups_) {
+    for (int k = group.inst_begin + 1; k < group.inst_end; ++k) {
+      const int root = instances_[static_cast<std::size_t>(k)].root;
+      if (static_cast<std::size_t>(root) + 1 != i) continue;
+      bool absorbed = false;
+      for (int j = group.inst_begin; j <= k; ++j) {
+        const auto root = static_cast<std::size_t>(
+            instances_[static_cast<std::size_t>(j)].root);
+        absorbed = absorbed || (committed_[root] != 0) != group.conj;
+      }
+      return absorbed != group.conj;
+    }
+  }
+  return committed_[i] != 0;
 }
 
 void FormulaMonitor::observe(Time now, bool root_value) {
@@ -522,13 +833,17 @@ void FormulaMonitor::observe(Time now, bool root_value) {
 void FormulaMonitor::handle(Time at, const hb::ProtocolEvent* pe,
                             const sim::ChannelEvent* ce) {
   ++events_seen_;
+  const bool sparse = !instances_.empty();
+  if (sparse) collect_due(at);
   // Check pass: the instant `at` has been reached but the event has
   // not happened yet — deadlines that expired strictly before the
   // event are caught with pre-event state.
-  observe(at, eval(at, nullptr, nullptr, /*commit=*/false, /*init=*/false));
-  if (pe != nullptr) tracker_.apply(*pe);
+  observe(at, eval<false>({at, nullptr, nullptr, /*init=*/false}));
+  const std::uint8_t changed = pe != nullptr ? tracker_.apply(*pe) : 0;
+  if (sparse) wake(pe, ce, changed);
   // Step pass: the event's own position, committed.
-  observe(at, eval(at, pe, ce, /*commit=*/true, /*init=*/false));
+  observe(at, eval<true>({at, pe, ce, /*init=*/false}));
+  due_.clear();
 }
 
 void FormulaMonitor::on_protocol_event(const hb::ProtocolEvent& event) {
@@ -540,8 +855,11 @@ void FormulaMonitor::on_channel_event(const sim::ChannelEvent& event) {
 }
 
 void FormulaMonitor::finish(Time horizon) {
-  observe(horizon,
-          eval(horizon, nullptr, nullptr, /*commit=*/false, /*init=*/false));
+  if (!instances_.empty()) collect_due(horizon);
+  observe(horizon, eval<false>({horizon, nullptr, nullptr, /*init=*/false}));
+  // Nothing was committed: file the due instances back unchanged.
+  for (const int k : due_) requeue(k);
+  due_.clear();
 }
 
 MonitorResult make_monitor(const FormulaSpec& spec, const BindParams& params) {

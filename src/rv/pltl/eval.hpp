@@ -2,10 +2,9 @@
 //
 // The compiled form is a postorder instruction array, one instruction
 // per subformula (quantifiers are expanded over the participant ids,
-// bound expressions are resolved to concrete tick counts). Evaluation
-// is one pass over the array per trace position — O(subformulas) time
-// and O(subformulas) state, independent of the trace length, so a
-// formula monitor is safe at any mission horizon.
+// bound expressions are resolved to concrete tick counts). State is
+// O(subformulas), independent of the trace length, so a formula
+// monitor is safe at any mission horizon.
 //
 // Two-pass discipline, matching the hand-written monitors' check-then-
 // update order ("missed deadlines are detected by the first event
@@ -19,6 +18,19 @@
 // *committed* positions: the initial position at time 0 plus one
 // position per event; check passes are phantom evaluations.
 //
+// Sparse quantifiers: each outermost `forall`/`exists` expansion keeps
+// a count of its instances that hold the fold's absorbing value (false
+// for forall, true for exists) instead of evaluating its And/Or chain.
+// A pass evaluates the instructions outside those expansions, plus
+// only the instances it can change: those an event atom or changed
+// fluent names, those left unsettled by their last committed step (a
+// position without events would change a value or operator memory),
+// and those whose time-bounded operators flip by the pass's timestamp.
+// Every other instance would reproduce its last values and state
+// exactly, so it is skipped; per-event work scales with the instances
+// an event touches, not with the participant count (DESIGN.md
+// "Past-time LTL requirements").
+//
 // A violation is recorded whenever the formula's value falls from true
 // to false (edge-triggered, so a standing violation is counted once
 // until the formula recovers); recorded violations are capped, the
@@ -26,8 +38,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hb/protocol_event.hpp"
@@ -84,6 +99,17 @@ struct Instr {
   Cmp cmp = Cmp::Le;
 };
 
+/// Bits of FluentTracker::apply's result: which fluents an event
+/// changed. The shared bits cover the participant-free fluents; the
+/// last two name the event's own participant.
+enum FluentChange : std::uint8_t {
+  kCoordChanged = 1u << 0,          ///< coord_live / coord_stopped
+  kAllStoppedChanged = 1u << 1,
+  kAnyRegisteredChanged = 1u << 2,
+  kStoppedChanged = 1u << 3,        ///< stopped/alive(event.node)
+  kMemberChanged = 1u << 4,         ///< member(event.node)
+};
+
 /// Membership/liveness state shared by the fluent atoms; mirrors the
 /// update rules of RequirementMonitor (registration) and
 /// SuspicionMonitor (stops).
@@ -92,7 +118,8 @@ class FluentTracker {
   FluentTracker() = default;
   FluentTracker(proto::Variant variant, int participants);
 
-  void apply(const hb::ProtocolEvent& event);
+  /// Applies `event`; returns the FluentChange bits it flipped.
+  std::uint8_t apply(const hb::ProtocolEvent& event);
 
   bool coordinator_live() const { return coordinator_live_; }
   bool stopped(int node) const;
@@ -109,10 +136,32 @@ class FluentTracker {
   bool coordinator_live_ = true;
 };
 
+/// One outermost `forall`/`exists` expansion in the instruction array.
+/// Instance k (participant id k + 1) is the contiguous range
+/// [instances[k].begin, instances[k].root]; for k >= 1 the join that
+/// folds it into the instances before it follows at instances[k].join
+/// (root + 1). The expansion's value is the last instance's join, or
+/// the root of its only instance. Quantifiers nested inside an
+/// instance are part of that instance's range and are not listed.
+struct Expansion {
+  struct Range {
+    int begin = 0;
+    int root = 0;
+    int join = -1;  ///< -1 for the first instance
+  };
+  bool conj = true;  ///< forall (And joins) or exists (Or joins)
+  std::vector<Range> instances;
+  int result() const {
+    const Range& last = instances.back();
+    return last.join >= 0 ? last.join : last.root;
+  }
+};
+
 /// A formula lowered to the postorder instruction array plus the
 /// interest masks of the events it can react to.
 struct Compiled {
   std::vector<Instr> instrs;  ///< postorder; root is the last entry
+  std::vector<Expansion> expansions;  ///< outermost, in postorder
   std::uint32_t protocol_mask = 0;
   std::uint32_t channel_mask = 0;
   bool uses_fluents = false;
@@ -163,22 +212,86 @@ class FormulaMonitor final : public EventSink {
   /// Root value at the last committed position (test hook).
   bool value() const { return committed_.empty() ? true : committed_.back() != 0; }
   /// Per-subformula committed value, postorder index (test hook).
-  bool value_at(std::size_t i) const { return committed_[i] != 0; }
+  bool value_at(std::size_t i) const;
   std::size_t size() const { return committed_.size(); }
 
   std::uint64_t events_seen() const { return events_seen_; }
+  /// Quantifier instances evaluated so far, over all passes (the
+  /// initial position evaluates every instance once).
+  std::uint64_t instances_evaluated() const { return instances_evaluated_; }
 
  private:
   struct State {
-    std::uint8_t b = 0;  ///< Previously/Once/Historically/Since memory
-    Time t = 0;          ///< Once/Before last-true time, Holds anchor
+    /// Previously/Historically/Since/unbounded-Once memory. Bounded
+    /// Once and Before: the operand held at the last committed
+    /// position, whose time is then the witness time (`t` is stale).
+    std::uint8_t b = 0;
+    Time t = 0;  ///< Once/Before last-true time, Holds anchor
   };
 
-  /// One evaluation pass at time `now`. Exactly one of the event
-  /// pointers may be non-null (the step pass); both null for check
-  /// passes and the initial position.
-  bool eval(Time now, const hb::ProtocolEvent* pe, const sim::ChannelEvent* ce,
-            bool commit, bool init);
+  /// One outermost quantifier expansion: its And/Or join chain is
+  /// replaced by a count of instances holding the absorbing value.
+  struct Group {
+    int first = 0;       ///< first instruction of the first instance
+    int result = 0;      ///< instruction holding the expansion's value
+    int inst_begin = 0;  ///< [inst_begin, inst_end) index instances_
+    int inst_end = 0;
+    bool conj = true;
+    std::uint32_t protocol_bits = 0;  ///< participant-free event atoms read
+    std::uint32_t channel_bits = 0;
+    std::uint8_t fluent_bits = 0;     ///< shared FluentChange bits read
+    int committed = 0;  ///< instances holding the absorbing value
+    int pass = 0;       ///< the same during a pass; == committed between
+  };
+
+  struct Instance {
+    int begin = 0;
+    int root = 0;
+    int group = 0;
+    Time wake = 0;              ///< kUnsettled, next flip time, or kNever
+    Time scheduled = hb::kNever;  ///< time of its live entry in flips_
+    std::uint64_t queued = 0;   ///< pass id it was last made due in
+  };
+
+  /// An instance that reads a participant-specific atom or fluent of
+  /// participant `node`.
+  struct Watch {
+    int node = 0;
+    int instance = 0;
+    std::uint32_t protocol_bits = 0;
+    std::uint8_t fluent_bits = 0;  ///< kStoppedChanged / kMemberChanged
+  };
+
+  struct Pass {
+    Time now = 0;
+    const hb::ProtocolEvent* pe = nullptr;  ///< step passes only
+    const sim::ChannelEvent* ce = nullptr;
+    bool init = false;
+  };
+
+  /// Evaluates instructions [begin, end); returns the last one's value.
+  /// A committing pass also updates operator state and committed_, and
+  /// lowers a non-null `*wake` to the earliest time the range may stop
+  /// reproducing what it committed at a position without events:
+  /// kUnsettled (at once), the next flip of a time-bounded operator, or
+  /// kNever.
+  template <bool kCommit>
+  bool eval_range(int begin, int end, const Pass& pass, Time* wake);
+  /// Evaluates the due instances, updating their groups' pass counts.
+  template <bool kCommit>
+  void eval_due(const Pass& pass);
+  /// One evaluation pass: the due instances, then every instruction
+  /// outside the groups and each group's value; returns the root value.
+  template <bool kCommit>
+  bool eval(const Pass& pass);
+  void make_due(int k);
+  /// Makes due the unsettled instances and those whose flip is <= now.
+  void collect_due(Time now);
+  /// Makes due the instances an event's atoms or fluent changes name.
+  void wake(const hb::ProtocolEvent* pe, const sim::ChannelEvent* ce,
+            std::uint8_t changed);
+  /// Files instance `k` under its `wake` for a later pass.
+  void requeue(int k);
   void observe(Time now, bool root_value);
   void handle(Time at, const hb::ProtocolEvent* pe, const sim::ChannelEvent* ce);
 
@@ -186,6 +299,16 @@ class FormulaMonitor final : public EventSink {
   std::vector<State> state_;
   std::vector<std::uint8_t> scratch_;
   std::vector<std::uint8_t> committed_;
+  std::vector<Group> groups_;
+  std::vector<Instance> instances_;
+  std::vector<Watch> watches_;    ///< sorted by node
+  std::vector<int> due_;          ///< instances the current event evaluates
+  std::vector<int> unsettled_;    ///< due at the next pass
+  std::priority_queue<std::pair<Time, int>, std::vector<std::pair<Time, int>>,
+                      std::greater<>>
+      flips_;  ///< (flip time, instance); superseded entries are skipped
+  std::uint64_t pass_id_ = 0;
+  Time last_commit_ = 0;          ///< time of the last committed position
   FluentTracker tracker_;
   std::uint32_t protocol_mask_ = 0;
   std::uint32_t channel_mask_ = 0;
@@ -196,6 +319,7 @@ class FormulaMonitor final : public EventSink {
   std::uint64_t violations_total_ = 0;
   std::size_t max_recorded_ = 32;
   std::uint64_t events_seen_ = 0;
+  std::uint64_t instances_evaluated_ = 0;
 };
 
 /// Parse + compile + wrap: the one-call path from a FormulaSpec to a

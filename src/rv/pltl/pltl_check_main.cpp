@@ -1,9 +1,10 @@
 // Build-time validation of the shipped formula files: every embedded
 // formula must parse, round-trip through the printer, and compile
-// against a spread of timing points, so a grammar or vocabulary
-// regression fails the build instead of the first campaign that
-// attaches the formulas. Run automatically as a POST_BUILD step of the
-// pltl_check target.
+// against a spread of timing points and at 10,000 participants, so a
+// grammar or vocabulary regression, or a formula that outgrows the
+// instruction cap at scale, fails the build instead of the first
+// campaign that attaches the formulas. Run automatically as a
+// POST_BUILD step of the pltl_check target.
 #include <cstdio>
 
 #include "rv/pltl/eval.hpp"
@@ -17,6 +18,9 @@ int main() {
       {ahb::proto::Variant::Binary, {6, 10}, true, 3, 2},
       {ahb::proto::Variant::Static, {4, 20}, false, 2, 2},
       {ahb::proto::Variant::Dynamic, {4, 20}, true, 4, 3},
+      // Scale-bench size: quantifier expansion must stay under the
+      // compiler's instruction cap.
+      {ahb::proto::Variant::Static, {4, 10}, true, 10000, 2},
   };
   int failures = 0;
   for (const auto& formula : pltl::shipped_formulas()) {

@@ -57,11 +57,10 @@ struct BurstParams {
 };
 
 /// One observable channel-level event, stamped with the message id its
-/// send was assigned. `delay` is meaningful for sim::Network's
-/// Delivered events only (hb::ScaleCluster reports 0). Corrupted fires
-/// at send time when the link flips a payload bit (the message still
-/// travels); Rejected fires at delivery time when the receiver's
-/// wire-image validation refuses the payload.
+/// send was assigned. Corrupted fires at send time when the link flips
+/// a payload bit (the message still travels); Rejected fires at
+/// delivery time when the receiver's wire-image validation refuses the
+/// payload.
 struct ChannelEvent {
   enum class Kind { Sent, Delivered, Lost, Blocked, Duplicated, Corrupted,
                     Rejected };
@@ -70,7 +69,6 @@ struct ChannelEvent {
   int to = 0;
   std::uint64_t id = 0;
   Time at = 0;
-  Time delay = 0;
 };
 
 /// Flips bit `bit` of the object representation of `value`. Addressed

@@ -103,22 +103,22 @@ class Network {
     const SendFate fate = decide_send(
         sim_->rng(), links_, from, to, is_isolated(from) || is_isolated(to),
         sizeof(MessageT) * 8, spec_max_delay_, stats_);
-    notify(ChannelEvent::Kind::Sent, from, to, id, 0);
+    notify(ChannelEvent::Kind::Sent, from, to, id);
     if (fate.outcome == SendFate::Outcome::Blocked) {
-      notify(ChannelEvent::Kind::Blocked, from, to, id, 0);
+      notify(ChannelEvent::Kind::Blocked, from, to, id);
       return id;
     }
     if (fate.outcome == SendFate::Outcome::Lost) {
-      notify(ChannelEvent::Kind::Lost, from, to, id, 0);
+      notify(ChannelEvent::Kind::Lost, from, to, id);
       return id;
     }
     if (fate.corrupt) {
       corrupt_bit(message, fate.corrupt_bit);
-      notify(ChannelEvent::Kind::Corrupted, from, to, id, 0);
+      notify(ChannelEvent::Kind::Corrupted, from, to, id);
     }
     schedule_delivery(from, to, id, message, fate.delay);
     if (fate.duplicate) {
-      notify(ChannelEvent::Kind::Duplicated, from, to, id, 0);
+      notify(ChannelEvent::Kind::Duplicated, from, to, id);
       schedule_delivery(from, to, id, message, fate.duplicate_delay);
     }
     return id;
@@ -129,10 +129,10 @@ class Network {
  private:
   void schedule_delivery(int from, int to, std::uint64_t id,
                          const MessageT& message, Time delay) {
-    sim_->after(delay, [this, from, to, id, delay, msg = message]() {
+    sim_->after(delay, [this, from, to, id, msg = message]() {
       if (is_isolated(to)) {
         ++stats_.blocked;
-        notify(ChannelEvent::Kind::Blocked, from, to, id, delay);
+        notify(ChannelEvent::Kind::Blocked, from, to, id);
         return;
       }
       if (static_cast<std::size_t>(to) >= handlers_.size() ||
@@ -146,15 +146,14 @@ class Network {
       } else {
         newest = id;
       }
-      notify(ChannelEvent::Kind::Delivered, from, to, id, delay);
+      notify(ChannelEvent::Kind::Delivered, from, to, id);
       handlers_[static_cast<std::size_t>(to)](from, msg, id);
     });
   }
 
-  void notify(ChannelEvent::Kind kind, int from, int to, std::uint64_t id,
-              Time delay) {
+  void notify(ChannelEvent::Kind kind, int from, int to, std::uint64_t id) {
     if (observer_) {
-      observer_(ChannelEvent{kind, from, to, id, sim_->now(), delay});
+      observer_(ChannelEvent{kind, from, to, id, sim_->now()});
     }
   }
 

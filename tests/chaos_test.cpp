@@ -171,7 +171,7 @@ TEST(FaultSchedule, ParseRejectsMalformedInput) {
 
 TEST(FaultSchedule, ParseFailsClosedOnValuesARunCannotExecute) {
   // Each row either must not parse (values that used to parse and then
-  // truncate or abort the run) or must parse into a run whose
+  // truncate, overflow or abort the run) or must parse into a run whose
   // overflowing storm/churn offsets are a no-op: its trace equals the
   // trace of the same header with no actions.
   const auto header = [](const std::string& participants,
@@ -219,6 +219,14 @@ TEST(FaultSchedule, ParseFailsClosedOnValuesARunCannotExecute) {
       {"churn rejoin overflows", ok + action("churn-storm", "100", "1", "3",
                                              "1", kMax),
        true},
+      {"drift numerator times horizon overflows",
+       ok + action("set-drift", "10", "1", "0", "23058430092136940", "1"),
+       false},
+      {"drift denominator times horizon overflows",
+       ok + action("set-drift", "10", "1", "0", "1", kMax), false},
+      {"largest drift numerator that fits",
+       ok + action("set-drift", "10", "1", "0", "23058430092136939", "1"),
+       true},
   };
   const auto baseline = parse_run(ok);
   ASSERT_TRUE(baseline.has_value());
@@ -227,7 +235,12 @@ TEST(FaultSchedule, ParseFailsClosedOnValuesARunCannotExecute) {
     SCOPED_TRACE(row.what);
     const auto spec = parse_run(row.text);
     ASSERT_EQ(spec.has_value(), row.parses);
-    if (!spec || spec->schedule.actions.front().kind == FaultKind::Leave) {
+    if (!spec) continue;
+    const FaultKind kind = spec->schedule.actions.front().kind;
+    if (kind == FaultKind::Leave || kind == FaultKind::SetDrift) {
+      // In-range actions take effect: the run executes them (the
+      // sanitize preset checks the clock arithmetic).
+      EXPECT_GT(run_chaos(*spec).net_stats.sent, 0u);
       continue;
     }
     EXPECT_EQ(run_chaos(*spec, nullptr, true).trace, baseline_trace);

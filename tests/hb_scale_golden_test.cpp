@@ -6,8 +6,7 @@
 // and the generic sim::Network), at the commit that deleted it. Each
 // digest folds a run's complete event stream — every protocol event
 // (kind, time, node, message id, fan-out) and every channel event
-// (kind, time, link, message id; not the delivery delay, which the
-// flat transport does not carry) — with the run's final protocol state
+// (kind, time, link, message id) — with the run's final protocol state
 // and transport counters. Reproducing them proves the one remaining
 // engine runs the same protocol bit for bit:
 //

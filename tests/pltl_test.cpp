@@ -716,6 +716,378 @@ TEST(PltlFuzz, StreamingMatchesFullHistoryReference) {
   EXPECT_EQ(formulas_checked, 400);
 }
 
+// --- sparse quantifier evaluation vs the full-history reference ----------
+
+/// Drives a FormulaMonitor and the reference in lockstep. The reference
+/// replays the monitor's two passes: a phantom check position (no
+/// event, pre-event fluents) before each committed event position, and
+/// one at the horizon for finish(). Violations are the true-to-false
+/// falls of that value sequence.
+class Lockstep {
+ public:
+  Lockstep(const std::string& text, const pltl::BindParams& params)
+      : params_(params), parsed_(pltl::parse(text)) {
+    auto made = pltl::make_monitor({"sparse", text, 9}, params);
+    EXPECT_TRUE(made.ok()) << made.error;
+    monitor_ = std::move(made.monitor);
+    if (!ok()) return;
+    monitor_->set_max_recorded(1u << 20);
+    RefPos initial;
+    initial.init = true;
+    initial.fluents = pltl::FluentTracker(params.variant, params.participants);
+    pos_.push_back(initial);
+    observe(0, committed_value());
+  }
+
+  bool ok() const { return parsed_.ok() && monitor_ != nullptr; }
+  pltl::FormulaMonitor& monitor() { return *monitor_; }
+
+  void protocol(PKind kind, int node, sim::Time at) {
+    observe(at, phantom_value(at));
+    RefPos p = next_position(at);
+    p.has_pe = true;
+    p.pe = pev(kind, node, at);
+    p.fluents.apply(p.pe);
+    pos_.push_back(p);
+    observe(at, committed_value());
+    monitor_->on_protocol_event(p.pe);
+  }
+
+  void channel(CKind kind, sim::Time at) {
+    observe(at, phantom_value(at));
+    RefPos p = next_position(at);
+    p.has_ce = true;
+    p.ce = cev(kind, at);
+    pos_.push_back(p);
+    observe(at, committed_value());
+    monitor_->on_channel_event(p.ce);
+  }
+
+  void finish(sim::Time horizon) {
+    observe(horizon, phantom_value(horizon));
+    monitor_->finish(horizon);
+  }
+
+  /// Root value, violation total and every violation's time agree.
+  ::testing::AssertionResult matches() const {
+    const bool expect = committed_value();
+    if (monitor_->value() != expect) {
+      return ::testing::AssertionFailure()
+             << "root value " << monitor_->value() << ", reference " << expect
+             << " at position " << pos_.size() - 1 << " t="
+             << pos_.back().at;
+    }
+    if (monitor_->violations_total() != falls_.size()) {
+      return ::testing::AssertionFailure()
+             << monitor_->violations_total() << " violations, reference "
+             << falls_.size();
+    }
+    for (std::size_t i = 0; i < falls_.size(); ++i) {
+      if (monitor_->violations()[i].at != falls_[i]) {
+        return ::testing::AssertionFailure()
+               << "violation " << i << " at t=" << monitor_->violations()[i].at
+               << ", reference t=" << falls_[i];
+      }
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+ private:
+  RefPos next_position(sim::Time at) const {
+    RefPos p;
+    p.at = at;
+    p.fluents = pos_.back().fluents;
+    return p;
+  }
+  bool committed_value() const {
+    return ref_eval(*parsed_.formula, static_cast<int>(pos_.size()) - 1, pos_,
+                    params_, {});
+  }
+  bool phantom_value(sim::Time at) {
+    pos_.push_back(next_position(at));
+    const bool value = committed_value();
+    pos_.pop_back();
+    return value;
+  }
+  void observe(sim::Time at, bool value) {
+    if (last_ && !value) falls_.push_back(at);
+    last_ = value;
+  }
+
+  pltl::BindParams params_;
+  pltl::ParseResult parsed_;
+  std::unique_ptr<pltl::FormulaMonitor> monitor_;
+  std::vector<RefPos> pos_;
+  std::vector<sim::Time> falls_;
+  bool last_ = true;
+};
+
+/// A random formula that usually quantifies over the participants:
+/// bare, under a top-level forall/exists, or a quantifier joined to an
+/// unquantified side (nested quantifiers and temporal operators over
+/// quantifiers come from the generator itself).
+std::string quantified_formula(FormulaGen& gen) {
+  std::vector<std::string> vars;
+  const char* quant = gen.pick(2) == 0 ? "forall p: (" : "exists p: (";
+  switch (gen.pick(4)) {
+    case 0:
+      return gen.gen(4, vars);
+    case 1:
+    case 2: {
+      vars.push_back("p");
+      return quant + gen.gen(4, vars) + ")";
+    }
+    default: {
+      const std::string side = gen.gen(3, vars);
+      vars.push_back("p");
+      const std::string body = gen.gen(3, vars);
+      const char* op[] = {"&&", "||", "->", "<->"};
+      return "(" + side + ") " + op[gen.pick(4)] + " (" + quant + body + "))";
+    }
+  }
+}
+
+TEST(PltlFuzz, SparseQuantifiersMatchReference) {
+  std::mt19937_64 rng{20261017};
+  int formulas_checked = 0;
+  for (const int n : {1, 2, 5, 8}) {
+    for (int iter = 0; iter < 120; ++iter) {
+      pltl::BindParams params;
+      params.variant =
+          iter % 2 == 0 ? proto::Variant::Dynamic : proto::Variant::Static;
+      params.timing = proto::Timing{4, 10};
+      params.fixed_bounds = true;
+      params.participants = n;
+      FormulaGen gen{rng, n};
+      const std::string text = quantified_formula(gen);
+      SCOPED_TRACE("n=" + std::to_string(n) + " iter " +
+                   std::to_string(iter) + ": " + text);
+      Lockstep run(text, params);
+      ASSERT_TRUE(run.ok());
+      ASSERT_TRUE(run.matches()) << "initial position";
+
+      // Gaps: equal timestamps, short steps inside every bound, and
+      // jumps past every bound (the largest generated bound is tmax).
+      sim::Time now = 0;
+      for (int e = 0; e < 40; ++e) {
+        const auto gap = rng() % 10;
+        if (gap >= 8) {
+          now += 11 + static_cast<sim::Time>(rng() % 15);
+        } else if (gap >= 3) {
+          now += 1 + static_cast<sim::Time>(rng() % 3);
+        }
+        if (rng() % 10 < 7) {
+          const auto node =
+              static_cast<int>(rng() % static_cast<unsigned>(n + 1));
+          run.protocol(static_cast<PKind>(rng() % 12), node, now);
+        } else {
+          run.channel(static_cast<CKind>(rng() % 7), now);
+        }
+        ASSERT_TRUE(run.matches()) << "event " << e << " at t=" << now;
+        if (e == 20 && rng() % 2 == 0) {
+          // A mid-trace finish commits nothing; the events after it may
+          // be stamped before its horizon.
+          run.finish(now + static_cast<sim::Time>(rng() % 20));
+          ASSERT_TRUE(run.matches()) << "mid-trace finish";
+        }
+      }
+      run.finish(now + static_cast<sim::Time>(rng() % 20));
+      ASSERT_TRUE(run.matches()) << "finish";
+      ++formulas_checked;
+    }
+  }
+  EXPECT_EQ(formulas_checked, 4 * 120);
+}
+
+pltl::BindParams static_params(int participants) {
+  auto params = binary_params();
+  params.variant = proto::Variant::Static;
+  params.participants = participants;
+  return params;
+}
+
+TEST(PltlFuzz, SkippedBoundedOnceWitnessesAtTheLastCommittedPosition) {
+  // alive(1) holds while participant 2's events move the monitor on;
+  // instance 1 is skipped at every one of them. When 1 crashes, its
+  // `within` witness is the last committed position (t=9), not the
+  // position where instance 1 was last evaluated (t=0).
+  Lockstep run("forall p: within[<= 3] alive(p)", static_params(2));
+  ASSERT_TRUE(run.ok());
+  for (sim::Time t = 1; t <= 9; ++t) {
+    run.protocol(PKind::CoordinatorReceivedBeat, 2, t);
+    ASSERT_TRUE(run.matches()) << "t=" << t;
+  }
+  run.protocol(PKind::ParticipantCrashed, 1, 10);
+  ASSERT_TRUE(run.matches());
+  EXPECT_TRUE(run.monitor().value());  // 10 - 9 <= 3
+  run.protocol(PKind::CoordinatorReceivedBeat, 2, 12);
+  ASSERT_TRUE(run.matches());
+  EXPECT_TRUE(run.monitor().value());  // 12 - 9 <= 3
+  EXPECT_EQ(run.monitor().violations_total(), 0u);
+  run.protocol(PKind::CoordinatorReceivedBeat, 2, 13);
+  ASSERT_TRUE(run.matches());
+  EXPECT_FALSE(run.monitor().value());  // 13 - 9 > 3
+  ASSERT_EQ(run.monitor().violations().size(), 1u);
+  EXPECT_EQ(run.monitor().violations().front().at, 13);
+}
+
+TEST(PltlFuzz, BeforeWithAStandingOperandTracksThePositionGap) {
+  // before[<= 2] alive(1) is the gap to the previous position while
+  // alive(1) stays true: other participants' events decide it. (False
+  // at the initial position, which has no predecessor.)
+  Lockstep run("forall p: before[<= 2] alive(p)", static_params(2));
+  ASSERT_TRUE(run.ok());
+  const std::pair<sim::Time, bool> steps[] = {
+      {1, true}, {2, true}, {3, true}, {10, false}, {11, true}, {11, true}};
+  for (const auto& [t, expect] : steps) {
+    run.protocol(PKind::CoordinatorReceivedBeat, 2, t);
+    ASSERT_TRUE(run.matches()) << "t=" << t;
+    EXPECT_EQ(run.monitor().value(), expect) << "t=" << t;
+  }
+  ASSERT_EQ(run.monitor().violations().size(), 2u);
+  EXPECT_EQ(run.monitor().violations()[0].at, 0);
+  EXPECT_EQ(run.monitor().violations()[1].at, 10);  // the check pass
+  run.finish(20);
+  ASSERT_TRUE(run.matches());
+  EXPECT_EQ(run.monitor().violations_total(), 3u);
+}
+
+TEST(PltlFuzz, PreviouslyAndInitRightAfterASharedAtomPosition) {
+  // Instance 1 reads no atom participant 2's events match, but the
+  // position right after `init` or `beat` still changes its value.
+  Lockstep run("forall p: (previously (beat || init)) || c_recv_beat(p)",
+               static_params(2));
+  ASSERT_TRUE(run.ok());
+  EXPECT_FALSE(run.monitor().value());
+  const struct {
+    PKind kind;
+    int node;
+    sim::Time at;
+    bool expect;
+  } steps[] = {
+      {PKind::CoordinatorReceivedBeat, 2, 1, true},  // previously init
+      {PKind::CoordinatorReceivedBeat, 1, 2, false},
+      {PKind::CoordinatorBeat, 0, 5, false},
+      {PKind::CoordinatorReceivedBeat, 2, 6, true},   // previously beat
+      {PKind::CoordinatorReceivedBeat, 2, 7, false},
+  };
+  for (const auto& step : steps) {
+    run.protocol(step.kind, step.node, step.at);
+    ASSERT_TRUE(run.matches()) << "t=" << step.at;
+    EXPECT_EQ(run.monitor().value(), step.expect) << "t=" << step.at;
+  }
+
+  // `previously init` alone: every instance is true exactly at the
+  // position after the initial one.
+  Lockstep init("forall p: previously init", static_params(3));
+  ASSERT_TRUE(init.ok());
+  init.protocol(PKind::CoordinatorReceivedBeat, 3, 1);
+  ASSERT_TRUE(init.matches());
+  EXPECT_TRUE(init.monitor().value());
+  init.protocol(PKind::CoordinatorReceivedBeat, 3, 1);
+  ASSERT_TRUE(init.matches());
+  EXPECT_FALSE(init.monitor().value());
+}
+
+TEST(PltlFuzz, TimeRunningBackwardsReevaluatesEveryInstance) {
+  // Engines stamp events in order, but a skipped instance must not
+  // rely on it: instance 1 expired at t=20 and is settled, yet at
+  // t=12 its witness (t=10) is recent again.
+  const auto m = monitor_for("forall p: within[<= 3] c_recv_beat(p)",
+                             static_params(2));
+  m->on_protocol_event(pev(PKind::CoordinatorReceivedBeat, 1, 10));
+  m->on_protocol_event(pev(PKind::CoordinatorReceivedBeat, 2, 10));
+  EXPECT_TRUE(m->value());
+  m->on_protocol_event(pev(PKind::CoordinatorReceivedBeat, 2, 20));
+  EXPECT_FALSE(m->value());
+  m->on_protocol_event(pev(PKind::CoordinatorReceivedBeat, 2, 12));
+  EXPECT_TRUE(m->value());
+}
+
+TEST(PltlFuzz, FinishKeepsTheFlipSchedule) {
+  // finish() commits nothing: instance 1's expiry at t=14 must still
+  // be due at the next event.
+  Lockstep run("forall p: within[<= 3] c_recv_beat(p)", static_params(2));
+  ASSERT_TRUE(run.ok());
+  run.protocol(PKind::CoordinatorReceivedBeat, 1, 10);
+  run.protocol(PKind::CoordinatorReceivedBeat, 2, 11);
+  EXPECT_TRUE(run.monitor().value());
+  run.finish(14);
+  ASSERT_TRUE(run.matches());
+  run.protocol(PKind::CoordinatorReceivedBeat, 2, 15);
+  ASSERT_TRUE(run.matches());
+  EXPECT_FALSE(run.monitor().value());
+}
+
+TEST(PltlFuzz, AnEventWakesTheInstancesThatNameItsParticipant) {
+  // alive(p) and reply(p) share one wake entry per participant; the
+  // reply must wake instance p although the fluent was read first.
+  Lockstep run("forall p: alive(p) -> !reply(p)", static_params(2));
+  ASSERT_TRUE(run.ok());
+  EXPECT_TRUE(run.monitor().value());
+  const struct {
+    int node;
+    sim::Time at;
+    bool expect;
+  } steps[] = {{1, 1, false}, {0, 2, true}, {2, 3, false}, {1, 3, false},
+               {0, 4, true}};
+  for (const auto& step : steps) {
+    run.protocol(PKind::ParticipantReplied, step.node, step.at);
+    ASSERT_TRUE(run.matches()) << "t=" << step.at;
+    EXPECT_EQ(run.monitor().value(), step.expect) << "t=" << step.at;
+  }
+}
+
+TEST(PltlFuzz, AnInnerQuantifierShadowsTheOuterVariable) {
+  // The inner `p` rebinds the name: reply(p) inside it ranges over all
+  // participants, while alive(p) keeps the outer binding.
+  Lockstep run("forall p: alive(p) -> (exists p: once reply(p))",
+               static_params(3));
+  ASSERT_TRUE(run.ok());
+  EXPECT_FALSE(run.monitor().value());
+  run.protocol(PKind::ParticipantCrashed, 3, 1);
+  ASSERT_TRUE(run.matches());
+  EXPECT_FALSE(run.monitor().value());
+  run.protocol(PKind::ParticipantReplied, 2, 2);
+  ASSERT_TRUE(run.matches());
+  EXPECT_TRUE(run.monitor().value());
+}
+
+TEST(PltlFuzz, JoinValuesFoldTheCommittedInstances) {
+  // The joins of an expansion are never evaluated; value_at still
+  // reports each partial fold.
+  const auto params = static_params(3);
+  const auto parsed = pltl::parse("forall p: once c_recv_beat(p)");
+  ASSERT_TRUE(parsed.ok());
+  const auto compiled = pltl::compile(*parsed.formula, params);
+  ASSERT_TRUE(compiled.ok()) << compiled.error;
+  ASSERT_EQ(compiled.compiled.expansions.size(), 1u);
+  const auto& expansion = compiled.compiled.expansions.front();
+  ASSERT_EQ(expansion.instances.size(), 3u);
+  EXPECT_EQ(expansion.instances[0].join, -1);
+  EXPECT_EQ(expansion.instances[2].join, expansion.result());
+  const auto m = monitor_for("forall p: once c_recv_beat(p)", params);
+  const auto root = [&](int k) {
+    return m->value_at(static_cast<std::size_t>(
+        expansion.instances[static_cast<std::size_t>(k)].root));
+  };
+  const auto join = [&](int k) {  // folds instances 0..k
+    return m->value_at(static_cast<std::size_t>(
+        expansion.instances[static_cast<std::size_t>(k)].join));
+  };
+  m->on_protocol_event(pev(PKind::CoordinatorReceivedBeat, 1, 1));
+  m->on_protocol_event(pev(PKind::CoordinatorReceivedBeat, 3, 2));
+  EXPECT_TRUE(root(0));
+  EXPECT_FALSE(root(1));
+  EXPECT_TRUE(root(2));
+  EXPECT_FALSE(join(1));
+  EXPECT_FALSE(join(2));
+  m->on_protocol_event(pev(PKind::CoordinatorReceivedBeat, 2, 3));
+  EXPECT_TRUE(join(1));
+  EXPECT_TRUE(join(2));
+  EXPECT_TRUE(m->value());
+}
+
 // --- shipped formulas vs hand-written monitors on chaos runs --------------
 
 struct VerdictPair {
@@ -748,7 +1120,9 @@ VerdictPair formula_verdicts(const chaos::RunResult& run) {
   return v;
 }
 
-void expect_verdicts_match(const chaos::RunSpec& spec) {
+/// Runs `spec` with the shipped formulas attached, expects their
+/// verdicts to equal the hand-written monitors', and returns the latter.
+VerdictPair expect_verdicts_match(const chaos::RunSpec& spec) {
   const auto formulas = pltl::shipped_monitor_specs();
   const chaos::RunResult run =
       chaos::run_chaos(spec, nullptr, false, false, &formulas);
@@ -758,6 +1132,7 @@ void expect_verdicts_match(const chaos::RunSpec& spec) {
   EXPECT_EQ(mon.r2, fml.r2) << "R2 verdict diverged";
   EXPECT_EQ(mon.r3, fml.r3) << "R3 verdict diverged";
   EXPECT_EQ(mon.s2, fml.s2) << "S2 verdict diverged";
+  return mon;
 }
 
 TEST(PltlEquivalence, ShippedFormulasMatchMonitorsOnSeededRuns) {
@@ -805,6 +1180,104 @@ TEST(PltlEquivalence, ShippedFormulasMatchMonitorsOnTheCorpus) {
     ++artifacts;
   }
   EXPECT_GT(artifacts, 0);
+}
+
+// --- sparse evaluation at scale --------------------------------------------
+
+TEST(PltlScale, SteadyRoundEvaluatesLinearlyManyInstances) {
+  constexpr int kN = 1000;
+  // Per steady round: s2 evaluates every instance at the beat (a
+  // shared atom) and twice at the position after it (check and step
+  // pass of an unsettled instance), and each reply wakes its own
+  // instance for its position and the next; r3's instances stay
+  // settled; r1 and r2 have no quantifier. The dense evaluator did
+  // ~2 * events * n instance bodies per round instead.
+  constexpr std::uint64_t kPerParticipant = 8;
+  const pltl::BindParams params{proto::Variant::Static, proto::Timing{4, 10},
+                                true, kN, 2};
+  std::vector<std::unique_ptr<pltl::FormulaMonitor>> monitors;
+  for (const auto& spec : pltl::shipped_monitor_specs()) {
+    auto made = pltl::make_monitor(spec, params);
+    ASSERT_TRUE(made.ok()) << made.error;
+    monitors.push_back(std::move(made.monitor));
+  }
+  hb::ClusterConfig config;
+  config.protocol.variant = proto::Variant::Static;
+  config.protocol.tmin = 4;
+  config.protocol.tmax = 10;
+  config.protocol.fixed_bounds = true;
+  config.participants = kN;
+  config.max_delay = -1;  // in-spec random delay
+  config.seed = 7;
+  hb::ScaleCluster cluster(config);
+  for (const auto& monitor : monitors) cluster.add_sink(monitor.get());
+  cluster.start();
+  sim::Time horizon = 1 + 2 * config.protocol.tmax;  // past the first beat
+  cluster.run_until(horizon);
+
+  const auto total = [&](auto counter) {
+    std::uint64_t sum = 0;
+    for (const auto& monitor : monitors) sum += ((*monitor).*counter)();
+    return sum;
+  };
+  const std::uint64_t evaluated_before =
+      total(&pltl::FormulaMonitor::instances_evaluated);
+  const std::uint64_t events_before = total(&pltl::FormulaMonitor::events_seen);
+  const std::uint64_t beats_before = cluster.stats().beats;
+  horizon += config.protocol.tmax;
+  cluster.run_until(horizon);
+  const std::uint64_t evaluated =
+      total(&pltl::FormulaMonitor::instances_evaluated) - evaluated_before;
+
+  EXPECT_EQ(cluster.stats().beats - beats_before,
+            static_cast<std::uint64_t>(kN));
+  EXPECT_GT(total(&pltl::FormulaMonitor::events_seen) - events_before,
+            static_cast<std::uint64_t>(kN));
+  EXPECT_GE(evaluated, static_cast<std::uint64_t>(kN));  // the beat wakes s2
+  EXPECT_LE(evaluated, kPerParticipant * kN);
+  for (const auto& monitor : monitors) {
+    EXPECT_EQ(monitor->violations_total(), 0u) << monitor->name();
+  }
+}
+
+chaos::RunSpec crash_spec_at_scale() {
+  chaos::RunSpec spec;
+  spec.variant = proto::Variant::Static;
+  spec.tmin = 4;
+  spec.tmax = 10;
+  spec.participants = 200;
+  spec.seed = 3;
+  spec.horizon = 600;
+  chaos::FaultAction participant;
+  participant.kind = chaos::FaultKind::CrashParticipant;
+  participant.at = 150;
+  participant.a = 57;
+  chaos::FaultAction coordinator;
+  coordinator.kind = chaos::FaultKind::CrashCoordinator;
+  coordinator.at = 350;
+  spec.schedule.actions = {participant, coordinator};
+  return spec;
+}
+
+TEST(PltlScale, ShippedFormulasMatchMonitorsAtTwoHundredNodes) {
+  // In spec: a participant crash, then a coordinator crash. Both stacks
+  // must hold every requirement.
+  const chaos::RunSpec spec = crash_spec_at_scale();
+  const VerdictPair in_spec = expect_verdicts_match(spec);
+  EXPECT_FALSE(in_spec.r1 || in_spec.r2 || in_spec.r3 || in_spec.s2);
+
+  // Out of spec: the same crashes with participant 9's clock at half
+  // rate, so its inactivation after the coordinator crash comes late
+  // (R3); both stacks must flag the same requirements.
+  chaos::RunSpec slow = spec;
+  chaos::FaultAction drift;
+  drift.kind = chaos::FaultKind::SetDrift;
+  drift.at = 100;
+  drift.a = 9;
+  drift.d1 = 1;
+  drift.d2 = 2;
+  slow.schedule.actions.insert(slow.schedule.actions.begin(), drift);
+  EXPECT_TRUE(expect_verdicts_match(slow).r3);
 }
 
 // --- campaigns and missions: formulas ride along without perturbing -------
