@@ -21,7 +21,8 @@ int main() {
   config.tmin = 1;
   config.tmax = 16;
 
-  FailureDetector detector{config, {1, 2, 3}, /*suspect_after_misses=*/2};
+  FailureDetector detector{config, /*participants=*/3,
+                           /*suspect_after_misses=*/2};
   detector.start(0);
 
   // Drive rounds by hand: member 2 goes silent for rounds 4-6 (say, a

@@ -249,8 +249,15 @@ std::optional<RunSpec> parse_run(const std::string& text) {
       read_bool(line, "wire_validation", spec.wire_validation);
       read_bool(line, "clock_guard", spec.clock_guard);
       const auto variant = variant_from_string(variant_name);
+      // Every timing law a run adds to a time is at most 8 * tmax (the
+      // largest, proto::r2_explanation_window, is r1_detection_slack <=
+      // 4 * tmax plus r3_detection_slack <= 4 * tmax), and times run up
+      // to the horizon: horizon + 8 * tmax must fit int64.
+      Time span = 0;
       if (!variant || participants < 1 || !fits_int(participants) ||
-          spec.horizon <= 0 || !spec.timing().valid()) {
+          spec.horizon <= 0 || !spec.timing().valid() ||
+          __builtin_mul_overflow(spec.tmax, 8, &span) ||
+          __builtin_add_overflow(spec.horizon, span, &span)) {
         return std::nullopt;
       }
       spec.variant = *variant;

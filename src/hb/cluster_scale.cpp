@@ -1,7 +1,6 @@
 #include "hb/cluster_scale.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "util/contracts.hpp"
 
@@ -9,8 +8,6 @@ namespace ahb::hb {
 
 ScaleCluster::ScaleCluster(const ClusterConfig& config)
     : config_(config),
-      participants_(config.participants),
-      timing_(config.protocol.timing()),
       timer_priority_(config.receive_priority ? 1 : 0),
       rng_(config.seed),
       links_(sim::LinkParams{
@@ -25,75 +22,30 @@ ScaleCluster::ScaleCluster(const ClusterConfig& config)
       // one-way delay beyond tmin/2 is out of spec (NetworkStats::
       // out_of_spec_delay counts such samples when chaos injects them).
       spec_max_delay_(config.protocol.tmin / 2),
-      t_(config.protocol.tmax) {
+      coord_(config.protocol, config.participants),
+      p_(static_cast<std::size_t>(config.participants) + 1,
+         ParticipantState(config.protocol.variant)),
+      p_timer_(p_.size()) {
   AHB_EXPECTS(config.protocol.valid());
-  AHB_EXPECTS(config.participants >= 1);
   AHB_EXPECTS(links_.defaults().max_delay >= links_.defaults().min_delay);
 
-  const auto slots = static_cast<std::size_t>(participants_) + 1;
-  newest_to_coord_.assign(slots, 0);
-  newest_from_coord_.assign(slots, 0);
-  joined_.resize(slots);
-  rcvd_.resize(slots);
-  registered_.resize(slots);
-  tm_.assign(slots, 0);
-  p_status_.assign(slots, Status::Active);
-  p_joined_.resize(slots);
-  p_leave_requested_.resize(slots);
-  p_deadline_.assign(slots, 0);
-  p_next_join_.assign(slots, kNever);
-  p_inactivated_at_.assign(slots, kNever);
-  p_left_at_.assign(slots, kNever);
-  p_timer_.assign(slots, Wheel::Handle{});
-
-  // A-priori membership (binary/static family): every participant
-  // starts registered, joined and with a granted first round (the
-  // rcvd-initially-true initialisation of the protocol).
-  if (!variant_joins(config.protocol.variant)) {
-    for (int i = 1; i <= participants_; ++i) {
-      joined_.set(static_cast<std::size_t>(i));
-      rcvd_.set(static_cast<std::size_t>(i));
-      registered_.set(static_cast<std::size_t>(i));
-      tm_[static_cast<std::size_t>(i)] = config.protocol.tmax;
-      p_joined_.set(static_cast<std::size_t>(i));
-    }
-  }
+  newest_to_coord_.assign(p_.size(), 0);
+  newest_from_coord_.assign(p_.size(), 0);
 }
 
 void ScaleCluster::start() {
   AHB_EXPECTS(!started_);
   started_ = true;
-
-  // Coordinator start: arm the first round; the revised-binary variant
-  // beats immediately.
-  round_deadline_ = local_now(0) + config_.protocol.tmax;
-  if (proto::rules_for(config_.protocol.variant).initial_beat) {
-    std::uint64_t beat_id = 0;
-    std::uint32_t fanout = 0;
-    for (int i = 1; i <= participants_; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      if (!registered_.test(idx)) continue;
-      rcvd_.reset(idx);
-      const std::uint64_t id = send(0, i, true);
-      if (beat_id == 0) beat_id = id;
-      ++fanout;
-    }
-    scale_stats_.beats += fanout;
-    emit(ProtocolEvent::Kind::CoordinatorBeat, 0, beat_id, fanout);
+  // The coordinator arms its first round (the revised binary variant
+  // beats at once), then every participant arms its deadlines.
+  if (step::start(coord_, local_now(0), config_.protocol) ==
+      step::CoordinatorAct::Broadcast) {
+    broadcast();
   }
   arm_node_timer(0);
-
-  // Participants arm their inactivation deadline; the join-phase
-  // variants send their first join beat one join period after start-up.
-  for (int i = 1; i <= participants_; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    const sim::Time local = local_now(i);
-    if (p_joined_.test(idx)) {
-      p_deadline_[idx] = local + config_.protocol.participant_deadline();
-    } else {
-      p_deadline_[idx] = local + config_.protocol.join_deadline();
-      p_next_join_[idx] = local + proto::join_beat_period(timing_);
-    }
+  for (int i = 1; i <= participant_count(); ++i) {
+    step::start(p_[static_cast<std::size_t>(i)], local_now(i),
+                config_.protocol);
     arm_node_timer(i);
   }
 }
@@ -115,23 +67,23 @@ void ScaleCluster::crash_coordinator_at(sim::Time when) {
 }
 
 void ScaleCluster::crash_participant_at(int id, sim::Time when) {
-  AHB_EXPECTS(id >= 1 && id <= participants_);
+  AHB_EXPECTS(id >= 1 && id <= participant_count());
   wheel_.arm(when, 0, Ev{Ev::Kind::CrashParticipant, 0, id});
 }
 
 void ScaleCluster::leave_at(int id, sim::Time when) {
-  AHB_EXPECTS(id >= 1 && id <= participants_);
+  AHB_EXPECTS(id >= 1 && id <= participant_count());
   wheel_.arm(when, 0, Ev{Ev::Kind::Leave, 0, id});
 }
 
 void ScaleCluster::rejoin_at(int id, sim::Time when) {
-  AHB_EXPECTS(id >= 1 && id <= participants_);
+  AHB_EXPECTS(id >= 1 && id <= participant_count());
   wheel_.arm(when, 0, Ev{Ev::Kind::Rejoin, 0, id});
 }
 
 void ScaleCluster::set_drift_at(int id, sim::Time when, std::int64_t num,
                                 std::int64_t den) {
-  AHB_EXPECTS(id >= 0 && id <= participants_);
+  AHB_EXPECTS(id >= 0 && id <= participant_count());
   AHB_EXPECTS(num > 0 && den > 0);
   touch_clock(id);
   wheel_.arm(when, 0, Ev{Ev::Kind::Drift, 0, id, 0, drift_rates_.size()});
@@ -140,7 +92,7 @@ void ScaleCluster::set_drift_at(int id, sim::Time when, std::int64_t num,
 
 void ScaleCluster::corrupt_clock_at(int id, sim::Time when,
                                     std::int64_t delta) {
-  AHB_EXPECTS(id >= 0 && id <= participants_);
+  AHB_EXPECTS(id >= 0 && id <= participant_count());
   touch_clock(id);
   wheel_.arm(when, 0,
              Ev{Ev::Kind::ClockOffset, 0, id, 0,
@@ -149,7 +101,7 @@ void ScaleCluster::corrupt_clock_at(int id, sim::Time when,
 
 void ScaleCluster::wrap_clock_at(int id, sim::Time when,
                                  std::uint64_t margin) {
-  AHB_EXPECTS(id >= 0 && id <= participants_);
+  AHB_EXPECTS(id >= 0 && id <= participant_count());
   touch_clock(id);
   wheel_.arm(when, 0, Ev{Ev::Kind::ClockWrap, 0, id, 0, margin});
 }
@@ -162,31 +114,20 @@ void ScaleCluster::change_link_at(sim::Time when, int from, int to,
 }
 
 bool ScaleCluster::is_member(int id) const {
-  AHB_EXPECTS(id >= 1 && id <= participants_);
-  return joined_.test(static_cast<std::size_t>(id));
+  AHB_EXPECTS(id >= 1 && id <= participant_count());
+  return coord_.is_member(id);
 }
 
-Status ScaleCluster::participant_status(int id) const {
-  AHB_EXPECTS(id >= 1 && id <= participants_);
-  return p_status_[static_cast<std::size_t>(id)];
-}
-
-sim::Time ScaleCluster::participant_inactivated_at(int id) const {
-  AHB_EXPECTS(id >= 1 && id <= participants_);
-  return p_inactivated_at_[static_cast<std::size_t>(id)];
-}
-
-bool ScaleCluster::participant_joined(int id) const {
-  AHB_EXPECTS(id >= 1 && id <= participants_);
-  return p_joined_.test(static_cast<std::size_t>(id));
+const ParticipantState& ScaleCluster::participant(int id) const {
+  AHB_EXPECTS(id >= 1 && id <= participant_count());
+  return p_[static_cast<std::size_t>(id)];
 }
 
 bool ScaleCluster::all_inactive() const {
-  if (coord_status_ == Status::Active) return false;
-  for (int i = 1; i <= participants_; ++i) {
-    if (p_status_[static_cast<std::size_t>(i)] == Status::Active) return false;
-  }
-  return true;
+  if (coord_.status == Status::Active) return false;
+  return std::none_of(p_.begin() + 1, p_.end(), [](const auto& p) {
+    return p.status == Status::Active;
+  });
 }
 
 void ScaleCluster::handle(const Ev& ev) {
@@ -206,43 +147,32 @@ void ScaleCluster::handle(const Ev& ev) {
       break;
     case Ev::Kind::CrashCoordinator:
       (void)local_now(0);  // a crash is a clock read like any transition
-      if (coord_status_ == Status::Active) {
-        coord_status_ = Status::CrashedVoluntarily;
+      if (step::crash(coord_)) {
         emit(ProtocolEvent::Kind::CoordinatorCrashed, 0);
       }
       break;
-    case Ev::Kind::CrashParticipant: {
-      const auto idx = static_cast<std::size_t>(ev.node);
+    case Ev::Kind::CrashParticipant:
       (void)local_now(ev.node);
-      if (p_status_[idx] == Status::Active) {
-        p_status_[idx] = Status::CrashedVoluntarily;
+      if (step::crash(p_[static_cast<std::size_t>(ev.node)])) {
         emit(ProtocolEvent::Kind::ParticipantCrashed, ev.node);
       }
       break;
-    }
     case Ev::Kind::Leave: {
-      if (!proto::variant_leaves(config_.protocol.variant)) break;
-      const auto idx = static_cast<std::size_t>(ev.node);
-      if (p_status_[idx] != Status::Active) break;
-      p_leave_requested_.set(idx);
+      ParticipantState& p = p_[static_cast<std::size_t>(ev.node)];
+      if (proto::variant_leaves(config_.protocol.variant) &&
+          p.status == Status::Active) {
+        p.leave_requested = true;
+      }
       break;
     }
     case Ev::Kind::Rejoin: {
-      const auto idx = static_cast<std::size_t>(ev.node);
-      if (p_status_[idx] != Status::Left) break;
-      // The reincarnation hazard: rejoining before the leave beat's
-      // delay bound has drained risks a stale leave de-registering the
-      // new incarnation. The leave happens at the reply to the next
-      // beat, so its instant is not known when the rejoin is scheduled;
-      // a rejoin that comes too early is dropped.
-      const sim::Time local = local_now(ev.node);
-      if (local < proto::earliest_rejoin(p_left_at_[idx], timing_)) break;
+      ParticipantState& p = p_[static_cast<std::size_t>(ev.node)];
+      if (p.status != Status::Left) break;
+      // The leave happens at the reply to the next beat, so its instant
+      // is not known when the rejoin is scheduled; a rejoin that comes
+      // before the leave beat has drained is dropped.
+      if (!step::rejoin(p, local_now(ev.node), config_.protocol)) break;
       emit(ProtocolEvent::Kind::ParticipantRejoined, ev.node);
-      p_status_[idx] = Status::Active;
-      p_joined_.reset(idx);
-      p_leave_requested_.reset(idx);
-      p_deadline_[idx] = local + config_.protocol.join_deadline();
-      p_next_join_[idx] = local + proto::join_beat_period(timing_);
       arm_node_timer(ev.node);
       break;
     }
@@ -388,18 +318,11 @@ void ScaleCluster::apply_clock_wrap(int node, std::uint64_t margin) {
 
 void ScaleCluster::fence_node(int node, sim::Time local) {
   if (node == 0) {
-    if (coord_status_ == Status::Active) {
-      coord_status_ = Status::InactiveNonVoluntarily;
-      coord_inactivated_at_ = local;
+    if (step::fence(coord_, local)) {
       emit(ProtocolEvent::Kind::CoordinatorInactivated, 0);
     }
-  } else {
-    const auto idx = static_cast<std::size_t>(node);
-    if (p_status_[idx] == Status::Active) {
-      p_status_[idx] = Status::InactiveNonVoluntarily;
-      p_inactivated_at_[idx] = local;
-      emit(ProtocolEvent::Kind::ParticipantInactivated, node);
-    }
+  } else if (step::fence(p_[static_cast<std::size_t>(node)], local)) {
+    emit(ProtocolEvent::Kind::ParticipantInactivated, node);
   }
   arm_node_timer(node);  // inactive: cancels the pending timer
 }
@@ -473,32 +396,16 @@ void ScaleCluster::deliver_to_coordinator(int from, std::uint64_t wire,
   }
   (void)local_now(0);  // a delivery is a clock read like any transition
   // A delivery to a crashed/inactive coordinator is absorbed silently.
-  if (coord_status_ == Status::Active) {
-    const bool flag = msg->flag;
-    emit(flag ? ProtocolEvent::Kind::CoordinatorReceivedBeat
-              : ProtocolEvent::Kind::CoordinatorReceivedLeave,
+  if (coord_.status == Status::Active) {
+    emit(msg->flag ? ProtocolEvent::Kind::CoordinatorReceivedBeat
+                   : ProtocolEvent::Kind::CoordinatorReceivedLeave,
          from, id);
     // Membership follows the decoded sender, which differs from the
-    // link origin only when validation is off and a flip rewrote it. A
-    // sender without a member slot is dropped.
-    const int sender = msg->sender;
-    if (sender >= 1 && sender <= participants_) {
-      const auto idx = static_cast<std::size_t>(sender);
-      if (flag) {
-        registered_.set(idx);
-        if (!joined_.test(idx)) {
-          joined_.set(idx);
-          tm_[idx] = config_.protocol.tmax;
-        }
-        rcvd_.set(idx);
-      } else if (proto::variant_leaves(config_.protocol.variant) &&
-                 registered_.test(idx)) {
-        joined_.reset(idx);
-        rcvd_.reset(idx);
-        // Acknowledge the departure with a false-flag beat (no
-        // protocol event).
-        send(0, sender, false);
-      }
+    // link origin only when validation is off and a flip rewrote it.
+    // The leave acknowledgement carries no protocol event.
+    if (step::on_message(coord_, *msg, config_.protocol) ==
+        step::CoordinatorAct::AckLeave) {
+      send(0, msg->sender, false);
     }
   }
   arm_node_timer(0);
@@ -510,128 +417,64 @@ void ScaleCluster::deliver_to_participant(int id, int from,
   ++net_stats_.delivered;
   channel(sim::ChannelEvent::Kind::Delivered, from, id, msg_id);
   track_delivery(newest_from_coord_, id, msg_id);
-  const auto idx = static_cast<std::size_t>(id);
   const std::optional<Message> msg = decode_wire(from, WireMessage{wire});
   if (!msg) {
     reject(from, id, msg_id);
     return;
   }
-  const bool flag = msg->flag;
-  if (flag && p_status_[idx] == Status::Active) {
+  ParticipantState& p = p_[static_cast<std::size_t>(id)];
+  if (msg->flag && p.status == Status::Active) {
     emit(ProtocolEvent::Kind::ParticipantReceivedBeat, id, msg_id);
   }
   const sim::Time local = local_now(id);
-  // Only the coordinator's true-flag beats act; a leave acknowledgement
-  // (false flag) is ignored.
-  if (p_status_[idx] == Status::Active && msg->sender == 0 && flag) {
-    if (!p_joined_.test(idx)) {
-      p_joined_.set(idx);
-      p_next_join_[idx] = kNever;
-    }
-    if (p_leave_requested_.test(idx) &&
-        proto::variant_leaves(config_.protocol.variant)) {
-      p_status_[idx] = Status::Left;
-      p_left_at_[idx] = local;
-      const std::uint64_t out = send(id, 0, false);
-      ++scale_stats_.replies;
-      emit(ProtocolEvent::Kind::ParticipantLeft, id, out, 1);
-    } else {
-      p_deadline_[idx] = local + config_.protocol.participant_deadline();
-      const std::uint64_t out = send(id, 0, true);
-      ++scale_stats_.replies;
-      emit(ProtocolEvent::Kind::ParticipantReplied, id, out, 1);
-    }
-  }
+  participant_act(id, step::on_message(p, local, *msg, config_.protocol));
   arm_node_timer(id);
 }
 
 void ScaleCluster::node_elapsed(int node, sim::Time local) {
-  if (node == 0) {
-    coordinator_elapsed(local);
-  } else {
-    participant_elapsed(node, local);
-  }
-}
-
-void ScaleCluster::coordinator_elapsed(sim::Time local) {
-  if (coord_status_ == Status::Active && started_ &&
-      local >= round_deadline_) {
-    close_round(local);
-  }
-}
-
-void ScaleCluster::close_round(sim::Time local) {
-  // One struct-of-arrays pass over the member table: step every joined
-  // member down the waiting-time ladder (reset on a received beat,
-  // accelerate on a miss) and track the round minimum.
-  const Variant variant = config_.protocol.variant;
-  sim::Time min_t = config_.protocol.tmax;
-  for (std::size_t wi = 0; wi < joined_.word_count(); ++wi) {
-    std::uint64_t w = joined_.word(wi);
-    while (w != 0) {
-      const auto idx =
-          (wi << 6) + static_cast<std::size_t>(std::countr_zero(w));
-      w &= w - 1;
-      tm_[idx] =
-          proto::next_wait(rcvd_.test(idx), tm_[idx], timing_, variant);
-      min_t = std::min(min_t, tm_[idx]);
-    }
-  }
-  rcvd_.clear_all();  // batched: one word pass instead of n writes
-
-  if (proto::wait_inactivates(min_t, timing_)) {
-    coord_status_ = Status::InactiveNonVoluntarily;
-    coord_inactivated_at_ = local;
-    emit(ProtocolEvent::Kind::CoordinatorInactivated, 0);
+  if (node != 0) {
+    participant_act(node, step::on_elapsed(p_[static_cast<std::size_t>(node)],
+                                           local, config_.protocol));
     return;
   }
+  const step::CoordinatorAct outcome =
+      step::close_round(coord_, local, config_.protocol);
+  if (outcome == step::CoordinatorAct::Broadcast) {
+    ++scale_stats_.rounds;
+    broadcast();
+  } else if (outcome == step::CoordinatorAct::Inactivated) {
+    emit(ProtocolEvent::Kind::CoordinatorInactivated, 0);
+  }
+}
 
-  t_ = min_t;
-  round_deadline_ = local + t_;
-  ++scale_stats_.rounds;
+void ScaleCluster::broadcast() {
   // Batched beat generation: the whole round fans out in one pass over
   // the joined bitset, ids consecutive in ascending member order. A
   // member-less round is still one (empty) broadcast event.
   std::uint64_t beat_id = 0;
   std::uint32_t fanout = 0;
-  for (std::size_t wi = 0; wi < joined_.word_count(); ++wi) {
-    std::uint64_t w = joined_.word(wi);
-    while (w != 0) {
-      const auto idx =
-          (wi << 6) + static_cast<std::size_t>(std::countr_zero(w));
-      w &= w - 1;
-      const std::uint64_t id = send(0, static_cast<int>(idx), true);
-      if (beat_id == 0) beat_id = id;
-      ++fanout;
-    }
-  }
+  step::for_each_member(coord_, [&](int member) {
+    const std::uint64_t id = send(0, member, true);
+    if (beat_id == 0) beat_id = id;
+    ++fanout;
+  });
   scale_stats_.beats += fanout;
   emit(ProtocolEvent::Kind::CoordinatorBeat, 0, beat_id, fanout);
 }
 
-void ScaleCluster::participant_elapsed(int id, sim::Time local) {
-  const auto idx = static_cast<std::size_t>(id);
-  if (p_status_[idx] != Status::Active || !started_) return;
-  if (local >= p_deadline_[idx]) {
-    p_status_[idx] = Status::InactiveNonVoluntarily;
-    p_inactivated_at_[idx] = local;
+void ScaleCluster::participant_act(int id, step::ParticipantAct outcome) {
+  using Act = step::ParticipantAct;
+  if (outcome == Act::None) return;
+  if (outcome == Act::Inactivated) {
     emit(ProtocolEvent::Kind::ParticipantInactivated, id);
-  } else if (!p_joined_.test(idx) && local >= p_next_join_[idx]) {
-    p_next_join_[idx] = local + proto::join_beat_period(timing_);
-    const std::uint64_t out = send(id, 0, true);
-    ++scale_stats_.replies;
-    emit(ProtocolEvent::Kind::ParticipantJoinBeat, id, out, 1);
+    return;
   }
-}
-
-sim::Time ScaleCluster::node_next_event(int id) const {
-  if (id == 0) {
-    if (coord_status_ != Status::Active || !started_) return kNever;
-    return round_deadline_;
-  }
-  const auto idx = static_cast<std::size_t>(id);
-  if (p_status_[idx] != Status::Active || !started_) return kNever;
-  return std::min(p_deadline_[idx], p_next_join_[idx]);
+  const std::uint64_t out = send(id, 0, outcome != Act::Leave);
+  ++scale_stats_.replies;
+  emit(outcome == Act::Reply   ? ProtocolEvent::Kind::ParticipantReplied
+       : outcome == Act::Leave ? ProtocolEvent::Kind::ParticipantLeft
+                               : ProtocolEvent::Kind::ParticipantJoinBeat,
+       id, out, 1);
 }
 
 void ScaleCluster::arm_node_timer(int id) {
@@ -639,7 +482,8 @@ void ScaleCluster::arm_node_timer(int id) {
       id == 0 ? coord_timer_ : p_timer_[static_cast<std::size_t>(id)];
   wheel_.cancel(handle);
   handle = Wheel::Handle{};
-  sim::Time when = node_next_event(id);
+  sim::Time when = id == 0 ? step::next_event(coord_)
+                            : step::next_event(p_[static_cast<std::size_t>(id)]);
   // Engine deadlines live on the node's (possibly drifting) clock; the
   // timer fires at the global instant that reaches them.
   if (!clocks_.empty()) {

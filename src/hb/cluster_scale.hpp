@@ -7,16 +7,17 @@
 // the repository — the examples, the conformance replays, the chaos
 // campaigns and long missions, and the 100k-node steady state.
 //
-// Mechanics. The protocol state is kept in struct-of-arrays form
-// (status, deadline, next-join, waiting-time ladders as parallel flat
-// vectors indexed by dense node id; joined/received/leave-requested as
-// word-packed bitsets), every deadline is armed on a hierarchical timer
-// wheel (sim/timer_wheel.hpp, O(1) arm/cancel/rearm), and beats run
-// through an inlined flat transport with no per-message heap
-// allocation: a round boundary is one pass over the member table that
-// fans out every beat of the round. The transitions are those of the
-// sans-I/O hb::Coordinator and hb::Participant classes, which stay the
-// library's per-process API.
+// Mechanics. The protocol state is the coordinator's dense member table
+// (joined/received/registered as word-packed bitsets plus the
+// waiting-time ladder) and one flat vector of participant states indexed
+// by node id. Every deadline is armed on a hierarchical timer wheel
+// (sim/timer_wheel.hpp, O(1) arm/cancel/rearm), and beats run through an
+// inlined flat transport with no per-message heap allocation: a round
+// boundary is one pass over the member table that fans out every beat
+// of the round. The engine and the sans-I/O hb::Coordinator and
+// hb::Participant classes (the library's per-process API) both call
+// hb/transitions.hpp, where each transition is stated once; the engine
+// adds only wire decoding, transport, clocks, timers and sinks.
 //
 // Determinism. Same-instant work fires in (time, priority,
 // schedule-order) sequence — deliveries and injected faults at priority
@@ -53,12 +54,12 @@
 #include <vector>
 
 #include "hb/protocol_event.hpp"
+#include "hb/transitions.hpp"
 #include "hb/types.hpp"
 #include "hb/wire.hpp"
 #include "rv/sink_chain.hpp"
 #include "sim/link.hpp"
 #include "sim/timer_wheel.hpp"
-#include "util/dense_bitset.hpp"
 #include "util/rng.hpp"
 
 namespace ahb::hb {
@@ -168,23 +169,25 @@ class ScaleCluster {
   rv::SinkChain& sinks() { return sinks_; }
 
   const ClusterConfig& config() const { return config_; }
-  int participant_count() const { return participants_; }
+  int participant_count() const { return coord_.participants(); }
   sim::Time now() const { return now_; }
 
   // Protocol state. Times a process recorded itself (inactivation,
   // leave) are on its own clock, which is the global clock unless a
   // drift or clock fault touched the node.
-  Status coordinator_status() const { return coord_status_; }
-  sim::Time coordinator_inactivated_at() const { return coord_inactivated_at_; }
+  Status coordinator_status() const { return coord_.status; }
+  sim::Time coordinator_inactivated_at() const { return coord_.inactivated_at; }
   /// Current round length t of the coordinator.
-  sim::Time coordinator_wait() const { return t_; }
+  sim::Time coordinator_wait() const { return coord_.t; }
   /// Number of currently joined members.
-  int member_count() const { return static_cast<int>(joined_.count()); }
+  int member_count() const { return static_cast<int>(coord_.joined.count()); }
   bool is_member(int id) const;
 
-  Status participant_status(int id) const;
-  sim::Time participant_inactivated_at(int id) const;
-  bool participant_joined(int id) const;
+  Status participant_status(int id) const { return participant(id).status; }
+  sim::Time participant_inactivated_at(int id) const {
+    return participant(id).inactivated_at;
+  }
+  bool participant_joined(int id) const { return participant(id).joined; }
 
   /// True iff every process has stopped participating (crashed, left,
   /// or inactivated).
@@ -263,14 +266,17 @@ class ScaleCluster {
   };
 
   void handle(const Ev& ev);
+  /// Participant p[id]'s state (id range-checked).
+  const ParticipantState& participant(int id) const;
   void deliver_to_coordinator(int from, std::uint64_t wire, std::uint64_t id);
   void deliver_to_participant(int id, int from, std::uint64_t wire,
                               std::uint64_t msg_id);
   /// The deadline transitions of one node at its local time `local`.
   void node_elapsed(int node, sim::Time local);
-  void coordinator_elapsed(sim::Time local);
-  void participant_elapsed(int id, sim::Time local);
-  void close_round(sim::Time local);
+  /// Sends a beat to every joined member as one broadcast event.
+  void broadcast();
+  /// Carries out participant `id`'s step outcome: its send and event.
+  void participant_act(int id, step::ParticipantAct outcome);
   /// Parse-or-drop boundary validation of a delivered wire image.
   std::optional<Message> decode_wire(int from, const WireMessage& wire) const;
   /// Counts and reports a boundary rejection of message `id`.
@@ -303,8 +309,6 @@ class ScaleCluster {
   /// Cancels and re-arms node `id`'s deadline timer at the global
   /// instant of its next event.
   void arm_node_timer(int id);
-  /// Next event of node `id` on its own clock.
-  sim::Time node_next_event(int id) const;
   void emit(ProtocolEvent::Kind kind, int node, std::uint64_t msg_id = 0,
             std::uint32_t fanout = 0);
   void channel(sim::ChannelEvent::Kind kind, int from, int to,
@@ -317,8 +321,6 @@ class ScaleCluster {
                       std::uint64_t id);
 
   ClusterConfig config_;
-  int participants_;
-  proto::Timing timing_;
   int timer_priority_;
 
   Wheel wheel_;
@@ -344,25 +346,10 @@ class ScaleCluster {
   /// by node.
   std::vector<std::pair<int, NodeClock>> clocks_;
 
-  // Coordinator: struct-of-arrays member table indexed by node id.
-  Status coord_status_ = Status::Active;
-  sim::Time t_;               ///< current round length
-  sim::Time round_deadline_ = 0;
-  sim::Time coord_inactivated_at_ = kNever;
-  DenseBitset joined_;      ///< member currently registered and joined
-  DenseBitset rcvd_;        ///< beat received in the current round
-  DenseBitset registered_;  ///< ever registered
-  std::vector<sim::Time> tm_;  ///< per-member waiting-time ladder
+  CoordinatorState coord_;
   Wheel::Handle coord_timer_;
-
-  // Participants: parallel flat vectors indexed by node id (slot 0 unused).
-  std::vector<Status> p_status_;
-  DenseBitset p_joined_;
-  DenseBitset p_leave_requested_;
-  std::vector<sim::Time> p_deadline_;
-  std::vector<sim::Time> p_next_join_;
-  std::vector<sim::Time> p_inactivated_at_;
-  std::vector<sim::Time> p_left_at_;
+  /// Participant p[i] at index i (slot 0 unused).
+  std::vector<ParticipantState> p_;
   std::vector<Wheel::Handle> p_timer_;
 
   rv::SinkChain sinks_;

@@ -1,139 +1,64 @@
 #include "hb/coordinator.hpp"
 
-#include <algorithm>
-
 #include "util/contracts.hpp"
 
 namespace ahb::hb {
 
-Coordinator::Coordinator(const Config& config, std::vector<int> members)
-    : config_(config), t_(config.tmax) {
+Coordinator::Coordinator(const Config& config, int participants)
+    : config_(config), state_(config, participants) {
   AHB_EXPECTS(config.valid());
-  AHB_EXPECTS(!variant_joins(config.variant) || members.empty());
-  AHB_EXPECTS(variant_joins(config.variant) || !members.empty());
-  for (const int id : members) {
-    AHB_EXPECTS(id > 0);
-    // A-priori members start as joined with a granted first round
-    // (mirrors the rcvd-initially-true initialisation of the protocol).
-    members_[id] = Member{.joined = true, .rcvd = true, .tm = config.tmax};
-  }
 }
 
 Actions Coordinator::start(Time now) {
   AHB_EXPECTS(!started_);
   started_ = true;
-  deadline_ = now + config_.tmax;
-  Actions actions;
-  if (proto::rules_for(config_.variant).initial_beat) {
-    for (auto& [id, member] : members_) {
-      member.rcvd = false;
-      actions.messages.push_back(Outbound{id, Message{0, true}});
-    }
-  }
-  return actions;
+  return act(step::start(state_, now, config_));
 }
 
 Actions Coordinator::on_elapsed(Time now) {
-  Actions actions;
-  if (status_ != Status::Active || !started_) return actions;
-  if (now < deadline_) return actions;  // stale host timer
-
-  // Close the round: step every member down the waiting-time ladder
-  // (the shared law in proto/timing.hpp — reset on a received beat,
-  // accelerate on a miss).
-  Time min_t = config_.tmax;
-  for (auto& [id, member] : members_) {
-    if (!member.joined) continue;
-    member.tm =
-        proto::next_wait(member.rcvd, member.tm, config_.timing(),
-                         config_.variant);
-    member.rcvd = false;
-    min_t = std::min(min_t, member.tm);
-  }
-
-  if (proto::wait_inactivates(min_t, config_.timing())) {
-    status_ = Status::InactiveNonVoluntarily;
-    inactivated_at_ = now;
-    actions.inactivated = true;
-    return actions;
-  }
-
-  t_ = min_t;
-  deadline_ = now + t_;
-  actions.round_completed = true;
-  for (const auto& [id, member] : members_) {
-    if (!member.joined) continue;
-    actions.messages.push_back(Outbound{id, Message{0, true}});
-  }
+  const step::CoordinatorAct outcome = step::close_round(state_, now, config_);
+  Actions actions = act(outcome);
+  actions.round_completed = outcome == step::CoordinatorAct::Broadcast;
   return actions;
 }
 
 Actions Coordinator::on_message(Time now, const Message& message) {
   (void)now;
-  Actions actions;
-  // Crashed/inactive processes still receive messages but never react.
-  if (status_ != Status::Active) return actions;
-  if (message.sender <= 0) return actions;
-
-  if (message.flag) {
-    if (!variant_joins(config_.variant) &&
-        !members_.contains(message.sender)) {
-      return actions;  // unknown sender in a fixed-membership variant
-    }
-    auto& member = members_[message.sender];
-    if (!member.joined) {
-      member.joined = true;
-      member.tm = config_.tmax;
-    }
-    member.rcvd = true;
-  } else if (proto::variant_leaves(config_.variant)) {
-    const auto it = members_.find(message.sender);
-    if (it != members_.end()) {
-      it->second.joined = false;
-      it->second.rcvd = false;
-      // Acknowledge the departure with a false-flag beat.
-      actions.messages.push_back(
-          Outbound{message.sender, Message{0, false}});
-    }
-  }
-  return actions;
+  return act(step::on_message(state_, message, config_), message.sender);
 }
 
 void Coordinator::crash(Time now) {
   (void)now;
-  if (status_ == Status::Active) status_ = Status::CrashedVoluntarily;
+  step::crash(state_);
 }
 
 Actions Coordinator::fence(Time now) {
+  return act(step::fence(state_, now) ? step::CoordinatorAct::Inactivated
+                                      : step::CoordinatorAct::None);
+}
+
+Actions Coordinator::act(step::CoordinatorAct outcome, int sender) const {
+  using Act = step::CoordinatorAct;
   Actions actions;
-  if (status_ != Status::Active) return actions;
-  status_ = Status::InactiveNonVoluntarily;
-  inactivated_at_ = now;
-  actions.inactivated = true;
+  actions.inactivated = outcome == Act::Inactivated;
+  if (outcome == Act::AckLeave) {
+    actions.messages.push_back(Outbound{sender, Message{0, false}});
+  } else if (outcome == Act::Broadcast) {
+    step::for_each_member(state_, [&](int id) {
+      actions.messages.push_back(Outbound{id, Message{0, true}});
+    });
+  }
   return actions;
 }
 
-Time Coordinator::next_event_time() const {
-  if (status_ != Status::Active || !started_) return kNever;
-  return deadline_;
-}
-
-bool Coordinator::is_member(int id) const {
-  const auto it = members_.find(id);
-  return it != members_.end() && it->second.joined;
-}
-
 Time Coordinator::member_wait(int id) const {
-  const auto it = members_.find(id);
-  if (it == members_.end() || !it->second.joined) return config_.tmax;
-  return it->second.tm;
+  return is_member(id) ? state_.tm[static_cast<std::size_t>(id)]
+                       : config_.tmax;
 }
 
 std::vector<int> Coordinator::member_ids() const {
   std::vector<int> ids;
-  for (const auto& [id, member] : members_) {
-    if (member.joined) ids.push_back(id);
-  }
+  step::for_each_member(state_, [&](int id) { ids.push_back(id); });
   return ids;
 }
 

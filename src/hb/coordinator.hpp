@@ -5,21 +5,22 @@
 // its beat arrived during the round, otherwise accelerate (halve it, or
 // drop to tmin in the two-phase variant). When the minimum waiting time
 // falls below tmin the coordinator inactivates itself, guaranteeing
-// network-wide deactivation after a crash.
+// network-wide deactivation after a crash. Each transition is a step of
+// hb/transitions.hpp; this class turns the step's outcome into Actions.
 #pragma once
 
-#include <map>
-
+#include "hb/transitions.hpp"
 #include "hb/types.hpp"
 
 namespace ahb::hb {
 
 class Coordinator {
  public:
-  /// `members` is the a-priori participant set (binary: {1}; static:
-  /// {1..n}); it must be empty for the expanding/dynamic variants, whose
-  /// members join by beating.
-  Coordinator(const Config& config, std::vector<int> members);
+  /// Coordinator of participants 1..`participants` (binary: 1). In the
+  /// binary/static variants they are all members a priori; in the
+  /// expanding/dynamic variants they join by beating. A message from a
+  /// sender outside 1..`participants` is dropped.
+  Coordinator(const Config& config, int participants);
 
   /// Must be called once; returns the initial beat for the revised
   /// binary variant and arms the first round.
@@ -40,13 +41,13 @@ class Coordinator {
   /// local time). Idempotent; a no-op unless Active.
   Actions fence(Time now);
 
-  Status status() const { return status_; }
-  Time next_event_time() const;
+  Status status() const { return state_.status; }
+  Time next_event_time() const { return step::next_event(state_); }
   /// Time of non-voluntary self-inactivation, or kNever.
-  Time inactivated_at() const { return inactivated_at_; }
+  Time inactivated_at() const { return state_.inactivated_at; }
 
-  Time current_wait() const { return t_; }
-  bool is_member(int id) const;
+  Time current_wait() const { return state_.t; }
+  bool is_member(int id) const { return state_.is_member(id); }
   std::vector<int> member_ids() const;
   /// Per-member waiting time tm[id]; tmax for unknown/departed members.
   /// Each halving below tmax corresponds to one missed round.
@@ -54,18 +55,11 @@ class Coordinator {
   const Config& config() const { return config_; }
 
  private:
-  struct Member {
-    bool joined = false;
-    bool rcvd = false;
-    Time tm = 0;
-  };
+  /// The Actions of a step's outcome; `sender` is the message's sender.
+  Actions act(step::CoordinatorAct outcome, int sender = 0) const;
 
   Config config_;
-  Status status_ = Status::Active;
-  std::map<int, Member> members_;
-  Time t_;               ///< current round length
-  Time deadline_ = 0;    ///< absolute end of the current round
-  Time inactivated_at_ = kNever;
+  CoordinatorState state_;
   bool started_ = false;
 };
 

@@ -4,10 +4,9 @@
 
 namespace ahb::hb {
 
-FailureDetector::FailureDetector(const Config& config,
-                                 std::vector<int> members,
+FailureDetector::FailureDetector(const Config& config, int participants,
                                  int suspect_after_misses)
-    : coordinator_(config, std::move(members)),
+    : coordinator_(config, participants),
       suspect_after_misses_(suspect_after_misses) {
   AHB_EXPECTS(suspect_after_misses >= 1);
   // The suspicion gradient comes from the halving ladder; the two-phase

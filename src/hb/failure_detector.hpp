@@ -20,7 +20,8 @@ class FailureDetector {
   /// `suspect_after_misses`: how many consecutive missed rounds before a
   /// member is suspected (1 = aggressive, log2(tmax/tmin) = only just
   /// before the protocol would give the member up).
-  FailureDetector(const Config& config, std::vector<int> members,
+  /// `participants`: members 1..n, as for the Coordinator.
+  FailureDetector(const Config& config, int participants,
                   int suspect_after_misses = 2);
 
   // Sans-I/O driving interface, forwarded to the coordinator.

@@ -1,111 +1,61 @@
 #include "hb/participant.hpp"
 
-#include <algorithm>
-
 #include "util/contracts.hpp"
 
 namespace ahb::hb {
 
-Participant::Participant(const Config& config, int id, bool starts_joined)
-    : config_(config), id_(id), joined_(starts_joined) {
+Participant::Participant(const Config& config, int id)
+    : config_(config), id_(id), state_(config.variant) {
   AHB_EXPECTS(config.valid());
   AHB_EXPECTS(id > 0);
-  AHB_EXPECTS(!starts_joined || !variant_joins(config.variant));
-  AHB_EXPECTS(starts_joined || variant_joins(config.variant));
 }
 
 Actions Participant::start(Time now) {
   AHB_EXPECTS(!started_);
   started_ = true;
-  Actions actions;
-  if (joined_) {
-    deadline_ = now + config_.participant_deadline();
-  } else {
-    // Join phase: beat every join period (tmin) until the coordinator's
-    // heartbeat confirms the join. The first join beat goes out one
-    // period after start-up, matching the verified model (Fig. 6).
-    deadline_ = now + config_.join_deadline();
-    next_join_ = now + proto::join_beat_period(config_.timing());
-  }
-  return actions;
+  step::start(state_, now, config_);
+  return Actions{};
 }
 
 Actions Participant::on_elapsed(Time now) {
-  Actions actions;
-  if (status_ != Status::Active || !started_) return actions;
-
-  if (now >= deadline_) {
-    status_ = Status::InactiveNonVoluntarily;
-    inactivated_at_ = now;
-    actions.inactivated = true;
-    return actions;
-  }
-  if (!joined_ && now >= next_join_) {
-    next_join_ = now + proto::join_beat_period(config_.timing());
-    actions.messages.push_back(Outbound{0, Message{id_, true}});
-  }
-  return actions;
+  return act(step::on_elapsed(state_, now, config_));
 }
 
 Actions Participant::on_message(Time now, const Message& message) {
-  Actions actions;
-  if (status_ != Status::Active) return actions;
-  if (message.sender != 0) return actions;
-  if (!message.flag) return actions;  // leave acknowledgement: ignore
-
-  if (!joined_) {
-    joined_ = true;
-    next_join_ = kNever;
-  }
-  if (leave_requested_ && proto::variant_leaves(config_.variant)) {
-    status_ = Status::Left;
-    left_at_ = now;
-    actions.messages.push_back(Outbound{0, Message{id_, false}});
-    return actions;
-  }
-  deadline_ = now + config_.participant_deadline();
-  actions.messages.push_back(Outbound{0, Message{id_, true}});
-  return actions;
+  return act(step::on_message(state_, now, message, config_));
 }
 
 void Participant::crash(Time now) {
   (void)now;
-  if (status_ == Status::Active) status_ = Status::CrashedVoluntarily;
+  step::crash(state_);
 }
 
 Actions Participant::fence(Time now) {
-  Actions actions;
-  if (status_ != Status::Active) return actions;
-  status_ = Status::InactiveNonVoluntarily;
-  inactivated_at_ = now;
-  actions.inactivated = true;
-  return actions;
+  return act(step::fence(state_, now) ? step::ParticipantAct::Inactivated
+                                      : step::ParticipantAct::None);
 }
 
 void Participant::request_leave() {
   AHB_EXPECTS(proto::variant_leaves(config_.variant));
-  leave_requested_ = true;
+  state_.leave_requested = true;
 }
 
 Actions Participant::rejoin(Time now) {
-  AHB_EXPECTS(proto::variant_leaves(config_.variant));
-  AHB_EXPECTS(status_ == Status::Left);
-  // Graceful rejoin only: the leave beat must have drained from the
-  // network first (its delivery is bounded by tmin), otherwise a stale
-  // leave processed after the new join de-registers the reincarnation
-  // (hazard confirmed by model checking; see EXPERIMENTS.md).
-  AHB_EXPECTS(now >= proto::earliest_rejoin(left_at_, config_.timing()));
-  status_ = Status::Active;
-  joined_ = false;
-  leave_requested_ = false;
-  deadline_ = now + config_.join_deadline();
-  next_join_ = now + proto::join_beat_period(config_.timing());
+  const bool rejoined = step::rejoin(state_, now, config_);
+  AHB_EXPECTS(rejoined);
   return Actions{};
 }
 
-Time Participant::next_event_time() const {
-  if (status_ != Status::Active || !started_) return kNever;
-  return std::min(deadline_, next_join_);
+Actions Participant::act(step::ParticipantAct outcome) const {
+  using Act = step::ParticipantAct;
+  Actions actions;
+  actions.inactivated = outcome == Act::Inactivated;
+  if (outcome != Act::None && !actions.inactivated) {
+    // A reply, join beat or leave: each goes to p[0], only a leave with
+    // a false flag.
+    actions.messages.push_back(Outbound{0, Message{id_, outcome != Act::Leave}});
+  }
+  return actions;
 }
 
 }  // namespace ahb::hb

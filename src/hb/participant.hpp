@@ -2,18 +2,20 @@
 // protocols: echoes the coordinator's beats, inactivates itself when
 // beats stop arriving, and — depending on the variant — joins by beating
 // every tmin until acknowledged, or leaves gracefully with a false-flag
-// beat.
+// beat. Each transition is a step of hb/transitions.hpp; this class
+// turns the step's outcome into Actions.
 #pragma once
 
+#include "hb/transitions.hpp"
 #include "hb/types.hpp"
 
 namespace ahb::hb {
 
 class Participant {
  public:
-  /// `starts_joined` is true for the binary/static variants (membership
-  /// is a priori) and false for expanding/dynamic (joins by beating).
-  Participant(const Config& config, int id, bool starts_joined);
+  /// Participant p[`id`]: a member a priori in the binary/static
+  /// variants, joining by beating in the expanding/dynamic ones.
+  Participant(const Config& config, int id);
 
   /// Must be called once; arms the inactivation deadline and, for the
   /// expanding/dynamic variants, schedules the first join beat one join
@@ -48,26 +50,23 @@ class Participant {
   /// first join beat follows one join period later.
   Actions rejoin(Time now);
 
-  Status status() const { return status_; }
-  Time next_event_time() const;
-  Time inactivated_at() const { return inactivated_at_; }
+  Status status() const { return state_.status; }
+  Time next_event_time() const { return step::next_event(state_); }
+  Time inactivated_at() const { return state_.inactivated_at; }
   /// When the leave beat was sent (kNever unless status() == Left).
-  Time left_at() const { return left_at_; }
-  bool joined() const { return joined_; }
+  Time left_at() const { return state_.left_at; }
+  bool joined() const { return state_.joined; }
   int id() const { return id_; }
   const Config& config() const { return config_; }
 
  private:
+  /// The Actions of a step's outcome.
+  Actions act(step::ParticipantAct outcome) const;
+
   Config config_;
   int id_;
-  Status status_ = Status::Active;
-  bool joined_ = false;
-  bool leave_requested_ = false;
+  ParticipantState state_;
   bool started_ = false;
-  Time deadline_ = 0;   ///< absolute inactivation deadline
-  Time next_join_ = kNever;
-  Time inactivated_at_ = kNever;
-  Time left_at_ = kNever;  ///< when the leave beat was sent
 };
 
 }  // namespace ahb::hb

@@ -77,11 +77,12 @@ struct Actions {
   bool inactivated = false;  ///< the machine just became non-voluntarily inactive
   /// Coordinator only: this on_elapsed call closed a heartbeat round
   /// and the coordinator stayed active (it broadcast to the joined
-  /// members — possibly none). Observed by the conformance recorder.
+  /// members — possibly none). A host counts rounds with it.
   bool round_completed = false;
 };
 
-enum class Status {
+/// One byte wide: the engine keeps one ParticipantState per node.
+enum class Status : std::uint8_t {
   Active,
   Left,                    ///< departed gracefully (dynamic variant)
   CrashedVoluntarily,      ///< host-injected crash

@@ -175,9 +175,10 @@ TEST(FaultSchedule, ParseFailsClosedOnValuesARunCannotExecute) {
   // overflowing storm/churn offsets are a no-op: its trace equals the
   // trace of the same header with no actions.
   const auto header = [](const std::string& participants,
-                         const std::string& horizon) {
+                         const std::string& horizon,
+                         const std::string& tmax = "8") {
     return "{\"schedule\": \"ahb-chaos\", \"variant\": \"dynamic\", "
-           "\"tmin\": 2, \"tmax\": 8, \"fixed_bounds\": true, "
+           "\"tmin\": 2, \"tmax\": " + tmax + ", \"fixed_bounds\": true, "
            "\"receive_priority\": true, \"participants\": " +
            participants + ", \"seed\": 1, \"horizon\": " + horizon + "}\n";
   };
@@ -189,6 +190,7 @@ TEST(FaultSchedule, ParseFailsClosedOnValuesARunCannotExecute) {
            d1 + ", \"d2\": " + d2 + "}\n";
   };
   const std::string ok = header("3", "400");
+  const std::string leave = action("leave", "50", "1", "0", "0", "0");
   const std::string kMax = "9223372036854775807";
   struct Row {
     const char* what;
@@ -226,6 +228,14 @@ TEST(FaultSchedule, ParseFailsClosedOnValuesARunCannotExecute) {
        ok + action("set-drift", "10", "1", "0", "1", kMax), false},
       {"largest drift numerator that fits",
        ok + action("set-drift", "10", "1", "0", "23058430092136939", "1"),
+       true},
+      // Timing laws reach horizon + 8 * tmax, which must fit int64:
+      // (2^63 - 1 - 400) / 8 = 1152921504606846925.
+      {"timing laws overflow", header("3", "400", "4000000000000000000") + leave,
+       false},
+      {"timing laws one past the limit",
+       header("3", "400", "1152921504606846926") + leave, false},
+      {"largest tmax that fits", header("3", "400", "1152921504606846925") + leave,
        true},
   };
   const auto baseline = parse_run(ok);

@@ -2,7 +2,12 @@
 // lossy discrete-event network (hb::ScaleCluster).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "hb/cluster_scale.hpp"
+#include "hb/coordinator.hpp"
+#include "hb/participant.hpp"
 
 namespace ahb::hb {
 namespace {
@@ -144,6 +149,147 @@ TEST(Cluster, DeterministicForSeed) {
                       cluster.coordinator_status()};
   };
   EXPECT_EQ(run(9), run(9));
+}
+
+/// Faults of one per-process/engine comparison, all on participant 1
+/// (kNever: not injected).
+struct Scenario {
+  const char* name;
+  Time crash_participant = kNever;
+  Time crash_coordinator = kNever;
+  Time leave = kNever;
+  Time rejoin = kNever;
+};
+
+/// Final state both hosts report, node 0 first.
+struct Outcome {
+  std::vector<std::string> status;
+  std::vector<Time> inactivated_at;
+  std::vector<int> members;
+  std::uint64_t rounds = 0;
+};
+
+/// The per-process API on a minimal lockstep host: every message is
+/// delivered exactly `delay` after it was sent, and at each instant the
+/// injected faults act first, then deliveries in send order, then due
+/// timers — the engine's order for faults scheduled before start().
+Outcome run_per_process(const ClusterConfig& config, Time delay,
+                        const Scenario& s, Time horizon) {
+  Coordinator coordinator{config.protocol, config.participants};
+  std::vector<Participant> participants;
+  for (int i = 1; i <= config.participants; ++i) {
+    participants.emplace_back(config.protocol, i);
+  }
+  Participant& p1 = participants.front();
+  std::map<Time, std::vector<Outbound>> inflight;
+  Outcome out;
+  const auto post = [&](Time now, const Actions& actions) {
+    auto& slot = inflight[now + delay];
+    slot.insert(slot.end(), actions.messages.begin(), actions.messages.end());
+  };
+  post(0, coordinator.start(0));
+  for (Participant& p : participants) post(0, p.start(0));
+  for (Time now = 0; now <= horizon; ++now) {
+    if (now == s.crash_coordinator) coordinator.crash(now);
+    if (now == s.crash_participant) p1.crash(now);
+    if (now == s.leave && p1.status() == Status::Active) p1.request_leave();
+    if (now == s.rejoin && p1.status() == Status::Left &&
+        now >= proto::earliest_rejoin(p1.left_at(),
+                                      config.protocol.timing())) {
+      post(now, p1.rejoin(now));
+    }
+    if (const auto it = inflight.find(now); it != inflight.end()) {
+      for (const Outbound& o : it->second) {
+        post(now, o.to == 0
+                      ? coordinator.on_message(now, o.message)
+                      : participants[static_cast<std::size_t>(o.to - 1)]
+                            .on_message(now, o.message));
+      }
+      inflight.erase(it);
+    }
+    if (coordinator.next_event_time() <= now) {
+      const Actions actions = coordinator.on_elapsed(now);
+      out.rounds += actions.round_completed ? 1 : 0;
+      post(now, actions);
+    }
+    for (Participant& p : participants) {
+      if (p.next_event_time() <= now) post(now, p.on_elapsed(now));
+    }
+  }
+  out.status.push_back(to_string(coordinator.status()));
+  out.inactivated_at.push_back(coordinator.inactivated_at());
+  for (const Participant& p : participants) {
+    out.status.push_back(to_string(p.status()));
+    out.inactivated_at.push_back(p.inactivated_at());
+  }
+  out.members = coordinator.member_ids();
+  return out;
+}
+
+Outcome run_engine(ClusterConfig config, Time delay, const Scenario& s,
+                   Time horizon) {
+  config.min_delay = delay;
+  config.max_delay = delay;
+  ScaleCluster cluster{config};
+  if (s.crash_coordinator != kNever) {
+    cluster.crash_coordinator_at(s.crash_coordinator);
+  }
+  if (s.crash_participant != kNever) {
+    cluster.crash_participant_at(1, s.crash_participant);
+  }
+  if (s.leave != kNever) cluster.leave_at(1, s.leave);
+  if (s.rejoin != kNever) cluster.rejoin_at(1, s.rejoin);
+  cluster.start();
+  cluster.run_until(horizon);
+  Outcome out;
+  out.status.push_back(to_string(cluster.coordinator_status()));
+  out.inactivated_at.push_back(cluster.coordinator_inactivated_at());
+  for (int i = 1; i <= config.participants; ++i) {
+    out.status.push_back(to_string(cluster.participant_status(i)));
+    out.inactivated_at.push_back(cluster.participant_inactivated_at(i));
+    if (cluster.is_member(i)) out.members.push_back(i);
+  }
+  out.rounds = cluster.stats().rounds;
+  return out;
+}
+
+TEST(PerProcessApi, MatchesEngineOnLosslessRuns) {
+  // hb::Coordinator/hb::Participant and ScaleCluster share their
+  // transitions (hb/transitions.hpp) but not their hosts; on a lossless
+  // channel with constant delay d in [1, tmin/2] both must end every
+  // node in the same state after the same number of rounds.
+  constexpr Time kHorizon = 600;
+  const std::vector<Scenario> scenarios = {
+      {"no fault"},
+      {"participant crash", 137},
+      {"coordinator crash", kNever, 211},
+      {"leave then rejoin", kNever, kNever, 100, 300},
+  };
+  const std::tuple<Time, Time, Time> timings[] = {{2, 10, 1}, {4, 16, 2}};
+  for (const Variant variant :
+       {Variant::Binary, Variant::RevisedBinary, Variant::TwoPhase,
+        Variant::Static, Variant::Expanding, Variant::Dynamic}) {
+    for (const auto& [tmin, tmax, delay] : timings) {
+      for (const bool fixed : {false, true}) {
+        for (const Scenario& s : scenarios) {
+          if (s.leave != kNever && !proto::variant_leaves(variant)) continue;
+          ClusterConfig config = make_cluster(
+              variant, proto::variant_is_multi(variant) ? 3 : 1, tmin, tmax);
+          config.protocol.fixed_bounds = fixed;
+          SCOPED_TRACE(std::string(to_string(variant)) + " tmin=" +
+                       std::to_string(tmin) + " fixed=" +
+                       std::to_string(fixed) + ": " + s.name);
+          const Outcome host = run_per_process(config, delay, s, kHorizon);
+          const Outcome engine = run_engine(config, delay, s, kHorizon);
+          EXPECT_EQ(host.status, engine.status);
+          EXPECT_EQ(host.inactivated_at, engine.inactivated_at);
+          EXPECT_EQ(host.members, engine.members);
+          EXPECT_EQ(host.rounds, engine.rounds);
+          EXPECT_GT(engine.rounds, 0u);
+        }
+      }
+    }
+  }
 }
 
 class CrashDetectionSweep

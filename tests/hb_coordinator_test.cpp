@@ -14,14 +14,14 @@ Config binary_config(Time tmin, Time tmax, Variant v = Variant::Binary) {
 }
 
 TEST(Coordinator, StartArmsFirstRoundWithoutBeating) {
-  Coordinator coord{binary_config(1, 10), {1}};
+  Coordinator coord{binary_config(1, 10), 1};
   const auto actions = coord.start(0);
   EXPECT_TRUE(actions.messages.empty());  // original binary waits first
   EXPECT_EQ(coord.next_event_time(), 10);
 }
 
 TEST(Coordinator, RevisedStartBeatsImmediately) {
-  Coordinator coord{binary_config(1, 10, Variant::RevisedBinary), {1}};
+  Coordinator coord{binary_config(1, 10, Variant::RevisedBinary), 1};
   const auto actions = coord.start(0);
   ASSERT_EQ(actions.messages.size(), 1u);
   EXPECT_EQ(actions.messages[0].to, 1);
@@ -30,7 +30,7 @@ TEST(Coordinator, RevisedStartBeatsImmediately) {
 
 TEST(Coordinator, FirstRoundCountsAsReceived) {
   // rcvd starts true, so the first timeout keeps t = tmax and beats.
-  Coordinator coord{binary_config(1, 10), {1}};
+  Coordinator coord{binary_config(1, 10), 1};
   coord.start(0);
   const auto actions = coord.on_elapsed(10);
   ASSERT_EQ(actions.messages.size(), 1u);
@@ -39,7 +39,7 @@ TEST(Coordinator, FirstRoundCountsAsReceived) {
 }
 
 TEST(Coordinator, MissedRoundHalvesWait) {
-  Coordinator coord{binary_config(1, 10), {1}};
+  Coordinator coord{binary_config(1, 10), 1};
   coord.start(0);
   coord.on_elapsed(10);  // round 1, rcvd (initial) -> t=10
   coord.on_elapsed(20);  // miss -> t=5
@@ -50,7 +50,7 @@ TEST(Coordinator, MissedRoundHalvesWait) {
 }
 
 TEST(Coordinator, ReceivedBeatRestoresTmax) {
-  Coordinator coord{binary_config(1, 10), {1}};
+  Coordinator coord{binary_config(1, 10), 1};
   coord.start(0);
   coord.on_elapsed(10);
   coord.on_elapsed(20);  // miss -> t=5
@@ -60,7 +60,7 @@ TEST(Coordinator, ReceivedBeatRestoresTmax) {
 }
 
 TEST(Coordinator, InactivatesWhenWaitDropsBelowTmin) {
-  Coordinator coord{binary_config(4, 10), {1}};
+  Coordinator coord{binary_config(4, 10), 1};
   coord.start(0);
   coord.on_elapsed(10);              // t=10 (initial rcvd)
   coord.on_elapsed(20);              // miss -> t=5
@@ -76,7 +76,7 @@ TEST(Coordinator, DetectionWithinPaperBound) {
   // 3*tmax - tmin when 2*tmin <= tmax (the corrected R1 bound).
   for (const Time tmin : {1, 2, 3, 5}) {
     Config cfg = binary_config(tmin, 10);
-    Coordinator coord{cfg, {1}};
+    Coordinator coord{cfg, 1};
     coord.start(0);
     coord.on_message(5, Message{1, true});  // last beat at t=5
     Time now = coord.next_event_time();
@@ -92,7 +92,7 @@ TEST(Coordinator, DetectionWithinPaperBound) {
 }
 
 TEST(Coordinator, TwoPhaseDropsStraightToTmin) {
-  Coordinator coord{binary_config(2, 10, Variant::TwoPhase), {1}};
+  Coordinator coord{binary_config(2, 10, Variant::TwoPhase), 1};
   coord.start(0);
   coord.on_elapsed(10);  // initial rcvd -> 10
   coord.on_elapsed(20);  // miss -> tmin = 2
@@ -103,7 +103,7 @@ TEST(Coordinator, TwoPhaseDropsStraightToTmin) {
 
 TEST(Coordinator, StaticTracksMembersIndependently) {
   Config cfg = binary_config(1, 10, Variant::Static);
-  Coordinator coord{cfg, {1, 2, 3}};
+  Coordinator coord{cfg, 3};
   coord.start(0);
   auto actions = coord.on_elapsed(10);
   EXPECT_EQ(actions.messages.size(), 3u);  // broadcast to all members
@@ -115,7 +115,7 @@ TEST(Coordinator, StaticTracksMembersIndependently) {
 }
 
 TEST(Coordinator, CrashSilencesEverything) {
-  Coordinator coord{binary_config(1, 10), {1}};
+  Coordinator coord{binary_config(1, 10), 1};
   coord.start(0);
   coord.crash(3);
   EXPECT_EQ(coord.status(), Status::CrashedVoluntarily);
@@ -126,7 +126,7 @@ TEST(Coordinator, CrashSilencesEverything) {
 
 TEST(Coordinator, ExpandingStartsEmptyAndRegistersJoiners) {
   Config cfg = binary_config(1, 10, Variant::Expanding);
-  Coordinator coord{cfg, {}};
+  Coordinator coord{cfg, 5};
   coord.start(0);
   EXPECT_TRUE(coord.member_ids().empty());
   // A beat never inactivates an empty coordinator.
@@ -142,7 +142,7 @@ TEST(Coordinator, ExpandingStartsEmptyAndRegistersJoiners) {
 }
 
 TEST(Coordinator, StaticIgnoresUnknownSenders) {
-  Coordinator coord{binary_config(1, 10, Variant::Static), {1, 2}};
+  Coordinator coord{binary_config(1, 10, Variant::Static), 2};
   coord.start(0);
   coord.on_message(5, Message{9, true});
   EXPECT_FALSE(coord.is_member(9));
@@ -150,7 +150,7 @@ TEST(Coordinator, StaticIgnoresUnknownSenders) {
 
 TEST(Coordinator, DynamicLeaveRemovesMemberAndAcks) {
   Config cfg = binary_config(1, 10, Variant::Dynamic);
-  Coordinator coord{cfg, {}};
+  Coordinator coord{cfg, 7};
   coord.start(0);
   coord.on_message(3, Message{7, true});
   EXPECT_TRUE(coord.is_member(7));
@@ -165,7 +165,7 @@ TEST(Coordinator, DynamicLeaveRemovesMemberAndAcks) {
 }
 
 TEST(Coordinator, StaleTimerIsIgnored) {
-  Coordinator coord{binary_config(1, 10), {1}};
+  Coordinator coord{binary_config(1, 10), 1};
   coord.start(0);
   const auto actions = coord.on_elapsed(4);  // before the deadline
   EXPECT_TRUE(actions.messages.empty());

@@ -20,14 +20,8 @@ struct Harness {
   Time now = 0;
 
   explicit Harness(int members, int suspect_after = 2)
-      : detector(static_config(1, 16), ids(members), suspect_after) {
+      : detector(static_config(1, 16), members, suspect_after) {
     detector.start(0);
-  }
-
-  static std::vector<int> ids(int n) {
-    std::vector<int> out;
-    for (int i = 1; i <= n; ++i) out.push_back(i);
-    return out;
   }
 
   void round(const std::vector<int>& replies) {
@@ -102,7 +96,7 @@ TEST(FailureDetector, ThresholdOneIsAggressive) {
 TEST(FailureDetector, RejectsTwoPhaseVariant) {
   Config cfg = static_config(1, 16);
   cfg.variant = Variant::TwoPhase;
-  EXPECT_DEATH(FailureDetector(cfg, {1}), "precondition");
+  EXPECT_DEATH(FailureDetector(cfg, 1), "precondition");
 }
 
 }  // namespace

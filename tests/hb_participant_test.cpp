@@ -16,7 +16,7 @@ Config make_config(Time tmin, Time tmax, Variant v, bool fixed = false) {
 }
 
 TEST(Participant, JoinedParticipantEchoesBeats) {
-  Participant p{make_config(1, 10, Variant::Binary), 1, true};
+  Participant p{make_config(1, 10, Variant::Binary), 1};
   p.start(0);
   EXPECT_EQ(p.next_event_time(), 29);  // 3*tmax - tmin
   const auto actions = p.on_message(5, Message{0, true});
@@ -27,13 +27,13 @@ TEST(Participant, JoinedParticipantEchoesBeats) {
 }
 
 TEST(Participant, FixedBoundsTightenDeadline) {
-  Participant p{make_config(1, 10, Variant::Binary, true), 1, true};
+  Participant p{make_config(1, 10, Variant::Binary, true), 1};
   p.start(0);
   EXPECT_EQ(p.next_event_time(), 20);  // corrected 2*tmax
 }
 
 TEST(Participant, InactivatesAtDeadline) {
-  Participant p{make_config(1, 10, Variant::Binary), 1, true};
+  Participant p{make_config(1, 10, Variant::Binary), 1};
   p.start(0);
   const auto actions = p.on_elapsed(29);
   EXPECT_TRUE(actions.inactivated);
@@ -42,14 +42,14 @@ TEST(Participant, InactivatesAtDeadline) {
 }
 
 TEST(Participant, StaleTimerIgnored) {
-  Participant p{make_config(1, 10, Variant::Binary), 1, true};
+  Participant p{make_config(1, 10, Variant::Binary), 1};
   p.start(0);
   EXPECT_FALSE(p.on_elapsed(10).inactivated);
   EXPECT_EQ(p.status(), Status::Active);
 }
 
 TEST(Participant, ExpandingSendsJoinBeatsEveryTmin) {
-  Participant p{make_config(3, 10, Variant::Expanding), 4, false};
+  Participant p{make_config(3, 10, Variant::Expanding), 4};
   auto actions = p.start(0);
   // The first join beat goes out one join period after start-up (the
   // model's Fig. 6 timing), not at time zero.
@@ -65,7 +65,7 @@ TEST(Participant, ExpandingSendsJoinBeatsEveryTmin) {
 }
 
 TEST(Participant, JoinCompletesOnFirstBeat) {
-  Participant p{make_config(3, 10, Variant::Expanding), 4, false};
+  Participant p{make_config(3, 10, Variant::Expanding), 4};
   p.start(0);
   const auto actions = p.on_message(5, Message{0, true});
   EXPECT_TRUE(p.joined());
@@ -75,7 +75,7 @@ TEST(Participant, JoinCompletesOnFirstBeat) {
 }
 
 TEST(Participant, JoinPhaseDeadlineApplies) {
-  Participant p{make_config(3, 10, Variant::Expanding), 4, false};
+  Participant p{make_config(3, 10, Variant::Expanding), 4};
   p.start(0);
   // Join deadline is 3*tmax - tmin = 27 from start-up.
   Time now = 0;
@@ -88,7 +88,7 @@ TEST(Participant, JoinPhaseDeadlineApplies) {
 }
 
 TEST(Participant, FixedJoinDeadlineIsLonger) {
-  Participant p{make_config(3, 10, Variant::Expanding, true), 4, false};
+  Participant p{make_config(3, 10, Variant::Expanding, true), 4};
   p.start(0);
   Time now = 0;
   while (p.status() == Status::Active) {
@@ -99,7 +99,7 @@ TEST(Participant, FixedJoinDeadlineIsLonger) {
 }
 
 TEST(Participant, DynamicLeaveAnnouncedOnNextBeat) {
-  Participant p{make_config(1, 10, Variant::Dynamic), 2, false};
+  Participant p{make_config(1, 10, Variant::Dynamic), 2};
   p.start(0);
   p.on_message(3, Message{0, true});  // joined
   p.request_leave();
@@ -111,7 +111,7 @@ TEST(Participant, DynamicLeaveAnnouncedOnNextBeat) {
 }
 
 TEST(Participant, LeaveAckIgnored) {
-  Participant p{make_config(1, 10, Variant::Dynamic), 2, false};
+  Participant p{make_config(1, 10, Variant::Dynamic), 2};
   p.start(0);
   p.on_message(3, Message{0, true});
   const auto actions = p.on_message(5, Message{0, false});
@@ -120,7 +120,7 @@ TEST(Participant, LeaveAckIgnored) {
 }
 
 TEST(Participant, CrashStopsEverything) {
-  Participant p{make_config(1, 10, Variant::Binary), 1, true};
+  Participant p{make_config(1, 10, Variant::Binary), 1};
   p.start(0);
   p.crash(5);
   EXPECT_EQ(p.status(), Status::CrashedVoluntarily);

@@ -133,7 +133,7 @@ TEST(RejoinLibrary, ParticipantRejoinRestartsJoinPhase) {
   cfg.variant = hb::Variant::Dynamic;
   cfg.tmin = 2;
   cfg.tmax = 10;
-  hb::Participant p{cfg, 3, false};
+  hb::Participant p{cfg, 3};
   p.start(0);
   p.on_message(4, hb::Message{0, true});  // joined
   p.request_leave();
