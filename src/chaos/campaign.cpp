@@ -49,8 +49,8 @@ void pick_link(Rng& rng, int participants, int& from, int& to) {
   }
 }
 
-std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t hash = 1469598103934665603ULL;
+std::uint64_t fnv1a(std::string_view text,
+                    std::uint64_t hash = 1469598103934665603ULL) {
   for (const unsigned char c : text) {
     hash ^= c;
     hash *= 1099511628211ULL;
@@ -541,6 +541,11 @@ CampaignResult run_campaign(const CampaignOptions& options) {
                                        std::end(kDefaultTimings))
           : options.timings;
 
+  // Each formula is parsed once and compiled once per (variant, timing)
+  // cell; the runs of a cell share its programs.
+  const std::vector<rv::pltl::NodePtr> parsed =
+      parse_formulas(options.formulas);
+  std::vector<FormulaPrograms> cells;
   std::vector<RunSpec> specs;
   for (const Variant variant : variants) {
     for (const proto::Timing& timing : timings) {
@@ -557,6 +562,9 @@ CampaignResult run_campaign(const CampaignOptions& options) {
         spec.horizon =
             campaign_horizon(timing, variant, options.fixed_bounds);
         spec.schedule = generate_schedule(spec, options.out_of_spec);
+        if (run == 0) {
+          cells.push_back(compile_formulas(options.formulas, parsed, spec));
+        }
         specs.push_back(std::move(spec));
       }
     }
@@ -581,13 +589,16 @@ CampaignResult run_campaign(const CampaignOptions& options) {
     for (std::size_t i = next.fetch_add(1); i < specs.size();
          i = next.fetch_add(1)) {
       const rv::MonitorBounds bounds = bounds_for(specs[i]);
-      slots[i].result =
-          run_chaos(specs[i], &bounds, options.fingerprint, false,
-                    options.formulas.empty() ? nullptr : &options.formulas);
+      const std::size_t cell =
+          i / static_cast<std::size_t>(options.runs_per_config);
+      slots[i].result = run_chaos(specs[i], &bounds, options.fingerprint,
+                                  false, cells[cell]);
       if (options.fingerprint) {
         slots[i].hash =
-            fnv1a(serialize_run(specs[i]) + slots[i].result.trace);
-        slots[i].result.trace.clear();
+            fnv1a(slots[i].result.trace, fnv1a(serialize_run(specs[i])));
+        // Release the buffer: clear() would keep every run's capacity
+        // live until the campaign ends.
+        std::string{}.swap(slots[i].result.trace);
       }
     }
   };

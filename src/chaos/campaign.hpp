@@ -44,11 +44,11 @@ struct CampaignOptions {
   Time extra_r1_slack = 0;
   Time extra_r2_window = 0;
   Time extra_r3_slack = 0;
-  /// pLTL formulas compiled per run (against that run's variant/timing)
-  /// and attached next to the hand-written monitors. Their verdicts are
-  /// aggregated separately (formula_violations below), so attaching
-  /// formulas never changes violating-run counts, shrinking, or the
-  /// campaign fingerprint.
+  /// pLTL formulas compiled once per (variant, timing) cell and attached
+  /// to each of its runs next to the hand-written monitors. Their
+  /// verdicts are aggregated separately (formula_violations below), so
+  /// attaching formulas never changes violating-run counts, shrinking,
+  /// or the campaign fingerprint.
   std::vector<rv::pltl::FormulaSpec> formulas;
 };
 

@@ -1,8 +1,9 @@
 #include "chaos/runner.hpp"
 
 #include <algorithm>
-#include <cinttypes>
+#include <charconv>
 #include <cstdio>
+#include <string_view>
 
 #include "rv/suspicion.hpp"
 #include "util/contracts.hpp"
@@ -11,7 +12,7 @@ namespace ahb::chaos {
 
 namespace {
 
-const char* kind_name(hb::ProtocolEvent::Kind kind) {
+std::string_view kind_name(hb::ProtocolEvent::Kind kind) {
   using Kind = hb::ProtocolEvent::Kind;
   switch (kind) {
     case Kind::CoordinatorBeat: return "beat";
@@ -40,11 +41,22 @@ class Recorder final : public rv::EventSink {
   void on_protocol_event(const hb::ProtocolEvent& event) override {
     if (events_) result_.events.push_back(event);
     if (trace_) {
-      char line[96];
-      std::snprintf(line, sizeof line, "%" PRId64 " %s %d %" PRIu64 "\n",
-                    event.at, kind_name(event.kind), event.node,
-                    event.msg_id);
-      result_.trace += line;
+      // "at kind node msg_id\n", formatted in place: at most 20 + 12 +
+      // 11 + 20 digits and characters plus four separators.
+      std::string& trace = result_.trace;
+      const std::size_t start = trace.size();
+      trace.resize(start + 80);
+      char* const end = trace.data() + trace.size();
+      char* out = std::to_chars(trace.data() + start, end, event.at).ptr;
+      *out++ = ' ';
+      const std::string_view kind = kind_name(event.kind);
+      out = std::copy(kind.begin(), kind.end(), out);
+      *out++ = ' ';
+      out = std::to_chars(out, end, event.node).ptr;
+      *out++ = ' ';
+      out = std::to_chars(out, end, event.msg_id).ptr;
+      *out++ = '\n';
+      trace.resize(static_cast<std::size_t>(out - trace.data()));
     }
   }
 
@@ -53,6 +65,12 @@ class Recorder final : public rv::EventSink {
   bool trace_;
   bool events_;
 };
+
+/// What a formula's parameters resolve against in a run of `spec`.
+rv::pltl::BindParams bind_params(const RunSpec& spec) {
+  return {spec.variant, spec.timing(), spec.fixed_bounds, spec.participants,
+          2};
+}
 
 bool valid_node(const RunSpec& spec, int id) {
   return id >= 0 && id <= spec.participants;
@@ -239,9 +257,61 @@ hb::ClusterConfig cluster_config_for(const RunSpec& spec) {
   return config;
 }
 
+std::vector<rv::pltl::NodePtr> parse_formulas(
+    const std::vector<rv::pltl::FormulaSpec>& specs) {
+  std::vector<rv::pltl::NodePtr> parsed;
+  parsed.reserve(specs.size());
+  for (const auto& formula_spec : specs) {
+    rv::pltl::ParseResult result = rv::pltl::parse(formula_spec.text);
+    if (!result.ok()) {
+      std::fprintf(stderr,
+                   "run_chaos: parse error in formula '%s' at offset %zu: "
+                   "%s\n",
+                   formula_spec.name.c_str(), result.error_at,
+                   result.error.c_str());
+    }
+    AHB_EXPECTS(result.ok());
+    parsed.push_back(std::move(result.formula));
+  }
+  return parsed;
+}
+
+FormulaPrograms compile_formulas(
+    const std::vector<rv::pltl::FormulaSpec>& specs,
+    const std::vector<rv::pltl::NodePtr>& parsed, const RunSpec& spec) {
+  AHB_EXPECTS(parsed.size() == specs.size());
+  const rv::pltl::BindParams params = bind_params(spec);
+  FormulaPrograms programs;
+  programs.specs = &specs;
+  programs.compiled.reserve(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    rv::pltl::CompileResult result = rv::pltl::compile(*parsed[i], params);
+    if (!result.ok()) {
+      std::fprintf(stderr, "run_chaos: compile error in formula '%s': %s\n",
+                   specs[i].name.c_str(), result.error.c_str());
+    }
+    AHB_EXPECTS(result.ok());
+    programs.compiled.push_back(
+        std::make_shared<const rv::pltl::Compiled>(std::move(result.compiled)));
+  }
+  return programs;
+}
+
 RunResult run_chaos(const RunSpec& spec, const rv::MonitorBounds* bounds,
                     bool record_trace, bool record_events,
                     const std::vector<rv::pltl::FormulaSpec>* formulas) {
+  if (formulas == nullptr) {
+    return run_chaos(spec, bounds, record_trace, record_events,
+                     FormulaPrograms{});
+  }
+  const FormulaPrograms programs =
+      compile_formulas(*formulas, parse_formulas(*formulas), spec);
+  return run_chaos(spec, bounds, record_trace, record_events, programs);
+}
+
+RunResult run_chaos(const RunSpec& spec, const rv::MonitorBounds* bounds,
+                    bool record_trace, bool record_events,
+                    const FormulaPrograms& formulas) {
   AHB_EXPECTS(spec.participants >= 1);
   AHB_EXPECTS(spec.timing().valid());
   AHB_EXPECTS(spec.horizon > 0);
@@ -271,22 +341,20 @@ RunResult run_chaos(const RunSpec& spec, const rv::MonitorBounds* bounds,
   cluster.add_sink(&availability);
   integrity.attach(cluster);
 
-  // Compiled formula monitors ride the same chain; they read the event
-  // stream without touching it, so traces (and campaign fingerprints)
-  // are identical with or without them.
+  // Formula monitors ride the same chain; they read the event stream
+  // without touching it, so traces (and campaign fingerprints) are
+  // identical with or without them.
+  AHB_EXPECTS(formulas.compiled.empty() ||
+              (formulas.specs != nullptr &&
+               formulas.specs->size() == formulas.compiled.size()));
   std::vector<std::unique_ptr<rv::pltl::FormulaMonitor>> formula_monitors;
-  if (formulas != nullptr) {
-    rv::pltl::BindParams params{spec.variant, spec.timing(), spec.fixed_bounds,
-                                spec.participants, 2};
-    for (const auto& formula_spec : *formulas) {
-      auto made = rv::pltl::make_monitor(formula_spec, params);
-      if (!made.ok()) {
-        std::fprintf(stderr, "run_chaos: %s\n", made.error.c_str());
-      }
-      AHB_EXPECTS(made.ok());
-      cluster.add_sink(made.monitor.get());
-      formula_monitors.push_back(std::move(made.monitor));
-    }
+  formula_monitors.reserve(formulas.compiled.size());
+  for (std::size_t i = 0; i < formulas.compiled.size(); ++i) {
+    const rv::pltl::FormulaSpec& formula_spec = (*formulas.specs)[i];
+    formula_monitors.push_back(std::make_unique<rv::pltl::FormulaMonitor>(
+        formulas.compiled[i], bind_params(spec), formula_spec.name,
+        formula_spec.requirement));
+    cluster.add_sink(formula_monitors.back().get());
   }
 
   RunResult result;

@@ -7,6 +7,7 @@
 // tests and the shrinker's replay check both rest on.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,32 @@ RunResult run_chaos(const RunSpec& spec,
                     const rv::MonitorBounds* bounds = nullptr,
                     bool record_trace = false, bool record_events = false,
                     const std::vector<rv::pltl::FormulaSpec>* formulas = nullptr);
+
+/// Formula specs compiled for one configuration (variant, timing,
+/// bound mode and participant count): one read-only program per spec,
+/// which every run of that configuration builds its monitors from. A
+/// campaign compiles once per (variant, timing) cell and its worker
+/// threads share the programs.
+struct FormulaPrograms {
+  const std::vector<rv::pltl::FormulaSpec>* specs = nullptr;
+  std::vector<std::shared_ptr<const rv::pltl::Compiled>> compiled;
+};
+
+/// Parses every spec; each must parse (contract).
+std::vector<rv::pltl::NodePtr> parse_formulas(
+    const std::vector<rv::pltl::FormulaSpec>& specs);
+
+/// Compiles `parsed`, the parse_formulas result of `specs`, for
+/// `spec`'s configuration; each must compile (contract).
+FormulaPrograms compile_formulas(
+    const std::vector<rv::pltl::FormulaSpec>& specs,
+    const std::vector<rv::pltl::NodePtr>& parsed, const RunSpec& spec);
+
+/// The run body: run_chaos with its formulas compiled beforehand for
+/// `spec`'s configuration.
+RunResult run_chaos(const RunSpec& spec, const rv::MonitorBounds* bounds,
+                    bool record_trace, bool record_events,
+                    const FormulaPrograms& formulas);
 
 /// The cluster configuration a chaos run executes under (exposed so the
 /// conformance layer can replay a recorded chaos trace through the model

@@ -68,7 +68,12 @@ constexpr std::uint32_t fluent_driver_mask() {
 // Bound resolution.
 
 bool eval_bexpr(const BoundExpr& expr, const BindParams& params, Time* out,
-                std::string* error) {
+                std::string* error, int depth = 0) {
+  if (depth > kMaxDepth) {
+    *error = "bound expression nested deeper than " +
+             std::to_string(kMaxDepth) + " levels";
+    return false;
+  }
   switch (expr.kind) {
     case BoundExpr::Kind::Num:
       *out = expr.num;
@@ -83,8 +88,8 @@ bool eval_bexpr(const BoundExpr& expr, const BindParams& params, Time* out,
     default: {
       Time lhs = 0;
       Time rhs = 0;
-      if (!eval_bexpr(*expr.lhs, params, &lhs, error) ||
-          !eval_bexpr(*expr.rhs, params, &rhs, error)) {
+      if (!eval_bexpr(*expr.lhs, params, &lhs, error, depth + 1) ||
+          !eval_bexpr(*expr.rhs, params, &rhs, error, depth + 1)) {
         return false;
       }
       switch (expr.kind) {
@@ -104,6 +109,27 @@ bool eval_bexpr(const BoundExpr& expr, const BindParams& params, Time* out,
 // ---------------------------------------------------------------------------
 // Flattening.
 
+/// Three independent products, so the hash costs about one multiply of
+/// latency; equal instructions hash equal, and emit() compares in full.
+std::size_t instr_hash(const Instr& ins) {
+  const std::uint64_t operands =
+      (std::uint64_t{static_cast<std::uint32_t>(ins.a)} << 32 |
+       static_cast<std::uint32_t>(ins.b)) *
+      0x9e3779b97f4a7c15ULL;
+  const std::uint64_t atoms =
+      (std::uint64_t{ins.protocol_bits} << 32 | ins.channel_bits) *
+      0xc2b2ae3d27d4eb4fULL;
+  const std::uint64_t rest =
+      (static_cast<std::uint64_t>(ins.bound) ^
+       std::uint64_t{static_cast<std::uint32_t>(ins.node)} << 32 ^
+       static_cast<std::uint64_t>(ins.op) << 8 ^
+       std::uint64_t{static_cast<std::uint8_t>(ins.fluent)} << 16 ^
+       std::uint64_t{static_cast<std::uint8_t>(ins.cmp)} << 24) *
+      0x165667b19e3779f9ULL;
+  const std::uint64_t h = operands ^ atoms ^ rest;
+  return static_cast<std::size_t>(h ^ h >> 32);
+}
+
 struct Flattener {
   const BindParams& params;
   Compiled out;
@@ -111,11 +137,57 @@ struct Flattener {
   /// Quantifier variables bound around the node being flattened,
   /// innermost last: inner bindings shadow outer ones.
   std::vector<std::pair<std::string_view, int>> bindings;
+  /// Hash-consing table over the current scope (one outermost
+  /// expansion instance, or one run of top-range instructions):
+  /// open addressing on instruction indices. An entry below
+  /// `scope_begin` belongs to a closed scope and reads as empty, so
+  /// opening a scope clears nothing.
+  std::vector<int> memo = std::vector<int>(64, -1);
+  int scope_begin = 0;
 
   bool fail(std::string message) {
     if (error.empty()) error = std::move(message);
     return false;
   }
+
+  int size() const { return static_cast<int>(out.instrs.size()); }
+
+  /// Appends `instr` unshared: emit()'s fallback, and an outermost
+  /// expansion's joins, which are outside every scope and never
+  /// evaluated.
+  int append(const Instr& instr) {
+    out.instrs.push_back(instr);
+    return size() - 1;
+  }
+
+  /// The memo slot that holds `instr`, or the free slot it goes in.
+  std::size_t slot_of(const Instr& instr) const {
+    const std::size_t mask = memo.size() - 1;
+    std::size_t slot = instr_hash(instr) & mask;
+    while (memo[slot] >= scope_begin &&
+           !(out.instrs[static_cast<std::size_t>(memo[slot])] == instr)) {
+      slot = (slot + 1) & mask;
+    }
+    return slot;
+  }
+
+  /// The index of an instruction equal to `instr` in the current
+  /// scope, appending it if there is none.
+  int emit(const Instr& instr) {
+    const std::size_t slot = slot_of(instr);
+    if (memo[slot] >= scope_begin) return memo[slot];
+    const int idx = append(instr);
+    memo[slot] = idx;
+    if (2 * static_cast<std::size_t>(size() - scope_begin) > memo.size()) {
+      memo.assign(2 * memo.size(), -1);
+      for (int i = scope_begin; i < size(); ++i) {
+        memo[slot_of(out.instrs[static_cast<std::size_t>(i)])] = i;
+      }
+    }
+    return idx;
+  }
+
+  void open_scope() { scope_begin = size(); }
 
   /// The participant id an atom argument names: its literal, or the
   /// innermost binding of its variable. Fails on an unbound variable.
@@ -134,11 +206,15 @@ struct Flattener {
                 "'");
   }
 
-  /// Appends the instruction(s) for `node` and stores the index of its
-  /// value in *idx.
-  bool flatten(const Node& node, int* idx) {
+  /// Appends the instruction(s) for `node` at tree depth `depth` and
+  /// stores the index of its value in *idx.
+  bool flatten(const Node& node, int* idx, int depth) {
     if (out.instrs.size() >= kMaxInstrs) {
       return fail("formula too large after quantifier expansion");
+    }
+    if (depth > kMaxDepth) {
+      return fail("formula nested deeper than " + std::to_string(kMaxDepth) +
+                  " levels");
     }
     Instr instr;
     instr.op = node.kind;
@@ -203,12 +279,12 @@ struct Flattener {
       case Node::Kind::Not:
       case Node::Kind::Previously:
       case Node::Kind::Historically:
-        if (!flatten(*node.lhs, &instr.a)) return false;
+        if (!flatten(*node.lhs, &instr.a, depth + 1)) return false;
         break;
       case Node::Kind::Once:
       case Node::Kind::Before:
       case Node::Kind::Holds: {
-        if (!flatten(*node.lhs, &instr.a)) return false;
+        if (!flatten(*node.lhs, &instr.a, depth + 1)) return false;
         if (node.bound) {
           instr.cmp = node.bound->cmp;
           if (!eval_bexpr(*node.bound->expr, params, &instr.bound, &error)) {
@@ -226,15 +302,16 @@ struct Flattener {
       case Node::Kind::Implies:
       case Node::Kind::Iff:
       case Node::Kind::Since:
-        if (!flatten(*node.lhs, &instr.a)) return false;
-        if (!flatten(*node.rhs, &instr.b)) return false;
+        if (!flatten(*node.lhs, &instr.a, depth + 1)) return false;
+        if (!flatten(*node.rhs, &instr.b, depth + 1)) return false;
         break;
       case Node::Kind::Forall:
       case Node::Kind::Exists: {
         // Expand here: flatten the body once per participant id, with
         // the variable bound to it. Each copy is a contiguous range
         // ending in its root; outermost expansions record their ranges
-        // and joins for the monitor.
+        // and joins for the monitor, and each of their instances is a
+        // scope of its own.
         const bool outermost = bindings.empty();
         Expansion expansion;
         expansion.conj = node.kind == Node::Kind::Forall;
@@ -244,10 +321,11 @@ struct Flattener {
         }
         int acc = -1;
         for (int id = 1; id <= params.participants; ++id) {
-          const int begin = static_cast<int>(out.instrs.size());
+          const int begin = size();
+          if (outermost) open_scope();
           int b = -1;
           bindings.emplace_back(node.name, id);
-          const bool flattened = flatten(*node.lhs, &b);
+          const bool flattened = flatten(*node.lhs, &b, depth + 1);
           bindings.pop_back();
           if (!flattened) return false;
           if (outermost) expansion.instances.push_back({begin, b});
@@ -258,17 +336,16 @@ struct Flattener {
             join.op = expansion.conj ? Node::Kind::And : Node::Kind::Or;
             join.a = acc;
             join.b = b;
-            out.instrs.push_back(join);
-            acc = static_cast<int>(out.instrs.size()) - 1;
+            acc = outermost ? append(join) : emit(join);
             if (outermost) expansion.instances.back().join = acc;
           }
         }
+        if (outermost) open_scope();  // the next top-range run
         if (acc < 0) {
           // No participants: forall is vacuously true, exists false.
           Instr empty;
           empty.op = expansion.conj ? Node::Kind::True : Node::Kind::False;
-          out.instrs.push_back(empty);
-          acc = static_cast<int>(out.instrs.size()) - 1;
+          acc = emit(empty);
         } else if (outermost) {
           out.expansions.push_back(std::move(expansion));
         }
@@ -276,11 +353,86 @@ struct Flattener {
         return true;
       }
     }
-    out.instrs.push_back(std::move(instr));
-    *idx = static_cast<int>(out.instrs.size()) - 1;
+    *idx = emit(instr);
     return true;
   }
 };
+
+/// The FluentChange bit an event sets when it may change `fluent`.
+std::uint8_t change_bit(Fluent fluent) {
+  switch (fluent) {
+    case Fluent::CoordLive:
+    case Fluent::CoordStopped: return kCoordChanged;
+    case Fluent::AllStopped: return kAllStoppedChanged;
+    case Fluent::AnyRegistered: return kAnyRegisteredChanged;
+    case Fluent::Stopped:
+    case Fluent::Alive: return kStoppedChanged;
+    case Fluent::Member: return kMemberChanged;
+  }
+  AHB_UNREACHABLE("unknown fluent");
+}
+
+/// Fills the wake-up tables of `compiled`: what the top range and each
+/// expansion read, and which instances each participant's atoms and
+/// fluents name.
+void index_units(Compiled& compiled) {
+  const auto read_top = [&compiled](int begin, int end) {
+    for (int i = begin; i < end; ++i) {
+      const Instr& ins = compiled.instrs[static_cast<std::size_t>(i)];
+      if (ins.op == Node::Kind::Event) {
+        compiled.top_protocol_bits |= ins.protocol_bits;
+        compiled.top_channel_bits |= ins.channel_bits;
+      } else if (ins.op == Node::Kind::Fluent) {
+        compiled.top_fluent_bits |= change_bit(ins.fluent);
+      }
+    }
+  };
+  auto& watches = compiled.watches;
+  const auto add_watch = [&watches](int node, int k,
+                                    std::uint32_t protocol_bits,
+                                    std::uint8_t fluent_bits) {
+    // An instance's atoms mostly name one participant: merge in place.
+    if (!watches.empty() && watches.back().node == node &&
+        watches.back().instance == k) {
+      watches.back().protocol_bits |= protocol_bits;
+      watches.back().fluent_bits |= fluent_bits;
+    } else {
+      watches.push_back({node, k, protocol_bits, fluent_bits});
+    }
+  };
+  int top_begin = 0;
+  int k = 0;
+  for (Expansion& expansion : compiled.expansions) {
+    read_top(top_begin, expansion.instances.front().begin);
+    for (const Expansion::Range& range : expansion.instances) {
+      for (int i = range.begin; i <= range.root; ++i) {
+        const Instr& ins = compiled.instrs[static_cast<std::size_t>(i)];
+        if (ins.op == Node::Kind::Event) {
+          if (ins.node < 0) {
+            expansion.protocol_bits |= ins.protocol_bits;
+            expansion.channel_bits |= ins.channel_bits;
+          } else {
+            add_watch(ins.node, k, ins.protocol_bits, 0);
+          }
+        } else if (ins.op == Node::Kind::Fluent) {
+          if (ins.node < 0) {
+            expansion.fluent_bits |= change_bit(ins.fluent);
+          } else {
+            add_watch(ins.node, k, 0, change_bit(ins.fluent));
+          }
+        }
+      }
+      ++k;
+    }
+    top_begin = expansion.result() + 1;
+  }
+  read_top(top_begin, static_cast<int>(compiled.instrs.size()));
+  // Sorted by node for the monitor's lookup. Duplicates left after
+  // sorting only cost a repeated make_due, which is idempotent.
+  std::sort(watches.begin(), watches.end(), [](const Watch& x, const Watch& y) {
+    return x.node != y.node ? x.node < y.node : x.instance < y.instance;
+  });
+}
 
 bool time_cmp(Time lhs, Cmp cmp, Time rhs) {
   switch (cmp) {
@@ -399,10 +551,10 @@ CompileResult compile(const Node& formula, const BindParams& params) {
     result.error = "participants must be non-negative";
     return result;
   }
-  Flattener flattener{params, Compiled{}, {}};
+  Flattener flattener{params, Compiled{}, {}, {}};
   flattener.out.participants = params.participants;
   int root = -1;
-  if (!flattener.flatten(formula, &root)) {
+  if (!flattener.flatten(formula, &root, 0)) {
     result.error =
         flattener.error.empty() ? "compile error" : flattener.error;
     return result;
@@ -412,6 +564,7 @@ CompileResult compile(const Node& formula, const BindParams& params) {
     flattener.out.protocol_mask |= fluent_driver_mask();
   }
   result.compiled = std::move(flattener.out);
+  index_units(result.compiled);
   return result;
 }
 
@@ -420,7 +573,7 @@ CompileResult compile(const Node& formula, const BindParams& params) {
 
 namespace {
 
-/// The wake time of an instance that must be evaluated at every pass.
+/// The wake time of a unit that must be evaluated at every pass.
 constexpr Time kUnsettled = std::numeric_limits<Time>::min();
 
 /// The first time after `now` at which `(T - t) cmp bound` changes
@@ -435,117 +588,68 @@ Time next_flip(Time t, Cmp cmp, Time bound, Time now) {
 
 }  // namespace
 
-FormulaMonitor::FormulaMonitor(Compiled compiled, const BindParams& params,
-                               std::string name, int requirement)
-    : instrs_(std::move(compiled.instrs)),
+FormulaMonitor::FormulaMonitor(std::shared_ptr<const Compiled> program,
+                               const BindParams& params, std::string name,
+                               int requirement)
+    : program_(std::move(program)),
       tracker_(params.variant, params.participants),
-      protocol_mask_(compiled.protocol_mask),
-      channel_mask_(compiled.channel_mask),
+      protocol_mask_(program_->protocol_mask),
+      channel_mask_(program_->channel_mask),
       name_(std::move(name)),
       requirement_(requirement) {
-  AHB_EXPECTS(!instrs_.empty());
-  state_.resize(instrs_.size());
-  for (std::size_t i = 0; i < instrs_.size(); ++i) {
+  const Compiled& compiled = *program_;
+  const std::vector<Instr>& instrs = compiled.instrs;
+  AHB_EXPECTS(!instrs.empty());
+  state_.resize(instrs.size());
+  for (std::size_t i = 0; i < instrs.size(); ++i) {
     state_[i].t = kNever;
-    state_[i].b = instrs_[i].op == Node::Kind::Historically ? 1 : 0;
+    state_[i].b = instrs[i].op == Node::Kind::Historically ? 1 : 0;
   }
-  scratch_.assign(instrs_.size(), 0);
-  committed_.assign(instrs_.size(), 0);
+  scratch_.assign(instrs.size(), 0);
+  committed_.assign(instrs.size(), 0);
 
-  // Groups, their instances, and which instances each participant's
-  // atoms and fluents can wake.
   std::size_t total = 0;
   for (const Expansion& expansion : compiled.expansions) {
     total += expansion.instances.size();
   }
   instances_.reserve(total);
   due_.reserve(total);
-  watches_.reserve(total);
   groups_.reserve(compiled.expansions.size());
-  const auto add_watch = [this](int node, int k, std::uint32_t protocol_bits,
-                                std::uint8_t fluent_bits) {
-    // An instance's atoms mostly name one participant: merge in place.
-    if (!watches_.empty() && watches_.back().node == node &&
-        watches_.back().instance == k) {
-      watches_.back().protocol_bits |= protocol_bits;
-      watches_.back().fluent_bits |= fluent_bits;
-    } else {
-      watches_.push_back({node, k, protocol_bits, fluent_bits});
-    }
-  };
-  for (Expansion& expansion : compiled.expansions) {
+  for (const Expansion& expansion : compiled.expansions) {
     Group group;
     group.first = expansion.instances.front().begin;
     group.result = expansion.result();
     group.inst_begin = static_cast<int>(instances_.size());
     group.conj = expansion.conj;
+    group.protocol_bits = expansion.protocol_bits;
+    group.channel_bits = expansion.channel_bits;
+    group.fluent_bits = expansion.fluent_bits;
     for (const Expansion::Range& range : expansion.instances) {
-      const int k = static_cast<int>(instances_.size());
       instances_.push_back({range.begin, range.root,
                             static_cast<int>(groups_.size())});
-      for (int i = range.begin; i <= range.root; ++i) {
-        const Instr& ins = instrs_[static_cast<std::size_t>(i)];
-        if (ins.op == Node::Kind::Event) {
-          if (ins.node < 0) {
-            group.protocol_bits |= ins.protocol_bits;
-            group.channel_bits |= ins.channel_bits;
-          } else {
-            add_watch(ins.node, k, ins.protocol_bits, 0);
-          }
-        } else if (ins.op == Node::Kind::Fluent) {
-          switch (ins.fluent) {
-            case Fluent::CoordLive:
-            case Fluent::CoordStopped:
-              group.fluent_bits |= kCoordChanged;
-              break;
-            case Fluent::AllStopped:
-              group.fluent_bits |= kAllStoppedChanged;
-              break;
-            case Fluent::AnyRegistered:
-              group.fluent_bits |= kAnyRegisteredChanged;
-              break;
-            case Fluent::Stopped:
-            case Fluent::Alive:
-              add_watch(ins.node, k, 0, kStoppedChanged);
-              break;
-            case Fluent::Member:
-              add_watch(ins.node, k, 0, kMemberChanged);
-              break;
-          }
-        }
-      }
     }
     group.inst_end = static_cast<int>(instances_.size());
     // Consistent with committed_ before the initial position: every
     // instance false.
     group.committed = group.conj ? group.inst_end - group.inst_begin : 0;
     group.pass = group.committed;
-    groups_.push_back(std::move(group));
+    groups_.push_back(group);
   }
 
-  // Sorted by node for wake()'s lookup. Duplicates left after sorting
-  // only cost a repeated make_due, which is idempotent.
-  std::sort(watches_.begin(), watches_.end(),
-            [](const Watch& x, const Watch& y) {
-              return x.node != y.node ? x.node < y.node
-                                      : x.instance < y.instance;
-            });
-
   // Commit the initial position: time 0, no event, `init` true, every
-  // instance evaluated.
+  // unit evaluated (top_due_ starts true).
   ++pass_id_;
   for (int k = 0; k < static_cast<int>(instances_.size()); ++k) make_due(k);
   observe(0, eval<true>({0, nullptr, nullptr, /*init=*/true}));
   due_.clear();
 }
 
-// Inlined into every caller (the whole array, the runs between groups,
-// instances): out of line, the call costs small formulas ~10% of their
-// per-event time.
+// Inlined into both callers (the top range's runs, the instances): out
+// of line, the call costs small formulas ~10% of their per-event time.
 template <bool kCommit>
 [[gnu::always_inline]] inline bool FormulaMonitor::eval_range(
-    int begin, int end, const Pass& pass, Time* wake) {
-  const Instr* instrs = instrs_.data();
+    int begin, int end, const Pass& pass, Time& wake) {
+  const Instr* instrs = program_->instrs.data();
   State* state = state_.data();
   std::uint8_t* vals = scratch_.data();
   std::uint8_t* committed = committed_.data();
@@ -553,32 +657,25 @@ template <bool kCommit>
   const Time now = pass.now;
   const Time last_commit = last_commit_;
   const bool init = pass.init;
-  // Bounded Once/Before: the last witness time. Instructions outside
-  // the instances run at every pass, so `st.t` is current. An instance
-  // may have been skipped since its operand was last true; skipping
-  // implies the operand stayed true, so `st.b` records "true at the
-  // last committed position", whose time is then the witness (trap 1).
-  const bool skippable = wake != nullptr;
-  const auto witness = [skippable, last_commit](const State& st) {
-    return skippable && st.b != 0 ? last_commit : st.t;
+  // Bounded Once/Before: the last witness time. The range may have been
+  // skipped since its operand was last true; skipping implies the
+  // operand stayed true, so `st.b` records "true at the last committed
+  // position", whose time is then the witness (trap 1).
+  const auto witness = [last_commit](const State& st) {
+    return st.b != 0 ? last_commit : st.t;
   };
-  const auto commit_witness = [skippable, now](State& st,
-                                               std::uint8_t operand, Time t) {
+  const auto commit_witness = [now](State& st, std::uint8_t operand, Time t) {
     st.t = operand != 0 ? now : t;
-    if (skippable) st.b = operand;
+    st.b = operand;
   };
-  // Committing passes over an instance also lower `*wake`. Connectives
-  // and fluents are functions of their inputs, and Historically, Since
-  // and unbounded Once reach their fixed point in one step; the cases
-  // that lower it below are the only ways a range can change at a
-  // later position without events.
-  const auto unsettle = [wake] {
-    if (wake != nullptr) *wake = kUnsettled;
-  };
-  const auto flip = [wake, now](Time t, const Instr& ins) {
-    if (wake != nullptr) {
-      *wake = std::min(*wake, next_flip(t, ins.cmp, ins.bound, now));
-    }
+  // Committing passes also lower `wake`. Connectives and fluents are
+  // functions of their inputs, and Historically, Since and unbounded
+  // Once reach their fixed point in one step; the cases that lower it
+  // below are the only ways a range can change at a later position
+  // without events.
+  const auto unsettle = [&wake] { wake = kUnsettled; };
+  const auto flip = [&wake, now](Time t, const Instr& ins) {
+    wake = std::min(wake, next_flip(t, ins.cmp, ins.bound, now));
   };
   bool v = false;
   for (int i = begin; i < end; ++i) {
@@ -697,7 +794,7 @@ void FormulaMonitor::eval_due(const Pass& pass) {
     const bool before = committed_[static_cast<std::size_t>(inst.root)] != 0;
     Time wake = kNever;
     const bool after =
-        eval_range<kCommit>(inst.begin, inst.root + 1, pass, &wake);
+        eval_range<kCommit>(inst.begin, inst.root + 1, pass, wake);
     group.pass += static_cast<int>(after != group.conj) -
                   static_cast<int>(before != group.conj);
     ++instances_evaluated_;
@@ -710,35 +807,42 @@ void FormulaMonitor::eval_due(const Pass& pass) {
 
 template <bool kCommit>
 bool FormulaMonitor::eval(const Pass& pass) {
-  if (groups_.empty()) {
-    // No quantifier: one run over the whole array.
-    const bool root = eval_range<kCommit>(
-        0, static_cast<int>(instrs_.size()), pass, nullptr);
-    if constexpr (kCommit) last_commit_ = pass.now;
-    return root;
+  bool top = top_due_;
+  if (!due_.empty()) {
+    eval_due<kCommit>(pass);
+    for (const Group& group : groups_) {
+      top = top || (group.pass > 0) != (group.committed > 0);
+    }
   }
-  if (!due_.empty()) eval_due<kCommit>(pass);
-  // The instructions outside the groups, in runs between them; each
-  // run is followed by the value of the group it precedes.
-  int begin = 0;
-  for (std::size_t g = 0;; ++g) {
-    const bool last = g == groups_.size();
-    const int end = last ? static_cast<int>(instrs_.size()) : groups_[g].first;
-    eval_range<kCommit>(begin, end, pass, nullptr);  // run at every pass
-    if (last) break;
-    Group& group = groups_[g];
-    begin = group.result + 1;
-    const auto result = static_cast<std::size_t>(group.result);
-    scratch_[result] = (group.pass > 0) != group.conj ? 1 : 0;
-    if constexpr (kCommit) {
-      committed_[result] = scratch_[result];
-      group.committed = group.pass;
-    } else {
-      group.pass = group.committed;
+  bool root = committed_.back() != 0;
+  if (top) {
+    // The top range: the runs between the groups, each followed by the
+    // value of the group it precedes.
+    Time wake = kNever;
+    int begin = 0;
+    for (const Group& group : groups_) {
+      eval_range<kCommit>(begin, group.first, pass, wake);
+      const auto result = static_cast<std::size_t>(group.result);
+      scratch_[result] = (group.pass > 0) != group.conj ? 1 : 0;
+      if constexpr (kCommit) committed_[result] = scratch_[result];
+      begin = group.result + 1;
+    }
+    eval_range<kCommit>(begin, static_cast<int>(scratch_.size()), pass, wake);
+    if constexpr (kCommit) top_wake_ = wake;
+    root = scratch_.back() != 0;
+  }
+  if (top || !due_.empty()) ++passes_evaluated_;
+  if (!due_.empty()) {
+    for (Group& group : groups_) {
+      if constexpr (kCommit) {
+        group.committed = group.pass;
+      } else {
+        group.pass = group.committed;
+      }
     }
   }
   if constexpr (kCommit) last_commit_ = pass.now;
-  return scratch_.back() != 0;
+  return root;
 }
 
 void FormulaMonitor::make_due(int k) {
@@ -750,8 +854,11 @@ void FormulaMonitor::make_due(int k) {
 
 void FormulaMonitor::collect_due(Time now) {
   ++pass_id_;
+  // kUnsettled is below every time.
+  top_due_ = top_wake_ <= now;
   if (now < last_commit_) {
     // Settling assumes time never runs back past the last commit.
+    top_due_ = true;
     for (int k = 0; k < static_cast<int>(instances_.size()); ++k) make_due(k);
   }
   for (const int k : unsettled_) make_due(k);
@@ -770,6 +877,12 @@ void FormulaMonitor::wake(const hb::ProtocolEvent* pe,
                           const sim::ChannelEvent* ce, std::uint8_t changed) {
   const std::uint32_t pbit = pe != nullptr ? protocol_bit(pe->kind) : 0;
   const std::uint32_t cbit = ce != nullptr ? channel_bit(ce->kind) : 0;
+  const Compiled& program = *program_;
+  if ((program.top_protocol_bits & pbit) != 0 ||
+      (program.top_channel_bits & cbit) != 0 ||
+      (program.top_fluent_bits & changed) != 0) {
+    top_due_ = true;
+  }
   for (const Group& group : groups_) {
     if ((group.protocol_bits & pbit) != 0 || (group.channel_bits & cbit) != 0 ||
         (group.fluent_bits & changed) != 0) {
@@ -777,10 +890,11 @@ void FormulaMonitor::wake(const hb::ProtocolEvent* pe,
     }
   }
   if (pe == nullptr) return;
+  const std::vector<Watch>& watches = program.watches;
   auto watch = std::lower_bound(
-      watches_.begin(), watches_.end(), pe->node,
+      watches.begin(), watches.end(), pe->node,
       [](const Watch& w, int node) { return w.node < node; });
-  for (; watch != watches_.end() && watch->node == pe->node; ++watch) {
+  for (; watch != watches.end() && watch->node == pe->node; ++watch) {
     if ((watch->protocol_bits & pbit) != 0 ||
         (watch->fluent_bits & changed) != 0) {
       make_due(watch->instance);
@@ -833,14 +947,13 @@ void FormulaMonitor::observe(Time now, bool root_value) {
 void FormulaMonitor::handle(Time at, const hb::ProtocolEvent* pe,
                             const sim::ChannelEvent* ce) {
   ++events_seen_;
-  const bool sparse = !instances_.empty();
-  if (sparse) collect_due(at);
+  collect_due(at);
   // Check pass: the instant `at` has been reached but the event has
   // not happened yet — deadlines that expired strictly before the
   // event are caught with pre-event state.
   observe(at, eval<false>({at, nullptr, nullptr, /*init=*/false}));
   const std::uint8_t changed = pe != nullptr ? tracker_.apply(*pe) : 0;
-  if (sparse) wake(pe, ce, changed);
+  wake(pe, ce, changed);
   // Step pass: the event's own position, committed.
   observe(at, eval<true>({at, pe, ce, /*init=*/false}));
   due_.clear();
@@ -855,7 +968,7 @@ void FormulaMonitor::on_channel_event(const sim::ChannelEvent& event) {
 }
 
 void FormulaMonitor::finish(Time horizon) {
-  if (!instances_.empty()) collect_due(horizon);
+  collect_due(horizon);
   observe(horizon, eval<false>({horizon, nullptr, nullptr, /*init=*/false}));
   // Nothing was committed: file the due instances back unchanged.
   for (const int k : due_) requeue(k);
@@ -877,7 +990,8 @@ MonitorResult make_monitor(const FormulaSpec& spec, const BindParams& params) {
     return result;
   }
   result.monitor = std::make_unique<FormulaMonitor>(
-      std::move(compiled.compiled), params, spec.name, spec.requirement);
+      std::make_shared<const Compiled>(std::move(compiled.compiled)), params,
+      spec.name, spec.requirement);
   return result;
 }
 

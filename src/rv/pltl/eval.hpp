@@ -1,10 +1,13 @@
 // Backend 1: compile a past-time-LTL formula to a streaming monitor.
 //
 // The compiled form is a postorder instruction array, one instruction
-// per subformula (quantifiers are expanded over the participant ids,
-// bound expressions are resolved to concrete tick counts). State is
-// O(subformulas), independent of the trace length, so a formula
-// monitor is safe at any mission horizon.
+// per distinct subformula (quantifiers are expanded over the
+// participant ids, bound expressions are resolved to concrete tick
+// counts, and identical subformulas within one evaluation scope share
+// one instruction). State is O(subformulas), independent of the trace
+// length, so a formula monitor is safe at any mission horizon. The
+// compiled program is read-only: every monitor of one configuration,
+// on any thread, can share it.
 //
 // Two-pass discipline, matching the hand-written monitors' check-then-
 // update order ("missed deadlines are detected by the first event
@@ -18,18 +21,19 @@
 // *committed* positions: the initial position at time 0 plus one
 // position per event; check passes are phantom evaluations.
 //
-// Sparse quantifiers: each outermost `forall`/`exists` expansion keeps
-// a count of its instances that hold the fold's absorbing value (false
+// Settled ranges: each outermost `forall`/`exists` expansion keeps a
+// count of its instances that hold the fold's absorbing value (false
 // for forall, true for exists) instead of evaluating its And/Or chain.
-// A pass evaluates the instructions outside those expansions, plus
-// only the instances it can change: those an event atom or changed
-// fluent names, those left unsettled by their last committed step (a
-// position without events would change a value or operator memory),
-// and those whose time-bounded operators flip by the pass's timestamp.
-// Every other instance would reproduce its last values and state
-// exactly, so it is skipped; per-event work scales with the instances
-// an event touches, not with the participant count (DESIGN.md
-// "Past-time LTL requirements").
+// The instances and the top range (every instruction outside the
+// expansions) are the units a pass evaluates, and a pass evaluates
+// only the units it can change: those an event atom or changed fluent
+// names, those left unsettled by their last committed step (a position
+// without events would change a value or operator memory), those whose
+// time-bounded operators flip by the pass's timestamp, and the top
+// range when an expansion's value changes. Every other unit would
+// reproduce its last values and state exactly, so it is skipped; a
+// pass with nothing due evaluates nothing and observes the committed
+// root (DESIGN.md "Past-time LTL requirements").
 //
 // A violation is recorded whenever the formula's value falls from true
 // to false (edge-triggered, so a standing violation is counted once
@@ -84,7 +88,8 @@ enum class Fluent : std::uint8_t {
 };
 
 /// One compiled subformula. `a`/`b` index earlier instructions in the
-/// postorder array.
+/// postorder array. Equal instructions compute equal values, which is
+/// what lets compile() share them.
 struct Instr {
   Node::Kind op = Node::Kind::True;
   int a = -1;
@@ -97,6 +102,8 @@ struct Instr {
   Fluent fluent{};     ///< Node::Kind::Fluent only
   Time bound = 0;      ///< resolved Once/Before/Holds bound
   Cmp cmp = Cmp::Le;
+
+  bool operator==(const Instr&) const = default;
 };
 
 /// Bits of FluentTracker::apply's result: which fluents an event
@@ -142,7 +149,8 @@ class FluentTracker {
 /// folds it into the instances before it follows at instances[k].join
 /// (root + 1). The expansion's value is the last instance's join, or
 /// the root of its only instance. Quantifiers nested inside an
-/// instance are part of that instance's range and are not listed.
+/// instance are part of that instance's range and are not listed. An
+/// instance's operands lie inside its own range.
 struct Expansion {
   struct Range {
     int begin = 0;
@@ -151,17 +159,40 @@ struct Expansion {
   };
   bool conj = true;  ///< forall (And joins) or exists (Or joins)
   std::vector<Range> instances;
+  /// Participant-free event atoms and shared FluentChange bits its
+  /// instances read: an event matching them wakes every instance.
+  std::uint32_t protocol_bits = 0;
+  std::uint32_t channel_bits = 0;
+  std::uint8_t fluent_bits = 0;
   int result() const {
     const Range& last = instances.back();
     return last.join >= 0 ? last.join : last.root;
   }
 };
 
+/// An expansion instance that reads a participant-specific atom or
+/// fluent of participant `node`. `instance` counts the instances of
+/// every expansion in order.
+struct Watch {
+  int node = 0;
+  int instance = 0;
+  std::uint32_t protocol_bits = 0;
+  std::uint8_t fluent_bits = 0;  ///< kStoppedChanged / kMemberChanged
+};
+
 /// A formula lowered to the postorder instruction array plus the
-/// interest masks of the events it can react to.
+/// interest masks of the events it can react to and the wake-up
+/// tables of its evaluation units.
 struct Compiled {
   std::vector<Instr> instrs;  ///< postorder; root is the last entry
   std::vector<Expansion> expansions;  ///< outermost, in postorder
+  std::vector<Watch> watches;         ///< sorted by node, then instance
+  /// What the top range (the instructions outside the expansions)
+  /// reads: event atoms of any participant and every FluentChange bit
+  /// of its fluents.
+  std::uint32_t top_protocol_bits = 0;
+  std::uint32_t top_channel_bits = 0;
+  std::uint8_t top_fluent_bits = 0;
   std::uint32_t protocol_mask = 0;
   std::uint32_t channel_mask = 0;
   bool uses_fluents = false;
@@ -175,9 +206,12 @@ struct CompileResult {
 };
 
 /// Expand quantifiers over participant ids 1..params.participants,
-/// resolve bound expressions, and flatten to postorder. Fails on
+/// resolve bound expressions, and flatten to postorder, sharing equal
+/// instructions within one scope: one outermost expansion instance, or
+/// one run of top-range instructions between expansions. Fails on
 /// unbound variables, out-of-range participant ids, arguments on
-/// channel atoms, or negative resolved bounds.
+/// channel atoms, negative resolved bounds, or a tree taller than
+/// kMaxDepth.
 CompileResult compile(const Node& formula, const BindParams& params);
 
 /// A named requirement stated as a formula; `requirement` keys the
@@ -189,11 +223,13 @@ struct FormulaSpec {
   int requirement = 0;
 };
 
-/// The streaming evaluator: an EventSink over a compiled formula.
+/// The streaming evaluator: an EventSink over a compiled formula. It
+/// only reads `program`, which monitors of the same configuration may
+/// share.
 class FormulaMonitor final : public EventSink {
  public:
-  FormulaMonitor(Compiled compiled, const BindParams& params,
-                 std::string name, int requirement);
+  FormulaMonitor(std::shared_ptr<const Compiled> program,
+                 const BindParams& params, std::string name, int requirement);
 
   std::uint32_t protocol_interest() const override { return protocol_mask_; }
   std::uint32_t channel_interest() const override { return channel_mask_; }
@@ -219,6 +255,9 @@ class FormulaMonitor final : public EventSink {
   /// Quantifier instances evaluated so far, over all passes (the
   /// initial position evaluates every instance once).
   std::uint64_t instances_evaluated() const { return instances_evaluated_; }
+  /// Passes that evaluated any instruction (the initial position is
+  /// one); a pass with nothing due is not counted.
+  std::uint64_t passes_evaluated() const { return passes_evaluated_; }
 
  private:
   struct State {
@@ -229,17 +268,21 @@ class FormulaMonitor final : public EventSink {
     Time t = 0;  ///< Once/Before last-true time, Holds anchor
   };
 
-  /// One outermost quantifier expansion: its And/Or join chain is
-  /// replaced by a count of instances holding the absorbing value.
+  /// One outermost quantifier expansion (program_->expansions at the
+  /// same index): its And/Or join chain is replaced by a count of
+  /// instances holding the absorbing value.
   struct Group {
     int first = 0;       ///< first instruction of the first instance
     int result = 0;      ///< instruction holding the expansion's value
     int inst_begin = 0;  ///< [inst_begin, inst_end) index instances_
     int inst_end = 0;
     bool conj = true;
-    std::uint32_t protocol_bits = 0;  ///< participant-free event atoms read
+    /// The expansion's shared bits, copied so that wake() reads one
+    /// array per event; reading them through program_ was measurably
+    /// slower on chaos campaigns.
+    std::uint32_t protocol_bits = 0;
     std::uint32_t channel_bits = 0;
-    std::uint8_t fluent_bits = 0;     ///< shared FluentChange bits read
+    std::uint8_t fluent_bits = 0;
     int committed = 0;  ///< instances holding the absorbing value
     int pass = 0;       ///< the same during a pass; == committed between
   };
@@ -253,15 +296,6 @@ class FormulaMonitor final : public EventSink {
     std::uint64_t queued = 0;   ///< pass id it was last made due in
   };
 
-  /// An instance that reads a participant-specific atom or fluent of
-  /// participant `node`.
-  struct Watch {
-    int node = 0;
-    int instance = 0;
-    std::uint32_t protocol_bits = 0;
-    std::uint8_t fluent_bits = 0;  ///< kStoppedChanged / kMemberChanged
-  };
-
   struct Pass {
     Time now = 0;
     const hb::ProtocolEvent* pe = nullptr;  ///< step passes only
@@ -271,23 +305,23 @@ class FormulaMonitor final : public EventSink {
 
   /// Evaluates instructions [begin, end); returns the last one's value.
   /// A committing pass also updates operator state and committed_, and
-  /// lowers a non-null `*wake` to the earliest time the range may stop
-  /// reproducing what it committed at a position without events:
-  /// kUnsettled (at once), the next flip of a time-bounded operator, or
-  /// kNever.
+  /// lowers `wake` to the earliest time the range may stop reproducing
+  /// what it committed at a position without events: kUnsettled (at
+  /// once), the next flip of a time-bounded operator, or kNever.
   template <bool kCommit>
-  bool eval_range(int begin, int end, const Pass& pass, Time* wake);
+  bool eval_range(int begin, int end, const Pass& pass, Time& wake);
   /// Evaluates the due instances, updating their groups' pass counts.
   template <bool kCommit>
   void eval_due(const Pass& pass);
-  /// One evaluation pass: the due instances, then every instruction
-  /// outside the groups and each group's value; returns the root value.
+  /// One evaluation pass: the due instances, then the top range if it
+  /// is due or a group's value changed; returns the root value.
   template <bool kCommit>
   bool eval(const Pass& pass);
   void make_due(int k);
-  /// Makes due the unsettled instances and those whose flip is <= now.
+  /// Makes due the unsettled instances and those whose flip is <= now,
+  /// and the top range on the same rules.
   void collect_due(Time now);
-  /// Makes due the instances an event's atoms or fluent changes name.
+  /// Makes due the units an event's atoms or fluent changes name.
   void wake(const hb::ProtocolEvent* pe, const sim::ChannelEvent* ce,
             std::uint8_t changed);
   /// Files instance `k` under its `wake` for a later pass.
@@ -295,13 +329,12 @@ class FormulaMonitor final : public EventSink {
   void observe(Time now, bool root_value);
   void handle(Time at, const hb::ProtocolEvent* pe, const sim::ChannelEvent* ce);
 
-  std::vector<Instr> instrs_;
+  std::shared_ptr<const Compiled> program_;
   std::vector<State> state_;
   std::vector<std::uint8_t> scratch_;
   std::vector<std::uint8_t> committed_;
   std::vector<Group> groups_;
   std::vector<Instance> instances_;
-  std::vector<Watch> watches_;    ///< sorted by node
   std::vector<int> due_;          ///< instances the current event evaluates
   std::vector<int> unsettled_;    ///< due at the next pass
   std::priority_queue<std::pair<Time, int>, std::vector<std::pair<Time, int>>,
@@ -309,6 +342,8 @@ class FormulaMonitor final : public EventSink {
       flips_;  ///< (flip time, instance); superseded entries are skipped
   std::uint64_t pass_id_ = 0;
   Time last_commit_ = 0;          ///< time of the last committed position
+  Time top_wake_ = 0;             ///< the top range's wake, as an instance's
+  bool top_due_ = true;           ///< the top range is due this pass
   FluentTracker tracker_;
   std::uint32_t protocol_mask_ = 0;
   std::uint32_t channel_mask_ = 0;
@@ -320,6 +355,7 @@ class FormulaMonitor final : public EventSink {
   std::size_t max_recorded_ = 32;
   std::uint64_t events_seen_ = 0;
   std::uint64_t instances_evaluated_ = 0;
+  std::uint64_t passes_evaluated_ = 0;
 };
 
 /// Parse + compile + wrap: the one-call path from a FormulaSpec to a

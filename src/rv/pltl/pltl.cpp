@@ -1,5 +1,6 @@
 #include "rv/pltl/pltl.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <sstream>
@@ -55,7 +56,7 @@ struct Lexer {
     while (pos < text.size()) {
       const char c = text[pos];
       if (c == '#') {  // comment to end of line
-        while (pos < text.size() && text[pos] != '\n') ++pos;
+        pos = std::min(text.find('\n', pos), text.size());
       } else if (std::isspace(static_cast<unsigned char>(c))) {
         ++pos;
       } else {
@@ -149,8 +150,41 @@ struct Parser {
   Lexer lex;
   std::string error;
   std::size_t error_at = 0;
+  /// Nesting constructs (parentheses, prefix operators, `->`,
+  /// quantifiers) open around the current token.
+  int depth = 0;
+  /// Height of the tree the last successful parse_* call returned (a
+  /// leaf is 0); binary chains grow it without recursing.
+  int height = 0;
 
   explicit Parser(std::string_view text) : lex(text) {}
+
+  /// One open nesting construct for the scope of a recursive
+  /// production; `ok` is false (and the error set) past kMaxDepth.
+  struct Nest {
+    Parser& parser;
+    bool ok;
+    explicit Nest(Parser& p) : parser(p), ok(++p.depth <= kMaxDepth) {
+      if (!ok) p.too_deep();
+    }
+    ~Nest() { --parser.depth; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+  };
+
+  std::nullptr_t too_deep() {
+    fail("formula nested deeper than " + std::to_string(kMaxDepth) +
+         " levels");
+    return nullptr;
+  }
+
+  /// Records `h` as the height of `node`; fails past kMaxDepth.
+  template <typename T>
+  std::unique_ptr<T> grown(std::unique_ptr<T> node, int h) {
+    if (h > kMaxDepth) return too_deep();
+    height = h;
+    return node;
+  }
 
   NodePtr fail(std::string message) {
     if (error.empty()) {
@@ -184,6 +218,18 @@ struct Parser {
     return node;
   }
 
+  /// A unary node over the operand the last parse returned.
+  NodePtr unary(Node::Kind kind, NodePtr operand) {
+    return grown(make(kind, std::move(operand)), height + 1);
+  }
+
+  /// A binary node over `lhs` (of height `lhs_height`) and the operand
+  /// the last parse returned.
+  NodePtr binary(Node::Kind kind, NodePtr lhs, int lhs_height, NodePtr rhs) {
+    const int h = std::max(lhs_height, height) + 1;
+    return grown(make(kind, std::move(lhs), std::move(rhs)), h);
+  }
+
   NodePtr parse_formula() { return parse_quantified(); }
 
   NodePtr parse_quantified() {
@@ -199,11 +245,13 @@ struct Parser {
       }
       lex.next();
       if (!eat(Tok::Colon)) return fail("expected ':' after quantifier variable");
+      const Nest nest{*this};
+      if (!nest.ok) return nullptr;
       NodePtr body = parse_quantified();
       if (!body) return nullptr;
-      NodePtr node = make(forall ? Node::Kind::Forall : Node::Kind::Exists,
-                          std::move(body));
-      node->name = std::move(var);
+      NodePtr node = unary(forall ? Node::Kind::Forall : Node::Kind::Exists,
+                           std::move(body));
+      if (node) node->name = std::move(var);
       return node;
     }
     return parse_iff();
@@ -211,11 +259,11 @@ struct Parser {
 
   NodePtr parse_iff() {
     NodePtr lhs = parse_impl();
-    if (!lhs) return nullptr;
-    while (eat(Tok::DArrow)) {
+    while (lhs && eat(Tok::DArrow)) {
+      const int lhs_height = height;
       NodePtr rhs = parse_impl();
       if (!rhs) return nullptr;
-      lhs = make(Node::Kind::Iff, std::move(lhs), std::move(rhs));
+      lhs = binary(Node::Kind::Iff, std::move(lhs), lhs_height, std::move(rhs));
     }
     return lhs;
   }
@@ -224,44 +272,49 @@ struct Parser {
     NodePtr lhs = parse_or();
     if (!lhs) return nullptr;
     if (eat(Tok::Arrow)) {
+      const int lhs_height = height;
+      const Nest nest{*this};
+      if (!nest.ok) return nullptr;
       NodePtr rhs = parse_impl();  // right-associative
       if (!rhs) return nullptr;
-      return make(Node::Kind::Implies, std::move(lhs), std::move(rhs));
+      return binary(Node::Kind::Implies, std::move(lhs), lhs_height,
+                    std::move(rhs));
     }
     return lhs;
   }
 
   NodePtr parse_or() {
     NodePtr lhs = parse_and();
-    if (!lhs) return nullptr;
-    while (lex.tok == Tok::OrOr || lex.is_word("or")) {
+    while (lhs && (lex.tok == Tok::OrOr || lex.is_word("or"))) {
       lex.next();
+      const int lhs_height = height;
       NodePtr rhs = parse_and();
       if (!rhs) return nullptr;
-      lhs = make(Node::Kind::Or, std::move(lhs), std::move(rhs));
+      lhs = binary(Node::Kind::Or, std::move(lhs), lhs_height, std::move(rhs));
     }
     return lhs;
   }
 
   NodePtr parse_and() {
     NodePtr lhs = parse_since();
-    if (!lhs) return nullptr;
-    while (lex.tok == Tok::AndAnd || lex.is_word("and")) {
+    while (lhs && (lex.tok == Tok::AndAnd || lex.is_word("and"))) {
       lex.next();
+      const int lhs_height = height;
       NodePtr rhs = parse_since();
       if (!rhs) return nullptr;
-      lhs = make(Node::Kind::And, std::move(lhs), std::move(rhs));
+      lhs = binary(Node::Kind::And, std::move(lhs), lhs_height, std::move(rhs));
     }
     return lhs;
   }
 
   NodePtr parse_since() {
     NodePtr lhs = parse_unary();
-    if (!lhs) return nullptr;
-    while (eat_word("since")) {
+    while (lhs && eat_word("since")) {
+      const int lhs_height = height;
       NodePtr rhs = parse_unary();
       if (!rhs) return nullptr;
-      lhs = make(Node::Kind::Since, std::move(lhs), std::move(rhs));
+      lhs = binary(Node::Kind::Since, std::move(lhs), lhs_height,
+                   std::move(rhs));
     }
     return lhs;
   }
@@ -299,35 +352,42 @@ struct Parser {
     return bound;
   }
 
+  /// A binary bound expression over `lhs` (of height `lhs_height`)
+  /// and the operand the last parse returned.
+  std::unique_ptr<BoundExpr> bexpr_binary(BoundExpr::Kind kind,
+                                          std::unique_ptr<BoundExpr> lhs,
+                                          int lhs_height,
+                                          std::unique_ptr<BoundExpr> rhs) {
+    auto node = std::make_unique<BoundExpr>();
+    node->kind = kind;
+    node->lhs = std::move(lhs);
+    node->rhs = std::move(rhs);
+    return grown(std::move(node), std::max(lhs_height, height) + 1);
+  }
+
   std::unique_ptr<BoundExpr> parse_bexpr() {
     auto lhs = parse_bterm();
-    if (!lhs) return nullptr;
-    while (lex.tok == Tok::Plus || lex.tok == Tok::Minus) {
+    while (lhs && (lex.tok == Tok::Plus || lex.tok == Tok::Minus)) {
       const bool add = lex.tok == Tok::Plus;
       lex.next();
+      const int lhs_height = height;
       auto rhs = parse_bterm();
       if (!rhs) return nullptr;
-      auto node = std::make_unique<BoundExpr>();
-      node->kind = add ? BoundExpr::Kind::Add : BoundExpr::Kind::Sub;
-      node->lhs = std::move(lhs);
-      node->rhs = std::move(rhs);
-      lhs = std::move(node);
+      lhs = bexpr_binary(add ? BoundExpr::Kind::Add : BoundExpr::Kind::Sub,
+                         std::move(lhs), lhs_height, std::move(rhs));
     }
     return lhs;
   }
 
   std::unique_ptr<BoundExpr> parse_bterm() {
     auto lhs = parse_bfact();
-    if (!lhs) return nullptr;
-    while (lex.tok == Tok::Star) {
+    while (lhs && lex.tok == Tok::Star) {
       lex.next();
+      const int lhs_height = height;
       auto rhs = parse_bfact();
       if (!rhs) return nullptr;
-      auto node = std::make_unique<BoundExpr>();
-      node->kind = BoundExpr::Kind::Mul;
-      node->lhs = std::move(lhs);
-      node->rhs = std::move(rhs);
-      lhs = std::move(node);
+      lhs = bexpr_binary(BoundExpr::Kind::Mul, std::move(lhs), lhs_height,
+                         std::move(rhs));
     }
     return lhs;
   }
@@ -338,6 +398,7 @@ struct Parser {
       node->kind = BoundExpr::Kind::Num;
       node->num = lex.tok_num;
       lex.next();
+      height = 0;
       return node;
     }
     if (lex.tok == Tok::Ident) {
@@ -349,9 +410,12 @@ struct Parser {
       node->kind = BoundExpr::Kind::Param;
       node->param = std::string{lex.tok_text};
       lex.next();
+      height = 0;
       return node;
     }
     if (eat(Tok::LParen)) {
+      const Nest nest{*this};
+      if (!nest.ok) return nullptr;
       auto inner = parse_bexpr();
       if (!inner) return nullptr;
       if (!eat(Tok::RParen)) {
@@ -367,19 +431,13 @@ struct Parser {
   NodePtr parse_unary() {
     if (lex.tok == Tok::Bang || lex.is_word("not")) {
       lex.next();
-      NodePtr operand = parse_unary();
-      if (!operand) return nullptr;
-      return make(Node::Kind::Not, std::move(operand));
+      return parse_prefixed(Node::Kind::Not, nullptr);
     }
     if (eat_word("previously")) {
-      NodePtr operand = parse_unary();
-      if (!operand) return nullptr;
-      return make(Node::Kind::Previously, std::move(operand));
+      return parse_prefixed(Node::Kind::Previously, nullptr);
     }
     if (eat_word("historically")) {
-      NodePtr operand = parse_unary();
-      if (!operand) return nullptr;
-      return make(Node::Kind::Historically, std::move(operand));
+      return parse_prefixed(Node::Kind::Historically, nullptr);
     }
     if (lex.is_word("once") || lex.is_word("within")) {
       const bool require_bound = lex.tok_text == "within";
@@ -389,33 +447,32 @@ struct Parser {
         bound = parse_bound(/*lower_bound=*/false);
         if (!bound) return nullptr;
       }
-      NodePtr operand = parse_unary();
-      if (!operand) return nullptr;
-      NodePtr node = make(Node::Kind::Once, std::move(operand));
-      node->bound = std::move(bound);
       // `within` is a parser alias of bounded `once`; the printer emits
       // `once[...]`, which reparses to the same AST.
-      return node;
+      return parse_prefixed(Node::Kind::Once, std::move(bound));
     }
     if (eat_word("before")) {
       auto bound = parse_bound(/*lower_bound=*/false);
       if (!bound) return nullptr;
-      NodePtr operand = parse_unary();
-      if (!operand) return nullptr;
-      NodePtr node = make(Node::Kind::Before, std::move(operand));
-      node->bound = std::move(bound);
-      return node;
+      return parse_prefixed(Node::Kind::Before, std::move(bound));
     }
     if (eat_word("holds")) {
       auto bound = parse_bound(/*lower_bound=*/true);
       if (!bound) return nullptr;
-      NodePtr operand = parse_unary();
-      if (!operand) return nullptr;
-      NodePtr node = make(Node::Kind::Holds, std::move(operand));
-      node->bound = std::move(bound);
-      return node;
+      return parse_prefixed(Node::Kind::Holds, std::move(bound));
     }
     return parse_primary();
+  }
+
+  /// The operand of a prefix operator, one nesting level down.
+  NodePtr parse_prefixed(Node::Kind kind, std::unique_ptr<Bound> bound) {
+    const Nest nest{*this};
+    if (!nest.ok) return nullptr;
+    NodePtr operand = parse_unary();
+    if (!operand) return nullptr;
+    NodePtr node = unary(kind, std::move(operand));
+    if (node) node->bound = std::move(bound);
+    return node;
   }
 
   // Atom vocabulary. Events are trace-event atoms (true exactly at a
@@ -445,11 +502,14 @@ struct Parser {
 
   NodePtr parse_primary() {
     if (eat(Tok::LParen)) {
+      const Nest nest{*this};
+      if (!nest.ok) return nullptr;
       NodePtr inner = parse_formula();
       if (!inner) return nullptr;
       if (!eat(Tok::RParen)) return fail("expected ')'");
       return inner;
     }
+    height = 0;
     if (lex.tok != Tok::Ident) return fail("expected formula");
     const std::string name{lex.tok_text};
     if (name == "true") { lex.next(); return make(Node::Kind::True); }
@@ -568,7 +628,7 @@ void print_node(std::ostream& out, const Node& node, int parent_prec) {
       break;
     case Node::Kind::Not:
       out << '!';
-      print_node(out, *node.lhs, prec + 1);
+      print_node(out, *node.lhs, prec);
       break;
     case Node::Kind::Previously:
       out << "previously ";

@@ -38,7 +38,8 @@
 // suspicion_slack.
 //
 // Parsing never throws: errors come back in ParseResult with a byte
-// offset and message.
+// offset and message. Nesting is capped at kMaxDepth, so every
+// recursion over a parsed tree is bounded.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +48,14 @@
 #include <string_view>
 
 namespace ahb::rv::pltl {
+
+/// The nesting-depth cap. parse() rejects input with more than this
+/// many nested parentheses, prefix operators, `->` or quantifiers, or
+/// whose formula or bound-expression tree is taller (a leaf has height
+/// 0). print(), equal(), clone(), compile() and the recursive
+/// destructors therefore recurse at most this deep on a parsed tree;
+/// compile() rejects a hand-built tree that is taller.
+inline constexpr int kMaxDepth = 256;
 
 // ---------------------------------------------------------------------------
 // Bound expressions: integer arithmetic over named timing parameters.

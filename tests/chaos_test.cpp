@@ -12,6 +12,7 @@
 
 #include "chaos/campaign.hpp"
 #include "hb/cluster_scale.hpp"
+#include "rv/pltl/formulas.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -323,6 +324,40 @@ TEST(Determinism, CampaignFingerprintInvariantUnderThreads) {
   EXPECT_EQ(one.fingerprint, eight.fingerprint);
   EXPECT_EQ(one.violating_runs, eight.violating_runs);
   EXPECT_EQ(one.totals.sent, eight.totals.sent);
+}
+
+TEST(Determinism, CanonicalCampaignFingerprintIsPinned) {
+  // The 1008-run in-spec campaign over seeds 1..56 folds every run's
+  // serialized spec and protocol trace: a change to the trace line
+  // bytes, the engine or the schedule generator moves it.
+  CampaignOptions options;
+  options.runs_per_config = 56;
+  options.shrink = false;
+  options.formulas = rv::pltl::shipped_monitor_specs();
+  const CampaignResult result = run_campaign(options);
+  EXPECT_EQ(result.runs, 1008u);
+  EXPECT_EQ(result.violating_runs, 0u);
+  EXPECT_EQ(result.formula_violations, 0u);
+  EXPECT_EQ(result.fingerprint, 0x5e154c457555d48fULL);
+}
+
+TEST(Determinism, SharedFormulaProgramsAreThreadSafe) {
+  // The runs of a cell share its compiled formulas across the worker
+  // threads; an out-of-spec campaign trips them, so the verdicts must
+  // come out the same on one thread and on four.
+  CampaignOptions options;
+  options.runs_per_config = 3;
+  options.out_of_spec = true;
+  options.shrink = false;
+  options.formulas = rv::pltl::shipped_monitor_specs();
+  options.threads = 1;
+  const CampaignResult one = run_campaign(options);
+  options.threads = 4;
+  const CampaignResult four = run_campaign(options);
+  EXPECT_EQ(one.fingerprint, four.fingerprint);
+  EXPECT_EQ(one.formula_violating_runs, four.formula_violating_runs);
+  EXPECT_EQ(one.formula_violations, four.formula_violations);
+  EXPECT_GT(one.formula_violating_runs, 0u);
 }
 
 TEST(Determinism, CampaignRepeatsAreIdentical) {

@@ -140,6 +140,75 @@ TEST(PltlParser, MalformedInputsRejected) {
   EXPECT_FALSE(made.error.empty());
 }
 
+TEST(PltlParser, NestingPastTheDepthCapFailsClosed) {
+  const int cap = pltl::kMaxDepth;
+  const auto repeat = [](const std::string& piece, int k) {
+    std::string out;
+    for (int i = 0; i < k; ++i) out += piece;
+    return out;
+  };
+  // Each shape nests `k` levels: opener^k beat closer^k.
+  const struct {
+    const char* opener;
+    const char* closer;
+  } shapes[] = {{"(", ")"}, {"!", ""}, {"previously ", ""}, {"beat -> ", ""}};
+  for (const auto& shape : shapes) {
+    SCOPED_TRACE(shape.opener);
+    const auto text = [&](int k) {
+      return repeat(shape.opener, k) + "beat" + repeat(shape.closer, k);
+    };
+    const std::string at_cap = text(cap);
+    const auto parsed = pltl::parse(at_cap);
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    const auto reparsed = pltl::parse(pltl::print(*parsed.formula));
+    ASSERT_TRUE(reparsed.ok()) << reparsed.error;
+    EXPECT_TRUE(pltl::equal(*parsed.formula, *reparsed.formula));
+    EXPECT_TRUE(pltl::compile(*parsed.formula, binary_params()).ok());
+
+    const std::string past_cap = text(cap + 1);
+    const auto rejected = pltl::parse(past_cap);
+    EXPECT_FALSE(rejected.ok());
+    EXPECT_NE(rejected.error.find("nested deeper"), std::string::npos)
+        << rejected.error;
+    EXPECT_LE(rejected.error_at, past_cap.size());
+  }
+
+  // Inputs that overflowed the stack before the cap, and binary and
+  // bound-expression chains whose trees grow without recursion.
+  const std::string deep[] = {
+      std::string(20'000, '(') + "beat" + std::string(20'000, ')'),
+      std::string(1'000'000, '!') + "beat",
+      repeat("beat && ", 100'000) + "beat",
+      repeat("beat since ", cap + 1) + "beat",
+      "once[<= " + repeat("1 + ", cap + 1) + "1] beat",
+      "once[<= " + std::string(20'000, '(') + "1" + std::string(20'000, ')') +
+          "] beat",
+  };
+  for (const std::string& text : deep) {
+    SCOPED_TRACE(text.substr(0, 24));
+    const auto parsed = pltl::parse(text);
+    EXPECT_FALSE(parsed.ok());
+    EXPECT_NE(parsed.error.find("nested deeper"), std::string::npos)
+        << parsed.error;
+    EXPECT_LE(parsed.error_at, text.size());
+  }
+}
+
+TEST(PltlParser, CompileRejectsAHandBuiltTreePastTheDepthCap) {
+  pltl::NodePtr tree = pltl::parse("beat").formula;
+  ASSERT_NE(tree, nullptr);
+  for (int i = 0; i <= pltl::kMaxDepth; ++i) {
+    auto node = std::make_unique<pltl::Node>();
+    node->kind = pltl::Node::Kind::Not;
+    node->lhs = std::move(tree);
+    tree = std::move(node);
+  }
+  const auto compiled = pltl::compile(*tree, binary_params());
+  EXPECT_FALSE(compiled.ok());
+  EXPECT_NE(compiled.error.find("nested deeper"), std::string::npos)
+      << compiled.error;
+}
+
 // --- streaming evaluator: operator semantics ------------------------------
 
 TEST(PltlEval, InitIsTrueOnlyAtTheInitialPosition) {
@@ -822,14 +891,28 @@ class Lockstep {
   bool last_ = true;
 };
 
+/// `inner` under a top-range operator whose skipping must stay exact:
+/// bounded once/before, previously, or a disjunction with init.
+std::string top_operator(FormulaGen& gen, const std::string& inner) {
+  switch (gen.pick(4)) {
+    case 0: return "previously (" + inner + ")";
+    case 1: return "once[<= " + gen.bound_expr() + "] (" + inner + ")";
+    case 2: return "before[<= " + gen.bound_expr() + "] (" + inner + ")";
+    default: return "init || (" + inner + ")";
+  }
+}
+
 /// A random formula that usually quantifies over the participants:
-/// bare, under a top-level forall/exists, or a quantifier joined to an
-/// unquantified side (nested quantifiers and temporal operators over
-/// quantifiers come from the generator itself).
+/// bare, under a top-level forall/exists, a quantifier joined to an
+/// unquantified side, a quantifier under a top-range operator, or one
+/// joined to a side under such an operator (nested quantifiers and
+/// more temporal operators over quantifiers come from the generator
+/// itself).
 std::string quantified_formula(FormulaGen& gen) {
   std::vector<std::string> vars;
   const char* quant = gen.pick(2) == 0 ? "forall p: (" : "exists p: (";
-  switch (gen.pick(4)) {
+  const char* op[] = {"&&", "||", "->", "<->"};
+  switch (gen.pick(6)) {
     case 0:
       return gen.gen(4, vars);
     case 1:
@@ -837,11 +920,20 @@ std::string quantified_formula(FormulaGen& gen) {
       vars.push_back("p");
       return quant + gen.gen(4, vars) + ")";
     }
-    default: {
+    case 3: {
       const std::string side = gen.gen(3, vars);
       vars.push_back("p");
       const std::string body = gen.gen(3, vars);
-      const char* op[] = {"&&", "||", "->", "<->"};
+      return "(" + side + ") " + op[gen.pick(4)] + " (" + quant + body + "))";
+    }
+    case 4: {
+      vars.push_back("p");
+      return top_operator(gen, quant + gen.gen(3, vars) + ")");
+    }
+    default: {
+      const std::string side = top_operator(gen, gen.gen(2, vars));
+      vars.push_back("p");
+      const std::string body = gen.gen(3, vars);
       return "(" + side + ") " + op[gen.pick(4)] + " (" + quant + body + "))";
     }
   }
@@ -904,6 +996,119 @@ pltl::BindParams static_params(int participants) {
   params.variant = proto::Variant::Static;
   params.participants = participants;
   return params;
+}
+
+/// Every operand lies inside its own evaluation unit: an instance reads
+/// only its range, and a top-range instruction reads only the top
+/// range and expansion results. Within one scope no two instructions
+/// are equal.
+::testing::AssertionResult units_are_self_contained(
+    const pltl::Compiled& compiled) {
+  constexpr int kTop = -1;
+  constexpr int kJoin = -2;
+  const int size = static_cast<int>(compiled.instrs.size());
+  std::vector<int> unit(static_cast<std::size_t>(size), kTop);
+  std::vector<bool> result(static_cast<std::size_t>(size), false);
+  int k = 0;
+  for (const auto& expansion : compiled.expansions) {
+    for (const auto& range : expansion.instances) {
+      for (int i = range.begin; i <= range.root; ++i) {
+        unit[static_cast<std::size_t>(i)] = k;
+      }
+      if (range.join >= 0) unit[static_cast<std::size_t>(range.join)] = kJoin;
+      ++k;
+    }
+    result[static_cast<std::size_t>(expansion.result())] = true;
+  }
+  for (int i = 0; i < size; ++i) {
+    const int u = unit[static_cast<std::size_t>(i)];
+    if (u == kJoin) continue;
+    const auto& ins = compiled.instrs[static_cast<std::size_t>(i)];
+    for (const int operand : {ins.a, ins.b}) {
+      if (operand < 0) continue;
+      if (operand >= i) {
+        return ::testing::AssertionFailure()
+               << "instruction " << i << " reads a later one, " << operand;
+      }
+      const int v = unit[static_cast<std::size_t>(operand)];
+      const bool ok = u == kTop ? v == kTop ||
+                                      result[static_cast<std::size_t>(operand)]
+                                : v == u;
+      if (!ok) {
+        return ::testing::AssertionFailure()
+               << "instruction " << i << " (unit " << u << ") reads "
+               << operand << " (unit " << v << ")";
+      }
+    }
+    // The scope of an instance is the instance; a top-range run ends
+    // at the next expansion, whose result starts the next run.
+    for (int j = i - 1; j >= 0; --j) {
+      const auto uj = static_cast<std::size_t>(j);
+      if (unit[uj] != u || (u == kTop && result[uj])) break;
+      if (compiled.instrs[uj] == ins) {
+        return ::testing::AssertionFailure()
+               << "instructions " << j << " and " << i << " are equal";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(PltlFuzz, SharedInstructionsStayInsideTheirUnit) {
+  for (const int n : {1, 2, 1000}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    pltl::BindParams params;
+    params.variant = proto::Variant::Dynamic;
+    params.timing = proto::Timing{4, 10};
+    params.participants = n;
+    std::vector<std::string> texts;
+    for (const auto& spec : pltl::shipped_monitor_specs()) {
+      texts.push_back(spec.text);
+    }
+    // Top-range runs before, between and after expansions that repeat
+    // atoms of the instances next to them.
+    texts.push_back("(forall p: beat && reply(p)) && beat");
+    texts.push_back("lost -> (exists p: lost || stopped(p)) || lost");
+    texts.push_back(
+        "once[<= tmax] (forall p: !c_recv_beat(p)) && "
+        "(exists q: !c_recv_beat(q)) && !c_recv_beat(1)");
+    for (const std::string& text : texts) {
+      SCOPED_TRACE(text);
+      const auto parsed = pltl::parse(text);
+      ASSERT_TRUE(parsed.ok()) << parsed.error;
+      const auto compiled = pltl::compile(*parsed.formula, params);
+      ASSERT_TRUE(compiled.ok()) << compiled.error;
+      EXPECT_TRUE(units_are_self_contained(compiled.compiled));
+    }
+    std::mt19937_64 rng{20261018};
+    for (int iter = 0; iter < 200; ++iter) {
+      FormulaGen gen{rng, std::min(n, 8)};
+      const std::string text = quantified_formula(gen);
+      // Nested quantifiers expand to n^2 instances: small n only.
+      const auto quantifiers = [&text](const char* word) {
+        std::size_t count = 0;
+        for (auto at = text.find(word); at != std::string::npos;
+             at = text.find(word, at + 1)) {
+          ++count;
+        }
+        return count;
+      };
+      if (n > 8 && quantifiers("forall") + quantifiers("exists") > 1) continue;
+      SCOPED_TRACE(text);
+      const auto parsed = pltl::parse(text);
+      ASSERT_TRUE(parsed.ok()) << parsed.error;
+      const auto compiled = pltl::compile(*parsed.formula, params);
+      ASSERT_TRUE(compiled.ok()) << compiled.error;
+      EXPECT_TRUE(units_are_self_contained(compiled.compiled));
+    }
+  }
+  // Sharing at work: s2's ladder reads c_recv_beat(p), its negation and
+  // beat three times each.
+  const auto s2 = pltl::parse(pltl::find_shipped("s2")->text);
+  ASSERT_TRUE(s2.ok());
+  const auto compiled = pltl::compile(*s2.formula, static_params(2));
+  ASSERT_TRUE(compiled.ok());
+  EXPECT_EQ(compiled.compiled.instrs.size(), 39u);
 }
 
 TEST(PltlFuzz, SkippedBoundedOnceWitnessesAtTheLastCommittedPosition) {
@@ -1002,6 +1207,15 @@ TEST(PltlFuzz, TimeRunningBackwardsReevaluatesEveryInstance) {
   EXPECT_FALSE(m->value());
   m->on_protocol_event(pev(PKind::CoordinatorReceivedBeat, 2, 12));
   EXPECT_TRUE(m->value());
+
+  // The same for the top range: at t=20 it has expired and settled,
+  // and a reply it does not read comes stamped t=12.
+  const auto top = monitor_for("within[<= 3] c_recv_beat", static_params(2));
+  top->on_protocol_event(pev(PKind::CoordinatorReceivedBeat, 1, 10));
+  top->on_protocol_event(pev(PKind::ParticipantReplied, 1, 20));
+  EXPECT_FALSE(top->value());
+  top->on_protocol_event(pev(PKind::ParticipantReplied, 1, 12));
+  EXPECT_TRUE(top->value());
 }
 
 TEST(PltlFuzz, FinishKeepsTheFlipSchedule) {
@@ -1222,6 +1436,10 @@ TEST(PltlScale, SteadyRoundEvaluatesLinearlyManyInstances) {
   };
   const std::uint64_t evaluated_before =
       total(&pltl::FormulaMonitor::instances_evaluated);
+  std::vector<std::uint64_t> passes_before;
+  for (const auto& monitor : monitors) {
+    passes_before.push_back(monitor->passes_evaluated());
+  }
   const std::uint64_t events_before = total(&pltl::FormulaMonitor::events_seen);
   const std::uint64_t beats_before = cluster.stats().beats;
   horizon += config.protocol.tmax;
@@ -1235,8 +1453,15 @@ TEST(PltlScale, SteadyRoundEvaluatesLinearlyManyInstances) {
             static_cast<std::uint64_t>(kN));
   EXPECT_GE(evaluated, static_cast<std::uint64_t>(kN));  // the beat wakes s2
   EXPECT_LE(evaluated, kPerParticipant * kN);
-  for (const auto& monitor : monitors) {
+  for (std::size_t i = 0; i < monitors.size(); ++i) {
+    const auto& monitor = monitors[i];
     EXPECT_EQ(monitor->violations_total(), 0u) << monitor->name();
+    // r1's top range and r3's instances read only fluents, which a
+    // steady round leaves alone: every pass is skipped.
+    if (monitor->name() == "r1" || monitor->name() == "r3") {
+      EXPECT_EQ(monitor->passes_evaluated(), passes_before[i])
+          << monitor->name();
+    }
   }
 }
 
