@@ -61,8 +61,8 @@ BitstateResult reach_bitstate(const ta::Network& net, const Pred& target,
   // of the raw slot vector. Both are injective, so either is a valid
   // filter key; the packed image mixes every slot's entropy into fewer
   // bytes, which measurably lowers the double-hash collision rate on
-  // models whose slots are mostly narrow booleans. None keeps the
-  // historical raw-vector hash bit-for-bit.
+  // models whose slots are mostly narrow booleans. None hashes the raw
+  // slot vector.
   const ta::StateCodec* codec = limits.compression != ta::Compression::None
                                     ? &net.codec()
                                     : nullptr;

@@ -170,6 +170,35 @@ void Network::freeze() {
   for (const auto& d : dead_decls_) {
     codec_.add_dead_rule(d.loc_slot, d.loc_value, d.target_slot, d.value);
   }
+  // Edge index: one row per (automaton, location), filled by a counting
+  // sort over source locations, which keeps each row in ascending edge
+  // id (the successor order contract, see DESIGN.md).
+  std::size_t rows = 0;
+  std::size_t edges = 0;
+  for (auto& a : automata_) {
+    a.first_row = static_cast<std::uint32_t>(rows);
+    rows += a.locations.size();
+    edges += a.edges.size();
+  }
+  edge_offsets_.assign(rows + 1, 0);
+  for (const auto& a : automata_) {
+    for (const auto& e : a.edges) {
+      ++edge_offsets_[a.first_row + static_cast<std::size_t>(e.src) + 1];
+    }
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    edge_offsets_[r + 1] += edge_offsets_[r];
+  }
+  edge_ids_.resize(edges);
+  std::vector<std::uint32_t> fill(edge_offsets_.begin(),
+                                  edge_offsets_.end() - 1);
+  for (const auto& a : automata_) {
+    for (std::size_t ei = 0; ei < a.edges.size(); ++ei) {
+      const std::size_t row =
+          a.first_row + static_cast<std::size_t>(a.edges[ei].src);
+      edge_ids_[fill[row]++] = static_cast<int>(ei);
+    }
+  }
   frozen_ = true;
   // The initial state must satisfy every invariant, otherwise the model
   // is ill-formed and exploration would start from an impossible state.
@@ -200,12 +229,6 @@ bool Network::invariants_hold(const State& s) const {
   return true;
 }
 
-bool Network::edge_guard_holds(const StateView& v, int automaton,
-                               const Edge& e) const {
-  if (v.state()[loc_slot(automaton)] != e.src) return false;
-  return !e.guard || e.guard(v);
-}
-
 bool Network::apply_discrete_into(const State& s,
                                   std::span<const Transition::Part> parts,
                                   State& out) const {
@@ -228,21 +251,30 @@ bool Network::committed_location_active(const State& s) const {
   return false;
 }
 
-bool Network::tick_enabled(const State& s) const {
+bool Network::tick_into(const State& s, State& out) const {
   // Urgent/committed locations freeze time.
   for (std::size_t i = 0; i < automata_.size(); ++i) {
     const auto loc = static_cast<std::size_t>(s[loc_slot(static_cast<int>(i))]);
     if (automata_[i].locations[loc].kind != LocKind::Normal) return false;
   }
-  State next = s;
+  out.assign(s.slots());
   for (std::size_t c = 0; c < clocks_.size(); ++c) {
-    auto& slot = next[clock_slot(static_cast<int>(c))];
+    auto& slot = out[clock_slot(static_cast<int>(c))];
     if (slot < clocks_[c].cap) ++slot;
   }
-  return invariants_hold(next);
+  return invariants_hold(out);
+}
+
+bool Network::tick_enabled(const State& s) const {
+  State next;
+  return tick_into(s, next);
 }
 
 namespace {
+
+bool guard_holds(const StateView& v, const Edge& e) {
+  return !e.guard || e.guard(v);
+}
 
 /// Appends the scratch candidate state + parts as one discrete record.
 void commit_record(SuccessorScratch& scratch, Transition::Kind kind,
@@ -272,14 +304,18 @@ bool Network::collect_discrete_into(const State& s, bool committed_active,
            LocKind::Committed;
   };
 
+  // Every loop below visits only the edges leaving the automaton's
+  // current location, through the edge index, in ascending edge id.
+  const int count = static_cast<int>(automata_.size());
+
   // Internal edges.
-  for (int ai = 0; ai < static_cast<int>(automata_.size()); ++ai) {
+  for (int ai = 0; ai < count; ++ai) {
     const auto& a = automata_[static_cast<std::size_t>(ai)];
-    for (int ei = 0; ei < static_cast<int>(a.edges.size()); ++ei) {
+    for (const int ei : edges_from(ai, s)) {
       const auto& e = a.edges[static_cast<std::size_t>(ei)];
       if (e.dir != SyncDir::None) continue;
       if (committed_active && !committed_src(ai, e)) continue;
-      if (!edge_guard_holds(view, ai, e)) continue;
+      if (!guard_holds(view, e)) continue;
       const Transition::Part part{ai, ei};
       if (apply_discrete_into(s, std::span{&part, 1}, scratch.candidate)) {
         commit_record(scratch, Transition::Kind::Internal, std::span{&part, 1},
@@ -290,22 +326,22 @@ bool Network::collect_discrete_into(const State& s, bool committed_active,
   }
 
   // Synchronizations: iterate over send edges, match receive edges.
-  for (int ai = 0; ai < static_cast<int>(automata_.size()); ++ai) {
+  for (int ai = 0; ai < count; ++ai) {
     const auto& a = automata_[static_cast<std::size_t>(ai)];
-    for (int ei = 0; ei < static_cast<int>(a.edges.size()); ++ei) {
+    for (const int ei : edges_from(ai, s)) {
       const auto& send = a.edges[static_cast<std::size_t>(ei)];
       if (send.dir != SyncDir::Send) continue;
-      if (!edge_guard_holds(view, ai, send)) continue;
+      if (!guard_holds(view, send)) continue;
       const auto& chan = chans_[static_cast<std::size_t>(send.chan.value)];
 
       if (chan.kind == ChanKind::Handshake) {
-        for (int bi = 0; bi < static_cast<int>(automata_.size()); ++bi) {
+        for (int bi = 0; bi < count; ++bi) {
           if (bi == ai) continue;
           const auto& b = automata_[static_cast<std::size_t>(bi)];
-          for (int fi = 0; fi < static_cast<int>(b.edges.size()); ++fi) {
+          for (const int fi : edges_from(bi, s)) {
             const auto& recv = b.edges[static_cast<std::size_t>(fi)];
             if (recv.dir != SyncDir::Recv || recv.chan != send.chan) continue;
-            if (!edge_guard_holds(view, bi, recv)) continue;
+            if (!guard_holds(view, recv)) continue;
             if (committed_active && !committed_src(ai, send) &&
                 !committed_src(bi, recv)) {
               continue;
@@ -326,14 +362,14 @@ bool Network::collect_discrete_into(const State& s, bool committed_active,
         // scratch.bcast_offsets marking group boundaries.
         scratch.bcast_enabled.clear();
         scratch.bcast_offsets.assign(1, 0);
-        for (int bi = 0; bi < static_cast<int>(automata_.size()); ++bi) {
+        for (int bi = 0; bi < count; ++bi) {
           if (bi == ai) continue;
           const auto& b = automata_[static_cast<std::size_t>(bi)];
           bool any = false;
-          for (int fi = 0; fi < static_cast<int>(b.edges.size()); ++fi) {
+          for (const int fi : edges_from(bi, s)) {
             const auto& recv = b.edges[static_cast<std::size_t>(fi)];
             if (recv.dir != SyncDir::Recv || recv.chan != send.chan) continue;
-            if (edge_guard_holds(view, bi, recv)) {
+            if (guard_holds(view, recv)) {
               scratch.bcast_enabled.push_back({bi, fi});
               any = true;
             }
@@ -497,18 +533,8 @@ void Network::for_each_successor_impl(const State& s,
   }
 
   // The tick reuses the candidate buffer: the discrete records above
-  // already hold copies of their targets in the arena. Urgent and
-  // committed locations freeze time.
-  for (std::size_t i = 0; i < automata_.size(); ++i) {
-    const auto loc = static_cast<std::size_t>(s[loc_slot(static_cast<int>(i))]);
-    if (automata_[i].locations[loc].kind != LocKind::Normal) return;
-  }
-  scratch.candidate.assign(s.slots());
-  for (std::size_t c = 0; c < clocks_.size(); ++c) {
-    auto& slot = scratch.candidate[clock_slot(static_cast<int>(c))];
-    if (slot < clocks_[c].cap) ++slot;
-  }
-  if (!invariants_hold(scratch.candidate)) return;
+  // already hold copies of their targets in the arena.
+  if (!tick_into(s, scratch.candidate)) return;
   SuccessorView tick;
   tick.target = scratch.candidate.slots();
   tick.kind = Transition::Kind::Tick;
@@ -549,7 +575,7 @@ bool Network::has_successor(const State& s, SuccessorScratch& scratch) const {
                             /*first_only=*/true)) {
     return true;
   }
-  return tick_enabled(s);
+  return tick_into(s, scratch.candidate);
 }
 
 std::string Network::action_between(const State& from,

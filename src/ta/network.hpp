@@ -331,6 +331,7 @@ class Network {
     std::vector<Location> locations;
     std::vector<Edge> edges;
     int initial = 0;
+    std::uint32_t first_row = 0;  ///< edge-index row of location 0
   };
 
   struct VarDecl {
@@ -362,8 +363,20 @@ class Network {
     return automata_.size() + vars_.size() + static_cast<std::size_t>(clock);
   }
 
-  bool edge_guard_holds(const StateView& v, int automaton,
-                        const Edge& e) const;
+  /// Ids of automaton `automaton`'s edges leaving its location in `s`,
+  /// ascending (one row of the edge index).
+  std::span<const int> edges_from(int automaton, const State& s) const {
+    const std::size_t row =
+        automata_[static_cast<std::size_t>(automaton)].first_row +
+        static_cast<std::size_t>(s[loc_slot(automaton)]);
+    return std::span<const int>{edge_ids_}.subspan(
+        edge_offsets_[row], edge_offsets_[row + 1] - edge_offsets_[row]);
+  }
+
+  /// Builds the unit delay successor of `s` into `out`; false (leaving
+  /// `out` unspecified) when an urgent or committed location freezes
+  /// time or an invariant rejects the delayed state.
+  bool tick_into(const State& s, State& out) const;
 
   /// Applies a discrete transition (effects in `parts` order, then
   /// location moves) on top of `s` into the reusable buffer `out`;
@@ -428,6 +441,11 @@ class Network {
   std::vector<ChanDecl> chans_;
   std::vector<SymmetryMember> symmetry_blocks_;  ///< pending until freeze
   std::vector<DeadDecl> dead_decls_;             ///< pending until freeze
+  /// Edge index, built at freeze: row `first_row + loc` of an automaton
+  /// lists the ids of its edges with source `loc`, in ascending order,
+  /// as edge_ids_[edge_offsets_[row] .. edge_offsets_[row + 1]).
+  std::vector<std::uint32_t> edge_offsets_;
+  std::vector<int> edge_ids_;
   StateCodec codec_;
   std::size_t slot_count_ = 0;
   bool frozen_ = false;

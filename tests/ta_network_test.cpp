@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <unordered_set>
+#include <vector>
 
+#include "models/heartbeat_model.hpp"
 #include "ta/network.hpp"
 
 namespace ahb::ta {
@@ -336,6 +341,106 @@ TEST(Network, LabelOfSyncMentionsBothParties) {
   const auto succ = net.successors(net.initial_state());
   ASSERT_FALSE(succ.empty());
   EXPECT_EQ(net.label_of(succ[0]), "a.snd >> b.rcv");
+}
+
+// ---- successor order golden digests ----
+//
+// The explorer's BFS order, parent links, counterexample traces and
+// every state/transition count follow from the order in which the
+// generator emits successors. These digests pin that order on real
+// heartbeat models: a full BFS over each model folds every emitted
+// successor (kind, sender, receivers, target slots) into one FNV-1a
+// digest, so dropping, adding or reordering an emitted successor
+// anywhere in the walk changes it. The digest is computed here, one
+// value per step, independent of util/hash.hpp.
+
+struct OrderDigest {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::size_t states = 0;
+  std::size_t successors = 0;
+
+  /// One FNV-1a step over the whole value.
+  void fold(std::int64_t value) {
+    digest ^= static_cast<std::uint64_t>(value);
+    digest *= 0x100000001b3ULL;
+  }
+};
+
+OrderDigest bfs_order_digest(const Network& net, bool reduced) {
+  OrderDigest d;
+  const auto key = [](std::span<const Slot> slots) {
+    return std::string(reinterpret_cast<const char*>(slots.data()),
+                       slots.size_bytes());
+  };
+  std::vector<State> queue{net.initial_state()};
+  std::unordered_set<std::string> seen{key(queue[0].slots())};
+  SuccessorScratch scratch;
+  const auto visit = [&](const SuccessorView& v) {
+    ++d.successors;
+    d.fold(static_cast<std::int64_t>(v.kind));
+    d.fold(v.sender.automaton);
+    d.fold(v.sender.edge);
+    d.fold(static_cast<std::int64_t>(v.receivers.size()));
+    for (const auto& r : v.receivers) {
+      d.fold(r.automaton);
+      d.fold(r.edge);
+    }
+    for (const Slot slot : v.target) d.fold(slot);
+    if (seen.insert(key(v.target)).second) queue.emplace_back(v.target);
+  };
+  for (std::size_t next = 0; next < queue.size(); ++next) {
+    const State s = queue[next];
+    if (reduced) {
+      net.for_each_successor_reduced(s, scratch, visit);
+    } else {
+      net.for_each_successor(s, scratch, visit);
+    }
+  }
+  d.states = queue.size();
+  return d;
+}
+
+struct Golden {
+  std::size_t states;
+  std::size_t successors;
+  std::uint64_t digest;
+};
+
+/// Walks the n=2 model of `flavor` once per generator; both walks must
+/// match `want`.
+void expect_golden_order(models::Flavor flavor, models::Timing timing,
+                         const Golden& want) {
+  models::BuildOptions options;
+  options.timing = timing;
+  options.participants = 2;
+  const auto model = models::HeartbeatModel::build(flavor, options);
+  for (const bool por : {false, true}) {
+    SCOPED_TRACE(por ? "for_each_successor_reduced" : "for_each_successor");
+    const OrderDigest got = bfs_order_digest(model.net(), por);
+    EXPECT_EQ(got.states, want.states);
+    EXPECT_EQ(got.successors, want.successors);
+    EXPECT_EQ(got.digest, want.digest);
+  }
+}
+
+// Small timing bounds (the joining flavors' n=2 spaces are 10-20x the
+// static one's). Each walk is exhaustive, so it reads every row of the
+// edge index that the model can reach. The ample filter finds no sound
+// subset in these models at n=2, so both generators emit the same
+// sequence and share one golden value.
+TEST(SuccessorOrder, StaticWalkMatchesGoldenDigest) {
+  expect_golden_order(models::Flavor::Static, {1, 2},
+                      {33'611, 90'785, 0x546de54fa68a0b36ULL});
+}
+
+TEST(SuccessorOrder, DynamicWalkMatchesGoldenDigest) {
+  expect_golden_order(models::Flavor::Dynamic, {1, 1},
+                      {675'076, 2'251'117, 0xe02758d9712532ddULL});
+}
+
+TEST(SuccessorOrder, ExpandingWalkMatchesGoldenDigest) {
+  expect_golden_order(models::Flavor::Expanding, {1, 1},
+                      {350'141, 1'215'957, 0x3ce58868977dea9eULL});
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -89,6 +92,59 @@ TEST(Hash, SmallPerturbationChangesHash) {
     mutated[i] ^= 1;
     EXPECT_NE(base, hash_span(std::span<const std::int16_t>{mutated}));
   }
+}
+
+TEST(Hash, ZeroInputsOfEveryLengthHashApart) {
+  // Zero padding of the tail word must not make inputs that differ only
+  // in trailing zero bytes collide: the length is part of the hash.
+  const std::vector<std::byte> zeros(40);
+  std::set<std::uint64_t> seen;
+  for (std::size_t len = 0; len <= zeros.size(); ++len) {
+    EXPECT_TRUE(seen.insert(hash_bytes({zeros.data(), len})).second)
+        << "length " << len;
+  }
+}
+
+TEST(Hash, EverySingleBitFlipChangesHash) {
+  // 46 bytes = 23 int16 slots, the widest verification state: five
+  // full words and a six-byte tail.
+  std::vector<std::byte> input(46);
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    input[i] = static_cast<std::byte>(i * 37 + 11);
+  }
+  const std::uint64_t base = hash_bytes(input);
+  std::set<std::uint64_t> seen{base};
+  for (std::size_t bit = 0; bit < input.size() * 8; ++bit) {
+    auto flipped = input;
+    flipped[bit / 8] ^= static_cast<std::byte>(1U << (bit % 8));
+    EXPECT_TRUE(seen.insert(hash_bytes(flipped)).second) << "bit " << bit;
+  }
+}
+
+TEST(Hash, StructuredSlotVectorsSpreadOverMaskedTable) {
+  // State-like vectors: 23 int16 slots, a few of them counting through
+  // small ranges (locations, clocks) and the rest constant. 2^14 of them
+  // into a 2^12 table is 4 per bucket on average; a well-mixed hash
+  // keeps the fullest bucket near 12, a weak one piles them up. Both
+  // the low bits (the stores' table index) and the high bits (the
+  // concurrent store's shard) must spread.
+  constexpr std::size_t kBuckets = std::size_t{1} << 12;
+  std::vector<int> low(kBuckets);
+  std::vector<int> high(kBuckets);
+  std::vector<std::int16_t> slots(23, 0);
+  slots[5] = 7;
+  slots[22] = -1;
+  for (std::uint32_t i = 0; i < (1U << 14); ++i) {
+    for (int d = 0; d < 7; ++d) {
+      slots[static_cast<std::size_t>(3 * d)] =
+          static_cast<std::int16_t>((i >> (2 * d)) & 3);
+    }
+    const std::uint64_t h = hash_span(std::span<const std::int16_t>{slots});
+    ++low[h & (kBuckets - 1)];
+    ++high[h >> 52];
+  }
+  EXPECT_LE(*std::max_element(low.begin(), low.end()), 16);
+  EXPECT_LE(*std::max_element(high.begin(), high.end()), 16);
 }
 
 TEST(Hash, CombineIsOrderSensitive) {
