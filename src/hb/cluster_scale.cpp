@@ -140,8 +140,8 @@ void ScaleCluster::handle(const Ev& ev) {
       }
       break;
     case Ev::Kind::NodeTimer:
-      // The fired timer's handle is stale now (generation-checked), so
-      // the re-arm's cancel of it is a no-op.
+      // The fired timer's handle is stale now (its seq is retired), so
+      // the re-arm is a plain arm.
       node_elapsed(ev.node, local_now(ev.node));
       arm_node_timer(ev.node);
       break;
@@ -480,8 +480,6 @@ void ScaleCluster::participant_act(int id, step::ParticipantAct outcome) {
 void ScaleCluster::arm_node_timer(int id) {
   Wheel::Handle& handle =
       id == 0 ? coord_timer_ : p_timer_[static_cast<std::size_t>(id)];
-  wheel_.cancel(handle);
-  handle = Wheel::Handle{};
   sim::Time when = id == 0 ? step::next_event(coord_)
                             : step::next_event(p_[static_cast<std::size_t>(id)]);
   // Engine deadlines live on the node's (possibly drifting) clock; the
@@ -489,9 +487,13 @@ void ScaleCluster::arm_node_timer(int id) {
   if (!clocks_.empty()) {
     if (const NodeClock* clock = clock_of(id)) when = clock->global_for(when);
   }
-  if (when == kNever) return;
-  handle = wheel_.arm(std::max(when, now_), timer_priority_,
-                      Ev{Ev::Kind::NodeTimer, 0, id});
+  if (when == kNever) {
+    wheel_.cancel(handle);
+    handle = Wheel::Handle{};
+    return;
+  }
+  handle = wheel_.rearm(handle, std::max(when, now_), timer_priority_,
+                        Ev{Ev::Kind::NodeTimer, 0, id});
 }
 
 void ScaleCluster::emit(ProtocolEvent::Kind kind, int node,

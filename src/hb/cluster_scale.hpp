@@ -10,14 +10,19 @@
 // Mechanics. The protocol state is the coordinator's dense member table
 // (joined/received/registered as word-packed bitsets plus the
 // waiting-time ladder) and one flat vector of participant states indexed
-// by node id. Every deadline is armed on a hierarchical timer wheel
-// (sim/timer_wheel.hpp, O(1) arm/cancel/rearm), and beats run through an
-// inlined flat transport with no per-message heap allocation: a round
-// boundary is one pass over the member table that fans out every beat
-// of the round. The engine and the sans-I/O hb::Coordinator and
-// hb::Participant classes (the library's per-process API) both call
-// hb/transitions.hpp, where each transition is stated once; the engine
-// adds only wire decoding, transport, clocks, timers and sinks.
+// by node id. Every pending event — a delivery, a node's deadline, a
+// scheduled fault — is one by-value entry on a hierarchical timer wheel
+// (sim/timer_wheel.hpp): arming appends it to a chunked slot list,
+// firing reads the due lists front to back, and re-arming a node's
+// deadline is O(1) — in place when its entry is still the newest of its
+// slot list, as the coordinator's deadline is between replies. Beats
+// run through an inlined flat transport with no per-message heap
+// allocation: a round boundary is one pass over the member table that
+// fans out every beat of the round. The engine and the sans-I/O
+// hb::Coordinator and hb::Participant classes (the library's
+// per-process API) both call hb/transitions.hpp, where each transition
+// is stated once; the engine adds only wire decoding, transport,
+// clocks, timers and sinks.
 //
 // Determinism. Same-instant work fires in (time, priority,
 // schedule-order) sequence — deliveries and injected faults at priority
@@ -195,10 +200,13 @@ class ScaleCluster {
 
   const sim::NetworkStats& network_stats() const { return net_stats_; }
   const ScaleStats& stats() const { return scale_stats_; }
+  /// Events held by the wheel, cancelled timers not yet dropped included
+  /// (sim::TimerWheel::stored): at most about twice the pending events.
+  std::size_t stored_events() const { return wheel_.stored(); }
 
  private:
-  /// Wheel payload: one pending simulation event, by value (pooled in
-  /// the wheel's node arena — no per-message allocation).
+  /// Wheel payload: one pending simulation event, stored by value in
+  /// the wheel's chunked slot lists (no per-message allocation).
   struct Ev {
     enum class Kind : std::uint8_t {
       Deliver,           ///< message delivery: from -> node
@@ -306,8 +314,8 @@ class ScaleCluster {
   /// delivery (and any duplicate) on the wheel. Returns the id.
   std::uint64_t send(int from, int to, bool flag);
 
-  /// Cancels and re-arms node `id`'s deadline timer at the global
-  /// instant of its next event.
+  /// Re-arms node `id`'s deadline timer at the global instant of its
+  /// next event (TimerWheel::rearm), or cancels it when there is none.
   void arm_node_timer(int id);
   void emit(ProtocolEvent::Kind kind, int node, std::uint64_t msg_id = 0,
             std::uint32_t fanout = 0);

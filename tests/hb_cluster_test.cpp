@@ -2,6 +2,7 @@
 // lossy discrete-event network (hb::ScaleCluster).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 
@@ -134,6 +135,25 @@ TEST(Cluster, SurvivesModerateLossLongRun) {
   EXPECT_EQ(cluster.coordinator_status(), Status::Active);
   EXPECT_EQ(cluster.participant_status(1), Status::Active);
   EXPECT_GT(cluster.network_stats().lost, 0u);
+}
+
+TEST(Cluster, SlowClockTimersDoNotPileUp) {
+  // On a clock running 1000x slow, every beat re-arms a deadline ~1000
+  // rounds ahead, so each round leaves one cancelled timer per member
+  // that would wait ~1000 rounds to be dropped. The wheel's sweep keeps
+  // them within a small multiple of what is pending.
+  constexpr int kMembers = 20;
+  ScaleCluster cluster{make_cluster(Variant::Static, kMembers, 2, 10)};
+  for (int id = 1; id <= kMembers; ++id) cluster.set_drift_at(id, 0, 1, 1000);
+  cluster.start();
+  std::size_t most = 0;
+  for (Time t = 100; t <= 50'000; t += 100) {
+    cluster.run_until(t);
+    most = std::max(most, cluster.stored_events());
+  }
+  EXPECT_EQ(cluster.coordinator_status(), Status::Active);
+  EXPECT_EQ(cluster.member_count(), kMembers);
+  EXPECT_LE(most, 4u * (kMembers + 1) + 64);
 }
 
 TEST(Cluster, DeterministicForSeed) {

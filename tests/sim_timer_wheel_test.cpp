@@ -6,12 +6,18 @@
 // popped — is what makes the heartbeat engine's event interleavings
 // reproducible bit-for-bit, so it is pinned here against
 // an oracle that keeps every pending entry in one ordered multiset.
-// The deterministic cases target the wheel's structural edges: same
-// tick ordering, cancel-in-ready laziness, multi-level cascades, and
-// the slot-ring wrap where an entry lands at or behind the current
-// slot index of its level, and arms beyond the wheel's 64^6-tick span.
+// rearm() must be indistinguishable from cancel() followed by arm(), so
+// the oracle models it as erase plus insert under a fresh seq. The
+// deterministic cases target the wheel's structural edges: same tick
+// ordering, cancels in a slot, in the ready drain and in the far heap
+// (the newest entry of a list removed at once, older ones left dead),
+// rearm's in-place path, multi-level cascades, the slot-ring wrap
+// where an entry lands at or behind the current slot index of its
+// level, arms beyond the wheel's 64^6-tick span, and the bound on the
+// cancelled entries a long run leaves behind.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -161,26 +167,48 @@ TEST(TimerWheel, AdvanceToSkipsEmptySpansAndKeepsLaterEntriesLive) {
 
 TEST(TimerWheel, RandomisedAgainstOracle) {
   // Seeded random arm/cancel/rearm/drain campaign. Mixed scales pick
-  // deltas from every level (biased small, occasionally huge), pop
-  // horizons land mid-slot and on boundaries, and a third of armed
-  // entries are cancelled — from the wheel or from the ready heap.
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+  // deltas from every level (biased small, occasionally past the span),
+  // pop horizons land mid-slot and on boundaries, single pops leave a
+  // tick half drained so the next operations act mid-tick, and armed
+  // entries are cancelled or re-armed wherever they sit: in a slot, in
+  // the ready drain or in the far heap. Re-arming the latest arm at its
+  // own (when, priority) takes the in-place path. Seeds 6-8 hold about
+  // 30 entries pending and cancel or re-arm instead of arming more, so
+  // the dead pile up past the live ones and the sweep compacts lists
+  // mid-campaign, mid-tick included.
+  constexpr Time kSpan = Time{1} << 36;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE(testing::Message() << "seed=" << seed);
     Rng rng{seed};
+    const bool churn = seed > 5;
     Wheel wheel;
     std::set<OracleEntry> oracle;
     std::vector<std::pair<Wheel::Handle, OracleEntry>> live;
     std::uint64_t seq = 1;
-    for (int step = 0; step < 3000; ++step) {
-      const auto op = rng.below(10);
+    // Oracle side of rearm(): erase the entry if still pending, insert
+    // the new one under a fresh seq.
+    const auto rearm = [&](std::size_t pick, Time when, int prio) {
+      auto& [handle, entry] = live[pick];
+      oracle.erase(entry);
+      const int payload = static_cast<int>(seq);
+      handle = wheel.rearm(handle, when, prio, payload);
+      entry = OracleEntry{when, prio, seq++, payload};
+      oracle.insert(entry);
+    };
+    for (int step = 0; step < 4000; ++step) {
+      auto op = rng.below(12);
+      if (churn && op < 6 && oracle.size() > 30) op = rng.below(2) == 0 ? 7 : 9;
       if (op < 6) {  // arm
         Time delta;
-        switch (rng.below(4)) {
+        switch (rng.below(5)) {
           case 0: delta = static_cast<Time>(rng.below(4)); break;
           case 1: delta = static_cast<Time>(rng.below(64)); break;
           case 2: delta = static_cast<Time>(rng.below(64 * 64)); break;
-          default:
+          case 3:
             delta = static_cast<Time>(rng.below(64ull * 64 * 64 * 64));
+            break;
+          default:
+            delta = kSpan + static_cast<Time>(rng.below(4096));
             break;
         }
         const Time when = wheel.now() + delta;
@@ -191,46 +219,142 @@ TEST(TimerWheel, RandomisedAgainstOracle) {
         oracle.insert(entry);
         live.push_back({handle, entry});
         ++seq;
-      } else if (op < 8 && !live.empty()) {  // cancel a random live entry
+      } else if (op < 8 && !live.empty()) {  // cancel a random entry
         const auto pick = rng.below(live.size());
         const auto [handle, entry] = live[pick];
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
         const bool still = oracle.erase(entry) > 0;
         EXPECT_EQ(wheel.cancel(handle), still);
-      } else {  // drain a random horizon ahead
-        const Time horizon = wheel.now() + static_cast<Time>(rng.below(300));
+      } else if (op == 8 && !live.empty()) {  // rearm the latest arm
+        const OracleEntry& entry = live.back().second;
+        const bool same = rng.below(2) == 0 && entry.when >= wheel.now();
+        rearm(live.size() - 1,
+              same ? entry.when
+                   : wheel.now() + static_cast<Time>(rng.below(200)),
+              same ? entry.priority : static_cast<int>(rng.below(2)));
+      } else if (op == 9 && !live.empty()) {  // rearm a random entry
+        const auto pick = rng.below(live.size());
+        const Time when = std::max(live[pick].second.when, wheel.now()) +
+                          static_cast<Time>(rng.below(3)) - 1;
+        rearm(pick, std::max(when, wheel.now()),
+              static_cast<int>(rng.below(2)));
+      } else if (op == 10) {  // pop one entry, leaving the tick mid-drain
+        const Time horizon = wheel.now() + static_cast<Time>(rng.below(8));
         Wheel::Expired expired;
-        while (wheel.pop(horizon, expired)) {
+        if (wheel.pop(horizon, expired)) {
           ASSERT_FALSE(oracle.empty());
           const OracleEntry expect = *oracle.begin();
-          ASSERT_LE(expect.when, horizon);
           oracle.erase(oracle.begin());
           ASSERT_EQ(expired.when, expect.when);
           ASSERT_EQ(expired.priority, expect.priority);
           ASSERT_EQ(expired.seq, expect.seq);
           ASSERT_EQ(expired.payload, expect.payload);
-        }
-        if (!oracle.empty()) {
+        } else if (!oracle.empty()) {
           ASSERT_GT(oracle.begin()->when, horizon);
         }
-        wheel.advance_to(horizon);
-        ASSERT_EQ(wheel.now(), horizon);
+      } else {  // drain a random horizon ahead
+        const Time horizon = wheel.now() + static_cast<Time>(rng.below(300));
+        expect_same_drain(wheel, oracle, horizon);
+        if (HasFatalFailure()) return;
       }
       ASSERT_EQ(wheel.pending(), oracle.size());
+      ASSERT_GE(wheel.stored(), wheel.pending());
     }
-    // Final full drain.
-    const Time far = wheel.now() + Time{64} * 64 * 64 * 64 * 64;
-    std::set<OracleEntry> rest;
-    rest.swap(oracle);
-    Wheel::Expired expired;
-    for (const auto& expect : rest) {
-      ASSERT_TRUE(wheel.pop(far, expired));
-      ASSERT_EQ(expired.when, expect.when);
-      ASSERT_EQ(expired.seq, expect.seq);
-    }
-    EXPECT_FALSE(wheel.pop(far, expired));
+    // Final full drain, past the far arms too.
+    expect_same_drain(wheel, oracle, wheel.now() + (Time{1} << 38));
+    EXPECT_TRUE(oracle.empty());
     EXPECT_EQ(wheel.pending(), 0u);
   }
+}
+
+TEST(TimerWheel, RearmFiresExactlyLikeCancelThenArm) {
+  // The same script on two wheels: one re-arms, the other cancels and
+  // arms. An entry that is still the newest of its list, re-armed into
+  // that same list, is rewritten in place — in a slot, in a coarse slot
+  // with a moved deadline, and in the ready drain mid-tick — while an
+  // entry with newer ones behind it, a move to another list or a
+  // changed priority takes the cancel+arm path. Both wheels must fire
+  // identical streams and hold the same number of entries throughout.
+  Wheel a;
+  Wheel b;
+  const auto both = [&](Time when, int prio, int payload) {
+    return std::pair{a.arm(when, prio, payload), b.arm(when, prio, payload)};
+  };
+  const auto rearm = [&](std::pair<Wheel::Handle, Wheel::Handle>& h,
+                         Time when, int prio, int payload) {
+    h.first = a.rearm(h.first, when, prio, payload);
+    b.cancel(h.second);
+    h.second = b.arm(when, prio, payload);
+    EXPECT_EQ(h.first.seq, h.second.seq);
+    EXPECT_EQ(a.stored(), b.stored());
+  };
+  auto x = both(10, 1, 1);
+  auto y = both(10, 1, 2);
+  rearm(y, 10, 1, 3);  // newest of its list: in place
+  EXPECT_EQ(a.stored(), 2u);
+  rearm(x, 10, 1, 4);  // y behind it: x now fires after y
+  EXPECT_EQ(a.stored(), 3u);  // x's old entry waits, dead
+  rearm(x, 10, 0, 5);  // new priority: another list
+  auto z = both(10, 1, 6);
+  auto u = both(200, 1, 12);  // level 1: slot [192, 256)
+  rearm(z, 12, 1, 7);  // moved deadline: another list
+  rearm(z, 12, 1, 8);  // and in place at its new deadline
+  rearm(u, 230, 1, 13);  // same coarse slot: in place, new deadline
+  both(10, 1, 9);
+
+  Wheel::Expired ea;
+  Wheel::Expired eb;
+  ASSERT_TRUE(a.pop(10, ea));
+  ASSERT_TRUE(b.pop(10, eb));
+  EXPECT_EQ(ea.payload, 5);  // priority 0 first
+  // Mid-tick: arm at the current tick, then re-arm it in place while
+  // the drain cursor sits in the same list.
+  auto w = both(10, 1, 10);
+  rearm(w, 10, 1, 11);
+  std::vector<int> order;
+  while (true) {
+    const bool fa = a.pop(20, ea);
+    ASSERT_EQ(fa, b.pop(20, eb));
+    if (!fa) break;
+    EXPECT_EQ(ea.when, eb.when);
+    EXPECT_EQ(ea.priority, eb.priority);
+    EXPECT_EQ(ea.seq, eb.seq);
+    EXPECT_EQ(ea.payload, eb.payload);
+    order.push_back(ea.payload);
+  }
+  EXPECT_EQ(order, (std::vector<int>{3, 9, 11, 8}));
+  ASSERT_TRUE(a.pop(300, ea));
+  EXPECT_EQ(ea.when, 230);
+  EXPECT_EQ(ea.payload, 13);
+  EXPECT_EQ(a.pending(), 0u);
+  EXPECT_EQ(a.stored(), 0u);
+}
+
+TEST(TimerWheel, CancelledEntriesStayBounded) {
+  // Lazy cancel leaves a dead entry behind until its tick. A deadline
+  // re-armed far ahead on every step (a node on a very slow clock)
+  // would pile them up without the sweep; with it, stored() stays
+  // within a constant of the few live entries — in the slots and in
+  // the far heap alike.
+  Wheel wheel;
+  std::vector<Wheel::Handle> handles;
+  Wheel::Expired expired;
+  std::size_t most = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const Time ahead = i % 5 == 0 ? (Time{1} << 37) : 1'000'000;
+    handles.push_back(wheel.arm(wheel.now() + ahead + i % 7, i % 2, i));
+    if (handles.size() > 3) {
+      EXPECT_TRUE(wheel.cancel(handles.front()));
+      handles.erase(handles.begin());
+    }
+    if (i % 1000 == 0) {
+      EXPECT_FALSE(wheel.pop(wheel.now() + 10, expired));
+      wheel.advance_to(wheel.now() + 10);
+    }
+    most = std::max(most, wheel.stored());
+  }
+  EXPECT_EQ(wheel.pending(), 3u);
+  EXPECT_LE(most, 2 * 3 + 64 + 1u);
 }
 
 TEST(TimerWheel, ArmsBeyondTheSpanWaitAndFireOnTime) {
