@@ -62,8 +62,7 @@ void run_point(Flavor flavor, int tmin, int tmax, const char* focus,
           v.r1_stats.states + v.r2_stats.states + v.r3_stats.states,
           v.r1_stats.transitions + v.r2_stats.transitions +
               v.r3_stats.transitions,
-          v.r1_stats.elapsed.count() + v.r2_stats.elapsed.count() +
-              v.r3_stats.elapsed.count(),
+          bench::verify_seconds(v),
           args.threads,
           std::max({v.r1_stats.store_bytes, v.r2_stats.store_bytes,
                     v.r3_stats.store_bytes}),

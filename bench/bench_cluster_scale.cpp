@@ -243,6 +243,11 @@ int main(int argc, char** argv) {
                 "beats/sec", "ns/beat", "detect p50/p99/max (ticks)");
   }
 
+  // One untimed run first: the first timed row would otherwise pay for
+  // cold caches, page faults and allocator growth, which made the plain
+  // n=1,000 row slower than its monitored twin.
+  steady_state_scale(std::min(sizes.front(), 1'000));
+
   for (const int n : sizes) {
     const auto steady = steady_state_scale(n);
     const auto monitored = steady_state_scale_monitored(n);

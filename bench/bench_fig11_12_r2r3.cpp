@@ -9,6 +9,7 @@
 //  - Fig. 12 (R3): symmetrically, p[1]'s reply reaches p[0] exactly at
 //    p[0]'s own timeout; processed second, the round counts as a miss
 //    and p[0] inactivates although p[1] is alive.
+#include <array>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -62,8 +63,11 @@ void show_fixed_pass(int tmin, int tmax, bool json) {
   const auto model =
       models::HeartbeatModel::build(models::Flavor::Binary, options);
   mc::Explorer explorer{model.net()};
-  const auto r2 = explorer.reach(model.r2_violation_any());
-  const auto r3 = explorer.reach(model.r3_violation());
+  const std::array<mc::Pred, 2> targets{model.r2_violation_any(),
+                                        model.r3_violation()};
+  const auto results = explorer.reach(targets);
+  const auto& r2 = results[0];
+  const auto& r3 = results[1];
   std::printf(
       "--- Section 6 fix (receive priority), tmin=%d tmax=%d ---\n"
       "R2 violation reachable: %s   R3 violation reachable: %s\n"

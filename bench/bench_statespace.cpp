@@ -179,9 +179,7 @@ int run_json_sweep(const ahb::bench::BenchArgs& args) {
                                       v.r3_stats.transitions;
     const std::uint64_t fused =
         v.r1_stats.fused + v.r2_stats.fused + v.r3_stats.fused;
-    const double seconds = v.r1_stats.elapsed.count() +
-                           v.r2_stats.elapsed.count() +
-                           v.r3_stats.elapsed.count();
+    const double seconds = bench::verify_seconds(v);
     const std::size_t store_bytes =
         std::max({v.r1_stats.store_bytes, v.r2_stats.store_bytes,
                   v.r3_stats.store_bytes});

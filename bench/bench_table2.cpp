@@ -63,9 +63,7 @@ void run_flavor(Flavor flavor, int participants, const BenchArgs& args) {
     const std::uint64_t transitions = v.r1_stats.transitions +
                                       v.r2_stats.transitions +
                                       v.r3_stats.transitions;
-    const double seconds = v.r1_stats.elapsed.count() +
-                           v.r2_stats.elapsed.count() +
-                           v.r3_stats.elapsed.count();
+    const double seconds = ahb::bench::verify_seconds(v);
     total_states += states;
     total_seconds += seconds;
     if (args.json) {

@@ -10,6 +10,7 @@
 // so sweep scripts can diff runs without scraping the human tables.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <climits>
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include <sys/resource.h>
 
 #include "mc/explorer.hpp"
+#include "models/heartbeat_model.hpp"
 #include "sim/link.hpp"
 #include "ta/codec.hpp"
 
@@ -143,6 +145,14 @@ inline BenchArgs parse_bench_args(int argc, char** argv,
     }
   }
   return args;
+}
+
+/// Wall time of one models::verify_requirements call: the R1 search
+/// plus the shared R2/R3 search, which lasts until the later of its two
+/// targets settled (their elapsed times overlap, so they do not add up).
+inline double verify_seconds(const models::Verdicts& v) {
+  return v.r1_stats.elapsed.count() +
+         std::max(v.r2_stats.elapsed.count(), v.r3_stats.elapsed.count());
 }
 
 /// Interned-state saving observable within a single reduced run: visited

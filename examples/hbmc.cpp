@@ -23,7 +23,9 @@
 #include <cstdio>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "mc/bitstate.hpp"
 #include "mc/explorer.hpp"
@@ -64,43 +66,61 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// Runs one reachability check, printing verdict and optional trace.
-/// Returns true iff the requirement HOLDS.
-bool run_check(const models::HeartbeatModel& model, const mc::Pred& violation,
-               const char* name, const CliOptions& cli) {
+/// One requirement of a check run: its name and its violation predicate.
+struct Check {
+  const char* name;
+  mc::Pred violation;
+};
+
+/// Runs the reachability checks on one model — one exact search settles
+/// all of them, while --bitstate runs one supertrace search each —
+/// printing verdicts and optional traces. Returns true iff every
+/// requirement HOLDS.
+bool run_checks(const models::HeartbeatModel& model,
+                std::span<const Check> checks, const CliOptions& cli) {
+  bool all_hold = true;
   if (cli.bitstate > 0) {
-    const auto result =
-        mc::reach_bitstate(model.net(), violation, cli.bitstate);
-    std::printf("%s: %s  (bitstate: %llu states marked, %.3fs, %zu KiB)\n",
-                name,
-                result.found ? "VIOLATED"
-                             : "no violation found (NOT exhaustive)",
-                static_cast<unsigned long long>(result.stats.states),
-                result.stats.elapsed.count(),
-                result.stats.store_bytes / 1024);
-    if (result.found && cli.trace) {
-      std::printf("%s",
-                  trace::render_timeline(model.net(), result.trace).c_str());
+    for (const Check& check : checks) {
+      const auto result =
+          mc::reach_bitstate(model.net(), check.violation, cli.bitstate);
+      std::printf("%s: %s  (bitstate: %llu states marked, %.3fs, %zu KiB)\n",
+                  check.name,
+                  result.found ? "VIOLATED"
+                               : "no violation found (NOT exhaustive)",
+                  static_cast<unsigned long long>(result.stats.states),
+                  result.stats.elapsed.count(),
+                  result.stats.store_bytes / 1024);
+      if (result.found && cli.trace) {
+        std::printf("%s",
+                    trace::render_timeline(model.net(), result.trace).c_str());
+      }
+      all_hold &= !result.found;
     }
-    return !result.found;
+    return all_hold;
   }
 
+  std::vector<mc::Pred> targets;
+  for (const Check& check : checks) targets.push_back(check.violation);
   mc::Explorer explorer{model.net()};
-  const auto result = explorer.reach(violation);
-  std::printf("%s: %s  (%llu states, %.3fs)\n", name,
-              result.found      ? "VIOLATED"
-              : result.complete ? "holds (exhaustive)"
-                                : "inconclusive (hit limits)",
-              static_cast<unsigned long long>(result.stats.states),
-              result.stats.elapsed.count());
-  if (result.found && (cli.trace || cli.full_trace)) {
-    std::printf("%s", cli.full_trace
-                          ? trace::render_full(model.net(), result.trace)
-                                .c_str()
-                          : trace::render_timeline(model.net(), result.trace)
-                                .c_str());
+  const auto results = explorer.reach(targets);
+  for (std::size_t i = 0; i < checks.size(); ++i) {
+    const auto& result = results[i];
+    std::printf("%s: %s  (%llu states, %.3fs)\n", checks[i].name,
+                result.found      ? "VIOLATED"
+                : result.complete ? "holds (exhaustive)"
+                                  : "inconclusive (hit limits)",
+                static_cast<unsigned long long>(result.stats.states),
+                result.stats.elapsed.count());
+    if (result.found && (cli.trace || cli.full_trace)) {
+      std::printf("%s", cli.full_trace
+                            ? trace::render_full(model.net(), result.trace)
+                                  .c_str()
+                            : trace::render_timeline(model.net(), result.trace)
+                                  .c_str());
+    }
+    all_hold &= !result.found;
   }
-  return !result.found;
+  return all_hold;
 }
 
 }  // namespace
@@ -194,16 +214,16 @@ int main(int argc, char** argv) {
     auto options = cli.build;
     options.r1_monitor = true;
     const auto model = models::HeartbeatModel::build(cli.flavor, options);
-    all_hold &= run_check(model, model.r1_violation(), "R1", cli);
+    const Check r1{"R1", model.r1_violation()};
+    all_hold &= run_checks(model, std::span{&r1, 1}, cli);
   }
   if (cli.check == "r2" || cli.check == "r3" || cli.check == "all") {
+    // R2 and R3 share the model without watchdogs, and one search.
     const auto model = models::HeartbeatModel::build(cli.flavor, cli.build);
-    if (cli.check != "r3") {
-      all_hold &= run_check(model, model.r2_violation_any(), "R2", cli);
-    }
-    if (cli.check != "r2") {
-      all_hold &= run_check(model, model.r3_violation(), "R3", cli);
-    }
+    std::vector<Check> checks;
+    if (cli.check != "r3") checks.push_back({"R2", model.r2_violation_any()});
+    if (cli.check != "r2") checks.push_back({"R3", model.r3_violation()});
+    all_hold &= run_checks(model, checks, cli);
   }
   return all_hold ? 0 : 1;
 }

@@ -86,20 +86,64 @@ std::vector<ta::State> stored_chain(const Store& store, std::uint32_t last,
   return chain;
 }
 
+/// Settlement bookkeeping of a multi-target search, shared by both BFS
+/// loops: the targets still live and the results of those settled. A
+/// target settles at its first hit with a snapshot of the statistics at
+/// that moment; the search goes on while any target is live.
+class Targets {
+ public:
+  explicit Targets(std::size_t n) : results_(n), live_(n) {
+    for (std::size_t k = 0; k < n; ++k) live_[k] = k;
+  }
+
+  std::span<const std::size_t> live() const { return live_; }
+  bool all_settled() const { return live_.empty(); }
+
+  /// Settles every target in `hits` (all live) as found, with one trace.
+  void settle(std::span<const std::size_t> hits,
+              const std::vector<TraceStep>& trace, const SearchStats& stats,
+              bool complete) {
+    for (const std::size_t k : hits) {
+      SearchResult& r = results_[k];
+      r.found = true;
+      r.complete = complete;
+      r.trace = trace;
+      r.stats = stats;
+      std::erase(live_, k);
+    }
+  }
+
+  /// Ends the search: every live target gets the final statistics.
+  std::vector<SearchResult> finish(const SearchStats& stats, bool complete) {
+    for (const std::size_t k : live_) {
+      results_[k].complete = complete;
+      results_[k].stats = stats;
+    }
+    live_.clear();
+    return std::move(results_);
+  }
+
+ private:
+  std::vector<SearchResult> results_;
+  std::vector<std::size_t> live_;
+};
+
 }  // namespace
 
 Explorer::Explorer(const ta::Network& net) : net_(&net) {
   AHB_EXPECTS(net.frozen());
 }
 
-SearchResult Explorer::run(const StopFn& stop, const SearchLimits& limits) {
+std::vector<SearchResult> Explorer::run(std::span<const StopFn> stops,
+                                        const SearchLimits& limits) {
+  if (stops.empty()) return {};
   const unsigned threads = resolve_threads(limits.threads);
-  if (threads == 1) return bfs_sequential(stop, limits);
-  return bfs_parallel(stop, limits, threads);
+  if (threads == 1) return bfs_sequential(stops, limits);
+  return bfs_parallel(stops, limits, threads);
 }
 
-SearchResult Explorer::bfs_sequential(const StopFn& stop,
-                                      const SearchLimits& limits) {
+std::vector<SearchResult> Explorer::bfs_sequential(
+    std::span<const StopFn> stops, const SearchLimits& limits) {
   const auto start_time = std::chrono::steady_clock::now();
   const ta::StateCodec& codec = net_->codec();
   StateStore store{codec, limits.compression};
@@ -111,25 +155,42 @@ SearchResult Explorer::bfs_sequential(const StopFn& stop,
   std::uint64_t depth = 0;
   std::uint64_t fused = 0;
 
-  SearchResult result;
-  const auto finish = [&](bool complete) {
-    result.complete = complete;
-    result.stats.states = store.size();
-    result.stats.transitions = transitions;
-    result.stats.depth = depth;
-    result.stats.fused = fused;
-    result.stats.store_bytes = store.memory_bytes();
-    result.stats.elapsed = std::chrono::steady_clock::now() - start_time;
-    return result;
+  Targets targets{stops.size()};
+  const auto stats = [&] {
+    return SearchStats{store.size(),
+                       transitions,
+                       depth,
+                       fused,
+                       store.memory_bytes(),
+                       std::chrono::steady_clock::now() - start_time};
   };
 
   ta::SuccessorScratch scratch;       // drives the enumeration
-  ta::SuccessorScratch stop_scratch;  // available to the stop predicate
+  ta::SuccessorScratch stop_scratch;  // available to the stop predicates
   ta::State state_buf;
   ta::State test_buf;
   ta::State cur_fused;
   ta::State found_canon;
   FusedStack pending;
+  std::vector<std::size_t> hits;  // live targets the tested state satisfies
+
+  const auto test = [&](const ta::State& s) {
+    hits.clear();
+    for (const std::size_t k : targets.live()) {
+      if (stops[k](s, stop_scratch)) hits.push_back(k);
+    }
+    return !hits.empty();
+  };
+  // Settles `hits` at this very moment, so their statistics are exactly
+  // those of a search that stopped here.
+  const auto settle = [&](std::uint32_t last, const ta::State* transient_hit) {
+    const std::vector<TraceStep> trace = replay_trace(
+        stored_chain(
+            store, last, [&](std::uint32_t i) { return parent[i]; },
+            transient_hit),
+        canon, por);
+    targets.settle(hits, trace, stats(), /*complete=*/false);
+  };
 
   const ta::State init = net_->initial_state();
   test_buf.assign(init.slots());
@@ -138,28 +199,26 @@ SearchResult Explorer::bfs_sequential(const StopFn& stop,
   AHB_ASSERT(inserted);
   parent.push_back(StateStore::kInvalidIndex);
 
-  if (stop(init, stop_scratch)) {
-    result.found = true;
-    result.trace.push_back(TraceStep{"", init});
-    // The initial state already answers the query: nothing beyond it was
-    // asked for, so the trivial search is complete, not truncated.
-    return finish(true);
+  if (test(init)) {
+    // The initial state already answers these queries: nothing beyond it
+    // was asked for, so their trivial searches are complete, not
+    // truncated.
+    targets.settle(hits, {TraceStep{"", init}}, stats(), /*complete=*/true);
+    if (targets.all_settled()) return targets.finish(stats(), true);
   }
 
   // BFS layer by layer so `depth` is exact and depth limits are honest.
-  enum class Outcome { kRunning, kFound, kLimit };
+  enum class Outcome { kRunning, kSettled, kLimit };
   std::deque<std::uint32_t> frontier{init_index};
   while (!frontier.empty()) {
     if (limits.max_depth != 0 && depth >= limits.max_depth) {
-      return finish(false);
+      return targets.finish(stats(), false);
     }
     ++depth;
     std::deque<std::uint32_t> next_frontier;
     for (const std::uint32_t index : frontier) {
       store.load(index, state_buf);
       Outcome outcome = Outcome::kRunning;
-      std::uint32_t found_index = 0;
-      bool found_transient = false;
 
       const auto on_target = [&](std::span<const ta::Slot> target,
                                  std::uint32_t fuse_depth) -> bool {
@@ -177,14 +236,16 @@ SearchResult Explorer::bfs_sequential(const StopFn& stop,
           test_buf.assign(target);
           if (por && fuse_depth < kFusionDepthCap &&
               net_->committed_location_active(test_buf)) {
-            // Transient: evaluate the predicate (fusion must not skip
+            // Transient: evaluate the predicates (fusion must not skip
             // error states), then expand through it without interning.
-            if (stop(test_buf, stop_scratch)) {
-              outcome = Outcome::kFound;
-              found_transient = true;
+            if (test(test_buf)) {
               found_canon.assign(target);
               if (canon) codec.canonicalize(found_canon.slots_mut());
-              return false;
+              settle(index, &found_canon);
+              if (targets.all_settled()) {
+                outcome = Outcome::kSettled;
+                return false;
+              }
             }
             ++fused;
             pending.push(target, fuse_depth + 1);
@@ -197,10 +258,12 @@ SearchResult Explorer::bfs_sequential(const StopFn& stop,
         if (!is_new) return true;
         parent.push_back(index);
         if (!canon && !por) test_buf.assign(target);
-        if (stop(test_buf, stop_scratch)) {
-          outcome = Outcome::kFound;
-          found_index = child;
-          return false;
+        if (test(test_buf)) {
+          settle(child, nullptr);
+          if (targets.all_settled()) {
+            outcome = Outcome::kSettled;
+            return false;
+          }
         }
         next_frontier.push_back(child);
         return true;
@@ -218,27 +281,16 @@ SearchResult Explorer::bfs_sequential(const StopFn& stop,
         const std::uint32_t fuse_depth = pending.pop(cur_fused);
         expand(cur_fused, fuse_depth);
       }
-
-      if (outcome == Outcome::kFound) {
-        result.found = true;
-        result.trace = replay_trace(
-            stored_chain(
-                store, found_transient ? index : found_index,
-                [&](std::uint32_t i) { return parent[i]; },
-                found_transient ? &found_canon : nullptr),
-            canon, por);
-        return finish(false);
-      }
-      if (outcome == Outcome::kLimit) return finish(false);
+      if (outcome != Outcome::kRunning) return targets.finish(stats(), false);
     }
     frontier = std::move(next_frontier);
   }
-  return finish(true);
+  return targets.finish(stats(), true);
 }
 
-SearchResult Explorer::bfs_parallel(const StopFn& stop,
-                                    const SearchLimits& limits,
-                                    unsigned threads) {
+std::vector<SearchResult> Explorer::bfs_parallel(
+    std::span<const StopFn> stops, const SearchLimits& limits,
+    unsigned threads) {
   const auto start_time = std::chrono::steady_clock::now();
   const ta::StateCodec& codec = net_->codec();
   ConcurrentStateStore store{codec, limits.compression};
@@ -246,25 +298,19 @@ SearchResult Explorer::bfs_parallel(const StopFn& stop,
                      codec.has_canonicalization();
   const bool por = limits.por;
   std::uint64_t depth = 0;
-  std::uint64_t transitions = 0;
-  std::uint64_t fused = 0;
 
-  SearchResult result;
-  const auto finish = [&](bool complete) {
-    result.complete = complete;
-    result.stats.states = store.size();
-    result.stats.transitions = transitions;
-    result.stats.depth = depth;
-    result.stats.fused = fused;
-    result.stats.store_bytes = store.memory_bytes();
-    result.stats.elapsed = std::chrono::steady_clock::now() - start_time;
-    return result;
+  // A worker's best hit of the current layer for one target.
+  struct Hit {
+    bool found = false;
+    bool transient = false;
+    std::uint32_t index = 0;   ///< interned hit
+    std::uint32_t parent = 0;  ///< stored ancestor of a transient hit
+    ta::State image;           ///< canonical image of the hit
   };
-
   // Per-worker state: scratches, reusable state buffers, the fused
-  // worklist, the next-layer indices it discovered, and its best target
-  // hit of the current layer. Which worker finds which hit depends on
-  // scheduling; the per-layer lexicographic minimum over canonical
+  // worklist, the next-layer indices it discovered, and its best hit of
+  // the current layer per target. Which worker finds which hit depends
+  // on scheduling; the per-layer lexicographic minimum over canonical
   // images does not, so verdicts, state counts and depths stay
   // thread-count-invariant (the replayed trace path through a fused gap
   // may differ between runs).
@@ -274,17 +320,29 @@ SearchResult Explorer::bfs_parallel(const StopFn& stop,
     ta::State state_buf;
     ta::State test_buf;
     ta::State cur_fused;
+    ta::State hit_canon;
     FusedStack pending;
     std::vector<std::uint32_t> next;
     std::uint64_t transitions = 0;
     std::uint64_t fused = 0;
-    bool found = false;
-    bool found_transient = false;
-    std::uint32_t found_index = 0;   ///< interned hit
-    std::uint32_t found_parent = 0;  ///< stored ancestor of a transient hit
-    ta::State found_canon;           ///< canonical image of the hit
+    std::vector<Hit> hits;
   };
   std::vector<Worker> workers(threads);
+  for (auto& w : workers) w.hits.resize(stops.size());
+
+  // Read by the workers during a layer and changed by the main thread
+  // only between layers; the layer barriers order the two.
+  Targets targets{stops.size()};
+  // Valid while the workers wait at a barrier (or have exited).
+  const auto stats = [&] {
+    SearchStats s{store.size(), 0, depth, 0, store.memory_bytes(),
+                  std::chrono::steady_clock::now() - start_time};
+    for (const auto& w : workers) {
+      s.transitions += w.transitions;
+      s.fused += w.fused;
+    }
+    return s;
+  };
 
   const ta::State init = net_->initial_state();
   workers[0].test_buf.assign(init.slots());
@@ -293,18 +351,24 @@ SearchResult Explorer::bfs_parallel(const StopFn& stop,
       store.intern(workers[0].test_buf, ConcurrentStateStore::kInvalidIndex);
   AHB_ASSERT(inserted);
 
-  if (stop(init, workers[0].stop_scratch)) {
-    result.found = true;
-    result.trace.push_back(TraceStep{"", init});
-    return finish(true);
+  std::vector<std::size_t> init_hits;
+  for (const std::size_t k : targets.live()) {
+    if (stops[k](init, workers[0].stop_scratch)) init_hits.push_back(k);
+  }
+  if (!init_hits.empty()) {
+    targets.settle(init_hits, {TraceStep{"", init}}, stats(),
+                   /*complete=*/true);
+    if (targets.all_settled()) return targets.finish(stats(), true);
   }
 
   // Layer-synchronous BFS. Each layer, workers claim frontier chunks via
   // an atomic cursor, expand them through the allocation-free successor
   // API, and intern children (with parent links) into the sharded store.
-  // A layer always runs to completion — target hits never abort it — so
-  // the set of states discovered per layer, and with it every verdict,
-  // depth and counterexample length, is independent of scheduling.
+  // A target hit never changes what a layer explores — hit states are
+  // expanded and enter the next frontier like any other — so the set of
+  // states discovered per layer, and with it every verdict, depth,
+  // counterexample length and per-target statistic, is independent of
+  // scheduling and of the other targets.
   std::vector<std::uint32_t> frontier{init_index};
   std::vector<std::uint32_t> next_frontier;
   std::atomic<std::size_t> cursor{0};
@@ -314,18 +378,30 @@ SearchResult Explorer::bfs_parallel(const StopFn& stop,
   std::barrier<> sync(static_cast<std::ptrdiff_t>(threads));
 
   const auto expand = [&](Worker& w) {
-    const auto record_hit = [&](const ta::State& hit_canon, bool transient,
-                                std::uint32_t hit_index,
-                                std::uint32_t parent_index) {
-      if (!w.found || lex_less(hit_canon.slots(), w.found_canon.slots())) {
-        w.found = true;
-        w.found_transient = transient;
-        w.found_index = hit_index;
-        w.found_parent = parent_index;
-        w.found_canon.assign(hit_canon.slots());
+    // Records `s` as a hit of every live target it satisfies. `s` is the
+    // canonical image for an interned hit and the raw state for a
+    // transient one, canonicalized here only if some target holds.
+    const auto test = [&](const ta::State& s, bool transient,
+                          std::uint32_t hit_index,
+                          std::uint32_t parent_index) {
+      const ta::State* image = transient ? nullptr : &s;
+      for (const std::size_t k : targets.live()) {
+        if (!stops[k](s, w.stop_scratch)) continue;
+        if (image == nullptr) {
+          w.hit_canon.assign(s.slots());
+          if (canon) codec.canonicalize(w.hit_canon.slots_mut());
+          image = &w.hit_canon;
+        }
+        Hit& h = w.hits[k];
+        if (!h.found || lex_less(image->slots(), h.image.slots())) {
+          h.found = true;
+          h.transient = transient;
+          h.index = hit_index;
+          h.parent = parent_index;
+          h.image.assign(image->slots());
+        }
       }
     };
-    ta::State hit_scratch;
     while (!limit_hit.load(std::memory_order_relaxed)) {
       const std::size_t begin =
           cursor.fetch_add(chunk, std::memory_order_relaxed);
@@ -349,12 +425,7 @@ SearchResult Explorer::bfs_parallel(const StopFn& stop,
             w.test_buf.assign(target);
             if (por && fuse_depth < kFusionDepthCap &&
                 net_->committed_location_active(w.test_buf)) {
-              if (stop(w.test_buf, w.stop_scratch)) {
-                hit_scratch.assign(target);
-                if (canon) codec.canonicalize(hit_scratch.slots_mut());
-                record_hit(hit_scratch, /*transient=*/true, 0, index);
-                return true;  // finish the layer regardless
-              }
+              test(w.test_buf, /*transient=*/true, 0, index);
               ++w.fused;
               w.pending.push(target, fuse_depth + 1);
               return true;
@@ -365,10 +436,7 @@ SearchResult Explorer::bfs_parallel(const StopFn& stop,
           auto [child, is_new] = store.intern(key, index);
           if (!is_new) return true;
           if (!canon && !por) w.test_buf.assign(target);
-          if (stop(w.test_buf, w.stop_scratch)) {
-            record_hit(w.test_buf, /*transient=*/false, child, index);
-            return true;  // finish the layer regardless
-          }
+          test(w.test_buf, /*transient=*/false, child, index);
           w.next.push_back(child);
           return true;
         };
@@ -404,8 +472,33 @@ SearchResult Explorer::bfs_parallel(const StopFn& stop,
     });
   }
 
+  // Settles every live target hit in the layer just finished, each with
+  // its lexicographically smallest hit and the statistics of the whole
+  // layer.
+  const auto settle_layer = [&] {
+    const std::vector<std::size_t> live(targets.live().begin(),
+                                        targets.live().end());
+    for (const std::size_t k : live) {
+      const Hit* best = nullptr;
+      for (const auto& w : workers) {
+        const Hit& h = w.hits[k];
+        if (h.found && (best == nullptr ||
+                        lex_less(h.image.slots(), best->image.slots()))) {
+          best = &h;
+        }
+      }
+      if (best == nullptr) continue;
+      const std::vector<TraceStep> trace = replay_trace(
+          stored_chain(
+              store, best->transient ? best->parent : best->index,
+              [&](std::uint32_t i) { return store.parent_of(i); },
+              best->transient ? &best->image : nullptr),
+          canon, por);
+      targets.settle(std::span{&k, 1}, trace, stats(), /*complete=*/false);
+    }
+  };
+
   bool complete = false;
-  const Worker* best = nullptr;
   while (true) {
     if (limit_hit.load(std::memory_order_relaxed)) break;
     if (frontier.empty()) {
@@ -421,14 +514,8 @@ SearchResult Explorer::bfs_parallel(const StopFn& stop,
     expand(workers[0]);
     sync.arrive_and_wait();  // wait for stragglers
 
-    for (const auto& w : workers) {
-      if (!w.found) continue;
-      if (best == nullptr ||
-          lex_less(w.found_canon.slots(), best->found_canon.slots())) {
-        best = &w;
-      }
-    }
-    if (best != nullptr) break;
+    settle_layer();
+    if (targets.all_settled()) break;
     next_frontier.clear();
     for (auto& w : workers) {
       next_frontier.insert(next_frontier.end(), w.next.begin(), w.next.end());
@@ -440,57 +527,49 @@ SearchResult Explorer::bfs_parallel(const StopFn& stop,
   done.store(true, std::memory_order_relaxed);
   sync.arrive_and_wait();  // let the pool observe `done` and exit
   for (auto& t : pool) t.join();
-  for (const auto& w : workers) {
-    transitions += w.transitions;
-    fused += w.fused;
-  }
-
-  if (best != nullptr) {
-    result.found = true;
-    result.trace = replay_trace(
-        stored_chain(
-            store,
-            best->found_transient ? best->found_parent : best->found_index,
-            [&](std::uint32_t i) { return store.parent_of(i); },
-            best->found_transient ? &best->found_canon : nullptr),
-        canon, por);
-    return finish(false);
-  }
-  return finish(complete);
+  return targets.finish(stats(), complete);
 }
 
 SearchResult Explorer::reach(const Pred& target, const SearchLimits& limits) {
-  AHB_EXPECTS(target != nullptr);
-  return run(
-      [&](const ta::State& s, ta::SuccessorScratch&) {
-        return target(ta::StateView{*net_, s});
-      },
-      limits);
+  return std::move(reach(std::span{&target, 1}, limits).front());
+}
+
+std::vector<SearchResult> Explorer::reach(std::span<const Pred> targets,
+                                          const SearchLimits& limits) {
+  std::vector<StopFn> stops;
+  stops.reserve(targets.size());
+  for (const Pred& target : targets) {
+    AHB_EXPECTS(target != nullptr);
+    stops.emplace_back([this, &target](const ta::State& s,
+                                       ta::SuccessorScratch&) {
+      return target(ta::StateView{*net_, s});
+    });
+  }
+  return run(stops, limits);
 }
 
 SearchResult Explorer::find_deadlock(const SearchLimits& limits) {
-  return run(
-      [&](const ta::State& s, ta::SuccessorScratch& scratch) {
-        return !net_->has_successor(s, scratch);
-      },
-      limits);
+  const StopFn deadlocked = [&](const ta::State& s,
+                                ta::SuccessorScratch& scratch) {
+    return !net_->has_successor(s, scratch);
+  };
+  return std::move(run(std::span{&deadlocked, 1}, limits).front());
 }
 
 SearchStats Explorer::explore_all(const SearchLimits& limits) {
-  return run([](const ta::State&, ta::SuccessorScratch&) { return false; },
-             limits)
-      .stats;
+  const StopFn never = [](const ta::State&, ta::SuccessorScratch&) {
+    return false;
+  };
+  return run(std::span{&never, 1}, limits).front().stats;
 }
 
 SearchResult Explorer::check_invariant(const Pred& invariant,
                                        const SearchLimits& limits) {
   AHB_EXPECTS(invariant != nullptr);
-  SearchResult r = run(
-      [&](const ta::State& s, ta::SuccessorScratch&) {
-        return !invariant(ta::StateView{*net_, s});
-      },
-      limits);
-  return r;
+  const StopFn violated = [&](const ta::State& s, ta::SuccessorScratch&) {
+    return !invariant(ta::StateView{*net_, s});
+  };
+  return std::move(run(std::span{&violated, 1}, limits).front());
 }
 
 std::vector<TraceStep> Explorer::replay_trace(

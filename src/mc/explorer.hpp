@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,8 @@ struct SearchStats {
   std::uint64_t fused = 0;        ///< transient states expanded through
                                   ///< without interning (por only)
   std::size_t store_bytes = 0;
+  /// Time from search start until the result settled: its target's
+  /// first hit, or the end of the search.
   std::chrono::duration<double> elapsed{};
 };
 
@@ -94,6 +97,17 @@ class Explorer {
   /// verification result rather than a timeout.
   SearchResult reach(const Pred& target, const SearchLimits& limits = {});
 
+  /// One BFS for several targets. Result k equals what reach(targets[k])
+  /// returns alone — found, complete, trace, and every stats field but
+  /// `elapsed` — because a target *settles* at its first hit with a
+  /// snapshot of the statistics at that moment, and the search goes on
+  /// for the targets still unsettled. It ends when every target has
+  /// settled, the space is exhausted or a limit is hit; the unsettled
+  /// targets then get the final statistics. See DESIGN.md "Parallel
+  /// exploration" for when each loop settles a target.
+  std::vector<SearchResult> reach(std::span<const Pred> targets,
+                                  const SearchLimits& limits = {});
+
   /// BFS for a deadlocked state: no discrete successor and no delay.
   SearchResult find_deadlock(const SearchLimits& limits = {});
 
@@ -114,14 +128,19 @@ class Explorer {
       std::function<bool(const ta::State&, ta::SuccessorScratch&)>;
 
   /// Shared BFS entry: the sequential loop when `limits.threads`
-  /// resolves to 1, the layer-synchronous parallel loop otherwise.
+  /// resolves to 1, the layer-synchronous parallel loop otherwise. Every
+  /// search, single- or multi-target, is one of these two loops over a
+  /// span of stop functions, with one result per stop function.
   /// Symmetry and POR are options of the one loop per thread mode: with
   /// both off, successors are interned as generated and nothing is
   /// fused.
-  SearchResult run(const StopFn& stop, const SearchLimits& limits);
-  SearchResult bfs_sequential(const StopFn& stop, const SearchLimits& limits);
-  SearchResult bfs_parallel(const StopFn& stop, const SearchLimits& limits,
-                            unsigned threads);
+  std::vector<SearchResult> run(std::span<const StopFn> stops,
+                                const SearchLimits& limits);
+  std::vector<SearchResult> bfs_sequential(std::span<const StopFn> stops,
+                                           const SearchLimits& limits);
+  std::vector<SearchResult> bfs_parallel(std::span<const StopFn> stops,
+                                         const SearchLimits& limits,
+                                         unsigned threads);
 
   /// Counterexample reconstruction: action labels are not stored during
   /// the search, so the trace is recovered by forward replay from the

@@ -160,8 +160,12 @@ struct Verdicts {
 };
 
 /// Model-checks R1, R2 and R3 for the given protocol and options.
-/// Builds the model twice: with watchdog monitors for R1, without them
-/// for R2/R3 (they would only enlarge the state space).
+/// Builds the model twice and runs two searches: R1 on the model with
+/// watchdog monitors, and R2 and R3 together in one multi-target search
+/// of the model without them (the monitors would only enlarge its state
+/// space). Each r*_stats is what a search for that requirement alone
+/// reports, except `elapsed`: the R2 and R3 times overlap, each running
+/// from the start of the shared search until its verdict settled.
 Verdicts verify_requirements(Flavor flavor, BuildOptions options,
                              const mc::SearchLimits& limits = {});
 

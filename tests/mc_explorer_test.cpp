@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <string>
+#include <vector>
+
 #include "mc/explorer.hpp"
+#include "models/heartbeat_model.hpp"
 #include "ta/network.hpp"
 
 namespace ahb::mc {
@@ -202,6 +208,218 @@ TEST(Explorer, TraceActionsAreConsistent) {
   ASSERT_TRUE(r.found);
   ASSERT_EQ(r.trace.size(), 2u);
   EXPECT_EQ(r.trace[1].action, "a.snd >> b.rcv");
+}
+
+// --- Multi-target reach: one BFS, each result as if searched alone ---
+
+/// Result k of a multi-target search must equal the single-target search
+/// for targets[k]: verdict, completeness, every statistic but `elapsed`,
+/// and the trace. Parallel parent links are first-inserter-wins, so with
+/// threads > 1 the path through the BFS layers may differ between any
+/// two runs; there only its length is compared.
+void expect_same_result(const SearchResult& multi, const SearchResult& single,
+                        unsigned threads) {
+  EXPECT_EQ(multi.found, single.found);
+  EXPECT_EQ(multi.complete, single.complete);
+  EXPECT_EQ(multi.stats.states, single.stats.states);
+  EXPECT_EQ(multi.stats.transitions, single.stats.transitions);
+  EXPECT_EQ(multi.stats.depth, single.stats.depth);
+  EXPECT_EQ(multi.stats.fused, single.stats.fused);
+  EXPECT_EQ(multi.stats.store_bytes, single.stats.store_bytes);
+  ASSERT_EQ(multi.trace.size(), single.trace.size());
+  if (threads != 1) return;
+  for (std::size_t i = 0; i < multi.trace.size(); ++i) {
+    EXPECT_EQ(multi.trace[i].action, single.trace[i].action) << "step " << i;
+    EXPECT_TRUE(std::ranges::equal(multi.trace[i].state.slots(),
+                                   single.trace[i].state.slots()))
+        << "step " << i;
+  }
+}
+
+void expect_multi_matches_singles(Explorer& explorer,
+                                  std::span<const Pred> targets,
+                                  const SearchLimits& limits) {
+  const auto multi = explorer.reach(targets, limits);
+  ASSERT_EQ(multi.size(), targets.size());
+  for (std::size_t k = 0; k < targets.size(); ++k) {
+    SCOPED_TRACE("target " + std::to_string(k));
+    expect_same_result(multi[k], explorer.reach(targets[k], limits),
+                       limits.threads);
+  }
+}
+
+struct ModelPoint {
+  models::Flavor flavor;
+  int tmin;
+  int tmax;
+};
+
+TEST(MultiTarget, R2AndR3MatchSeparateSearches) {
+  // At tmin = tmax both requirements are violated at different depths:
+  // R2 settles first and the search goes on for R3. Static tmin 2 tmax 3
+  // satisfies both, so the two results close together, complete. The
+  // dynamic points add join and leave channels.
+  const std::vector<ModelPoint> points{{models::Flavor::Static, 3, 3},
+                                       {models::Flavor::Static, 2, 3},
+                                       {models::Flavor::Dynamic, 2, 2},
+                                       {models::Flavor::Dynamic, 3, 3}};
+  enum class Mode { kPlain, kSymmetryPor, kCollapse };
+  for (const ModelPoint& point : points) {
+    models::BuildOptions options;
+    options.timing = {point.tmin, point.tmax};
+    options.participants = 2;
+    const auto model = models::HeartbeatModel::build(point.flavor, options);
+    Explorer ex{model.net()};
+    const std::array<Pred, 2> targets{model.r2_violation_any(),
+                                      model.r3_violation()};
+    for (const Mode mode : {Mode::kPlain, Mode::kSymmetryPor, Mode::kCollapse}) {
+      for (const unsigned threads : {1u, 2u, 8u}) {
+        SearchLimits limits;
+        limits.threads = threads;
+        if (mode == Mode::kSymmetryPor) {
+          limits.symmetry = ta::Symmetry::Participants;
+          limits.por = true;
+        } else if (mode == Mode::kCollapse) {
+          limits.compression = ta::Compression::Collapse;
+        }
+        SCOPED_TRACE(std::string{models::to_string(point.flavor)} + " tmin " +
+                     std::to_string(point.tmin) + " tmax " +
+                     std::to_string(point.tmax) + " mode " +
+                     std::to_string(static_cast<int>(mode)) + " threads " +
+                     std::to_string(threads));
+        expect_multi_matches_singles(ex, targets, limits);
+      }
+    }
+  }
+}
+
+TEST(MultiTarget, TargetInInitialStateSettlesAtOnce) {
+  const auto net = counter_net();
+  Explorer ex{net};
+  const std::array<Pred, 2> targets{
+      [](const StateView&) { return true; },
+      [](const StateView& v) { return v.var(ta::VarId{0}) == 5; }};
+  for (const unsigned threads : {1u, 2u}) {
+    SearchLimits limits;
+    limits.threads = threads;
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const auto results = ex.reach(targets, limits);
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_TRUE(results[0].found);
+    EXPECT_TRUE(results[0].complete);
+    EXPECT_EQ(results[0].trace.size(), 1u);
+    EXPECT_EQ(results[0].stats.states, 1u);
+    // The other target's search went on past the initial state.
+    EXPECT_TRUE(results[1].found);
+    EXPECT_EQ(results[1].trace.size(), 6u);
+    expect_multi_matches_singles(ex, targets, limits);
+  }
+}
+
+TEST(MultiTarget, DuplicatedTargetGetsTheSameResultTwice) {
+  const auto net = counter_net();
+  Explorer ex{net};
+  const Pred seven = [](const StateView& v) {
+    return v.var(ta::VarId{0}) == 7;
+  };
+  const std::array<Pred, 3> targets{seven, seven, [](const StateView& v) {
+                                      return v.var(ta::VarId{0}) == 42;
+                                    }};
+  for (const unsigned threads : {1u, 2u}) {
+    SearchLimits limits;
+    limits.threads = threads;
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    expect_multi_matches_singles(ex, targets, limits);
+  }
+}
+
+TEST(MultiTarget, EmptyTargetListRunsNoSearch) {
+  const auto net = counter_net();
+  Explorer ex{net};
+  EXPECT_TRUE(ex.reach(std::span<const Pred>{}).empty());
+}
+
+/// `a` passes through a committed location on its way to done_a = 1;
+/// `b` ticks a counter 0..3. Under POR the committed state is transient
+/// (expanded through, never interned).
+ta::Network committed_net() {
+  ta::Network net;
+  const auto a = net.add_automaton("a");
+  const auto b = net.add_automaton("b");
+  const auto done_a = net.add_var("done_a", 0, 0, 1, a);
+  const auto count = net.add_var("count", 0, 0, 3, b);
+  const int a0 = net.add_location(a, "A0");
+  const int ac = net.add_location(a, "AC", LocKind::Committed);
+  const int a1 = net.add_location(a, "A1");
+  const int b0 = net.add_location(b, "B0");
+  net.add_edge(a, Edge{.src = a0, .dst = ac, .label = "go"});
+  net.add_edge(a, Edge{.src = ac,
+                       .dst = a1,
+                       .effect = [done_a](StateMut& m) { m.set(done_a, 1); },
+                       .label = "done",
+                       .invisible = true});
+  net.add_edge(b, Edge{.src = b0,
+                       .dst = b0,
+                       .guard = [count](const StateView& v) {
+                         return v.var(count) < 3;
+                       },
+                       .effect = [count](StateMut& m) {
+                         m.set(count, m.var(count) + 1);
+                       },
+                       .label = "tick"});
+  net.freeze();
+  return net;
+}
+
+TEST(MultiTarget, HitOnTransientStateMatchesSeparateSearch) {
+  const auto net = committed_net();
+  Explorer ex{net};
+  const auto a = ta::AutomatonId{0};
+  const int ac = 1;  // a's committed location AC
+  const std::array<Pred, 3> targets{
+      // Only ever true in the committed (transient) location.
+      [a, ac](const StateView& v) { return v.loc(a) == ac; },
+      [](const StateView& v) {
+        return v.var(ta::VarId{0}) == 1 && v.var(ta::VarId{1}) == 3;
+      },
+      [](const StateView& v) { return v.var(ta::VarId{1}) == 4; }};
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    SearchLimits limits;
+    limits.threads = threads;
+    limits.por = true;
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const auto transient = ex.reach(targets[0], limits);
+    ASSERT_TRUE(transient.found);
+    EXPECT_TRUE(net.committed_location_active(transient.trace.back().state));
+    EXPECT_GT(ex.explore_all(limits).fused, 0u);
+    expect_multi_matches_singles(ex, targets, limits);
+  }
+}
+
+TEST(MultiTarget, TruncationLeavesUnsettledTargetsIncomplete) {
+  // The counter is a chain, one state per layer, so even a parallel
+  // search trips max_states at the same point in every run.
+  const auto net = counter_net();
+  Explorer ex{net};
+  const std::array<Pred, 2> targets{
+      [](const StateView& v) { return v.var(ta::VarId{0}) == 2; },
+      [](const StateView& v) { return v.var(ta::VarId{0}) == 8; }};
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SearchLimits by_depth;
+    by_depth.threads = threads;
+    by_depth.max_depth = 4;
+    SearchLimits by_states;
+    by_states.threads = threads;
+    by_states.max_states = 5;
+    for (const SearchLimits& limits : {by_depth, by_states}) {
+        const auto results = ex.reach(targets, limits);
+      EXPECT_TRUE(results[0].found);
+      EXPECT_FALSE(results[1].found);
+      EXPECT_FALSE(results[1].complete);
+      expect_multi_matches_singles(ex, targets, limits);
+    }
+  }
 }
 
 }  // namespace
