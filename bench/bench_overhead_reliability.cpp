@@ -17,14 +17,13 @@
 // detection delay after a real crash.
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "hb/cluster_scale.hpp"
 #include "hb/plain.hpp"
-#include "sim/network.hpp"
-#include "sim/simulator.hpp"
+#include "sim/link.hpp"
+#include "sim/timer_wheel.hpp"
 
 namespace {
 
@@ -33,6 +32,8 @@ using namespace ahb;
 constexpr hb::Time kTmin = 1;
 constexpr hb::Time kTmax = 16;
 constexpr sim::Time kHorizon = 40000;
+/// One-way delay bound of the plain pair's link (delays in [0, 1]).
+constexpr sim::Time kMaxDelay = 1;
 constexpr int kRuns = 200;
 
 struct Row {
@@ -53,65 +54,91 @@ struct PlainOutcome {
   sim::NetworkStats net;
 };
 
-void add_stats(sim::NetworkStats& total, const sim::NetworkStats& one) {
-  total.sent += one.sent;
-  total.delivered += one.delivered;
-  total.lost += one.lost;
-  total.blocked += one.blocked;
-  total.duplicated += one.duplicated;
-  total.reordered += one.reordered;
-  total.out_of_spec_delay += one.out_of_spec_delay;
-}
+/// One event of the plain pair's loop. Deliveries and the crash fire
+/// at priority 0, the two timers at priority 1, so a beat arriving at
+/// a deadline is received before the timeout.
+struct PlainEv {
+  enum class Kind : std::uint8_t { SenderTimer, DetectorTimer, Deliver, Crash };
+  Kind kind{};
+  std::uint64_t id = 0;  ///< message id of a delivery
+  hb::Message message;
+};
 
 PlainOutcome run_plain(hb::Time period, int k, double loss,
                        std::uint64_t seed, sim::Time crash_at) {
-  sim::Simulator sim{seed};
-  sim::Network<hb::Message> net{
-      sim, {.loss_probability = loss, .min_delay = 0, .max_delay = 1}};
+  using Wheel = sim::TimerWheel<PlainEv>;
+  Wheel wheel;
+  Rng rng{seed};
+  sim::LinkFaults link{{.loss_probability = loss, .min_delay = 0,
+                        .max_delay = kMaxDelay}};
   hb::PlainSender sender{1, period};
-  hb::PlainDetector detector{period, k};
+  hb::PlainDetector detector{period, k, kMaxDelay};
   PlainOutcome out;
+  std::uint64_t next_id = 1;
+  std::uint64_t newest_delivered = 0;
 
-  sim::Simulator::EventId sender_timer = sim::Simulator::kInvalidEvent;
-  std::function<void()> arm_sender = [&] {
-    sim.cancel(sender_timer);
-    const hb::Time when = sender.next_event_time();
-    if (when == hb::kNever) return;
-    sender_timer = sim.at(when, [&] {
-      for (const auto& m : sender.on_elapsed(sim.now()).messages) {
-        ++out.sent;
-        net.send(1, 0, m.message);
-      }
-      arm_sender();
-    }, 1);
+  const auto send = [&](const hb::Actions& actions) {
+    for (const auto& m : actions.messages) {
+      ++out.sent;
+      const std::uint64_t id = next_id++;
+      const sim::SendFate fate =
+          sim::decide_send(rng, link, 1, 0, false, sizeof(hb::Message) * 8,
+                           -1, out.net);
+      // The link only loses and delays: no duplicates, no corruption.
+      if (fate.outcome != sim::SendFate::Outcome::Deliver) continue;
+      wheel.arm(wheel.now() + fate.delay, 0,
+                PlainEv{PlainEv::Kind::Deliver, id, m.message});
+    }
   };
-  sim::Simulator::EventId det_timer = sim::Simulator::kInvalidEvent;
-  std::function<void()> arm_detector = [&] {
-    sim.cancel(det_timer);
-    const hb::Time when = detector.next_event_time();
-    if (when == hb::kNever) return;
-    det_timer = sim.at(when, [&] {
-      detector.on_elapsed(sim.now());
-      arm_detector();
-    }, 1);
+  const auto arm_timer = [&](Wheel::Handle& timer, hb::Time when,
+                             PlainEv::Kind kind) {
+    if (when == hb::kNever) {
+      wheel.cancel(timer);
+    } else {
+      timer = wheel.rearm(timer, when, 1, PlainEv{kind});
+    }
   };
-  net.attach(0, [&](int from, const hb::Message& m) {
-    (void)from;
-    detector.on_message(sim.now(), m);
-    arm_detector();
-  });
+  Wheel::Handle sender_timer;
+  Wheel::Handle detector_timer;
 
-  for (const auto& m : sender.start(0).messages) {
-    ++out.sent;
-    net.send(1, 0, m.message);
-  }
+  send(sender.start(0));
   detector.start(0);
-  arm_sender();
-  arm_detector();
-  if (crash_at >= 0) {
-    sim.at(crash_at, [&] { sender.crash(sim.now()); });
+  arm_timer(sender_timer, sender.next_event_time(),
+            PlainEv::Kind::SenderTimer);
+  arm_timer(detector_timer, detector.next_event_time(),
+            PlainEv::Kind::DetectorTimer);
+  if (crash_at >= 0) wheel.arm(crash_at, 0, PlainEv{PlainEv::Kind::Crash});
+
+  Wheel::Expired ev;
+  while (wheel.pop(kHorizon, ev)) {
+    switch (ev.payload.kind) {
+      case PlainEv::Kind::SenderTimer:
+        send(sender.on_elapsed(ev.when));
+        arm_timer(sender_timer, sender.next_event_time(),
+                  PlainEv::Kind::SenderTimer);
+        break;
+      case PlainEv::Kind::DetectorTimer:
+        detector.on_elapsed(ev.when);
+        arm_timer(detector_timer, detector.next_event_time(),
+                  PlainEv::Kind::DetectorTimer);
+        break;
+      case PlainEv::Kind::Deliver:
+        ++out.net.delivered;
+        // A delivery older than the newest one delivered overtook it.
+        if (ev.payload.id < newest_delivered) {
+          ++out.net.reordered;
+        } else {
+          newest_delivered = ev.payload.id;
+        }
+        detector.on_message(ev.when, ev.payload.message);
+        arm_timer(detector_timer, detector.next_event_time(),
+                  PlainEv::Kind::DetectorTimer);
+        break;
+      case PlainEv::Kind::Crash:
+        sender.crash(ev.when);
+        break;
+    }
   }
-  sim.run_until(kHorizon);
 
   if (detector.suspected()) {
     if (crash_at < 0 || detector.suspected_at() < crash_at) {
@@ -120,7 +147,6 @@ PlainOutcome run_plain(hb::Time period, int k, double loss,
       out.suspect_delay = detector.suspected_at() - crash_at;
     }
   }
-  out.net = net.stats();
   return out;
 }
 
@@ -139,12 +165,12 @@ Row bench_plain(const char* name, const char* slug, hb::Time period, int k,
                                    static_cast<std::uint64_t>(seed), -1);
     if (!healthy.falsely_suspected) ++survived;
     healthy_msgs += healthy.sent;
-    add_stats(row.net, healthy.net);
+    row.net += healthy.net;
     // Detection run (crash mid-way), loss-free to isolate the delay.
     const auto crashed = run_plain(period, k, 0.0,
                                    static_cast<std::uint64_t>(seed),
                                    1000 + (seed * 13) % (3 * kTmax));
-    add_stats(row.net, crashed.net);
+    row.net += crashed.net;
     if (crashed.suspect_delay > 0) {
       ++detected;
       detect_total += static_cast<double>(crashed.suspect_delay);
@@ -185,7 +211,7 @@ Row bench_accelerated(const char* name, const char* slug, bool fixed_bounds,
       if (ok) ++survived;
       // Every send is a coordinator or participant beat (the overhead).
       healthy_msgs += cluster.network_stats().sent;
-      add_stats(row.net, cluster.network_stats());
+      row.net += cluster.network_stats();
     }
     {
       hb::ClusterConfig config;
@@ -207,7 +233,7 @@ Row bench_accelerated(const char* name, const char* slug, bool fixed_bounds,
         detect_total += static_cast<double>(delay);
         row.detect_max = std::max(row.detect_max, delay);
       }
-      add_stats(row.net, cluster.network_stats());
+      row.net += cluster.network_stats();
     }
   }
   row.survival = static_cast<double>(survived) / kRuns;

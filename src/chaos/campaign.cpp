@@ -58,18 +58,6 @@ std::uint64_t fnv1a(std::string_view text,
   return hash;
 }
 
-void add_stats(sim::NetworkStats& total, const sim::NetworkStats& one) {
-  total.sent += one.sent;
-  total.delivered += one.delivered;
-  total.lost += one.lost;
-  total.blocked += one.blocked;
-  total.duplicated += one.duplicated;
-  total.reordered += one.reordered;
-  total.out_of_spec_delay += one.out_of_spec_delay;
-  total.corrupted += one.corrupted;
-  total.rejected += one.rejected;
-}
-
 FaultAction out_of_spec_action(Rng& rng, const RunSpec& spec, Time lo,
                                Time hi) {
   FaultAction action;
@@ -620,7 +608,7 @@ CampaignResult run_campaign(const CampaignOptions& options) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     ++result.runs;
     result.sim_ticks += static_cast<std::uint64_t>(specs[i].horizon);
-    add_stats(result.totals, slots[i].result.net_stats);
+    result.totals += slots[i].result.net_stats;
     result.availability += slots[i].result.availability;
     result.integrity += slots[i].result.integrity;
     if (!slots[i].result.formula_violations.empty()) {

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "hb/types.hpp"
-#include "sim/simulator.hpp"
+#include "sim/link.hpp"
 
 namespace ahb::chaos {
 

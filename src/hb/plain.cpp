@@ -36,10 +36,11 @@ Time PlainSender::next_event_time() const {
   return next_beat_;
 }
 
-PlainDetector::PlainDetector(Time period, int miss_threshold)
-    : timeout_(period * miss_threshold) {
+PlainDetector::PlainDetector(Time period, int miss_threshold, Time max_delay)
+    : timeout_(period * miss_threshold + max_delay) {
   AHB_EXPECTS(period > 0);
   AHB_EXPECTS(miss_threshold > 0);
+  AHB_EXPECTS(max_delay >= 0);
 }
 
 void PlainDetector::start(Time now) {

@@ -33,8 +33,10 @@ class PlainSender {
 
 class PlainDetector {
  public:
-  /// Declares failure after `miss_threshold` periods without any beat.
-  PlainDetector(Time period, int miss_threshold);
+  /// Declares failure after `miss_threshold` periods, plus the link's
+  /// one-way delay bound `max_delay`, without any beat: consecutive
+  /// beats can arrive up to period + max_delay apart without a loss.
+  PlainDetector(Time period, int miss_threshold, Time max_delay);
 
   void start(Time now);
   Actions on_elapsed(Time now);

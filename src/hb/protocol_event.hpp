@@ -8,7 +8,7 @@
 
 #include <cstdint>
 
-#include "sim/simulator.hpp"
+#include "sim/link.hpp"
 
 namespace ahb::hb {
 

@@ -1,5 +1,7 @@
-// Directed-link fault models shared by both transports: the generic
-// sim::Network and hb::ScaleCluster's flat wire-image transport.
+// Directed-link fault models and the simulation clock type, shared by
+// every simulated channel: hb::ScaleCluster's flat wire-image transport
+// and the plain-heartbeat baseline's loop in
+// bench/bench_overhead_reliability.cpp.
 //
 // A link a -> b is healthy by default: i.i.d. loss, a uniform delay
 // range and optional payload corruption, all from the transport's
@@ -19,8 +21,8 @@
 // and every feature draws only when enabled (burst while p_enter > 0,
 // corruption and duplication while their probabilities are > 0), so a
 // default-configured run draws exactly one loss Bernoulli (a no-draw at
-// probability 0 or 1) and one delay per send. Both transports call it,
-// which is what keeps seeded runs reproducible across them.
+// probability 0 or 1) and one delay per send. Every simulated channel
+// calls it, so a seed fixes each send's fate the same way everywhere.
 #pragma once
 
 #include <algorithm>
@@ -29,10 +31,13 @@
 #include <utility>
 #include <vector>
 
-#include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
 namespace ahb::sim {
+
+/// Simulation time: integral, in the units of the protocol constants
+/// tmin and tmax.
+using Time = std::int64_t;
 
 struct NetworkStats {
   std::uint64_t sent = 0;
@@ -44,6 +49,19 @@ struct NetworkStats {
   std::uint64_t out_of_spec_delay = 0;  ///< sampled delays above the spec bound
   std::uint64_t corrupted = 0;  ///< payloads bit-flipped in flight
   std::uint64_t rejected = 0;   ///< deliveries the receiver refused to parse
+
+  NetworkStats& operator+=(const NetworkStats& other) {
+    sent += other.sent;
+    delivered += other.delivered;
+    lost += other.lost;
+    blocked += other.blocked;
+    duplicated += other.duplicated;
+    reordered += other.reordered;
+    out_of_spec_delay += other.out_of_spec_delay;
+    corrupted += other.corrupted;
+    rejected += other.rejected;
+    return *this;
+  }
 };
 
 /// Gilbert–Elliott two-state loss model of a directed link: each send

@@ -1,5 +1,6 @@
 // Hierarchical timer wheel: the event queue of the heartbeat engine
-// (hb::ScaleCluster).
+// (hb::ScaleCluster) and of the plain-heartbeat baseline
+// (bench/bench_overhead_reliability.cpp).
 //
 // A binary heap of heap-allocated closures makes arming a deadline
 // O(log n), and cancel+rearm — which the heartbeat engine does on

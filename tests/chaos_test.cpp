@@ -1,5 +1,5 @@
-// Chaos-layer tests: the fault models of sim::Network, per-message ids
-// in the protocol-event stream, FaultSchedule serialization, run/
+// Chaos-layer tests: the engine transport's reorder counter, per-message
+// ids in the protocol-event stream, FaultSchedule serialization, run/
 // campaign determinism, the in-spec campaign staying clean, the
 // out-of-spec negative control firing + shrinking + replaying, and the
 // mutation canary (a loosened monitor bound must silence the expected
@@ -7,75 +7,51 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <vector>
 
 #include "chaos/campaign.hpp"
 #include "hb/cluster_scale.hpp"
 #include "rv/pltl/formulas.hpp"
-#include "sim/network.hpp"
-#include "sim/simulator.hpp"
 
 namespace ahb::chaos {
 namespace {
 
-// --- sim::Network fault models -------------------------------------------
+// --- The engine transport's reorder counter ------------------------------
 
-TEST(Network, DuplicationDeliversSameIdTwice) {
-  sim::Simulator sim{7};
-  sim::Network<int> net{sim, {.loss_probability = 0.0,
-                              .min_delay = 0,
-                              .max_delay = 0,
-                              .duplicate_probability = 1.0}};
-  std::vector<std::uint64_t> delivered;
-  net.attach(0, [&](int, const int&, std::uint64_t id) {
-    delivered.push_back(id);
-  });
-  const std::uint64_t id = net.send(1, 0, 42);
-  sim.run_until(10);
-  EXPECT_EQ(delivered, (std::vector<std::uint64_t>{id, id}));
-  EXPECT_EQ(net.stats().duplicated, 1u);
-  EXPECT_EQ(net.stats().delivered, 2u);
-  EXPECT_EQ(net.stats().sent, 1u);
-}
-
+// A delivery whose id is older than the newest id already delivered on
+// its directed link overtook a later send. The counter is recomputed
+// from the Delivered channel events and must match the engine's.
 TEST(Network, ReorderedDeliveryCounted) {
-  sim::Simulator sim{7};
-  sim::Network<int> net{sim, {.min_delay = 3, .max_delay = 3}};
-  std::vector<std::uint64_t> delivered;
-  net.attach(0, [&](int, const int&, std::uint64_t id) {
-    delivered.push_back(id);
-  });
-  const std::uint64_t slow = net.send(1, 0, 1);  // delivered at t=3
-  net.set_link(1, 0, {.min_delay = 0, .max_delay = 0});
-  std::uint64_t fast = 0;
-  sim.at(1, [&] { fast = net.send(1, 0, 2); });  // delivered at t=1
-  sim.run_until(10);
-  EXPECT_EQ(delivered, (std::vector<std::uint64_t>{fast, slow}));
-  EXPECT_EQ(net.stats().reordered, 1u);
-}
-
-TEST(Network, BurstLossDropsEverythingWhileBad) {
-  sim::Simulator sim{7};
-  sim::Network<int> net{
-      sim, {.burst = {.p_enter = 1.0, .p_exit = 0.0, .loss = 1.0}}};
-  net.attach(0, [&](int, const int&, std::uint64_t) { FAIL(); });
-  for (int i = 0; i < 5; ++i) net.send(1, 0, i);
-  sim.run_until(10);
-  EXPECT_EQ(net.stats().lost, 5u);
-  EXPECT_EQ(net.stats().delivered, 0u);
-}
-
-TEST(Network, OutOfSpecDelaySamplesCounted) {
-  sim::Simulator sim{7};
-  sim::Network<int> net{sim, {.min_delay = 2, .max_delay = 2}};
-  net.set_spec_max_delay(1);
-  net.attach(0, [](int, const int&, std::uint64_t) {});
-  net.send(1, 0, 1);
-  net.send(1, 0, 2);
-  sim.run_until(10);
-  EXPECT_EQ(net.stats().out_of_spec_delay, 2u);
-  EXPECT_EQ(net.stats().delivered, 2u);
+  hb::ClusterConfig config;
+  config.protocol = hb::Config{2, 8, proto::Variant::Binary, false};
+  config.participants = 3;
+  config.max_delay = 6;  // with duplicates: several beats in flight per link
+  config.seed = 11;
+  hb::ScaleCluster cluster{config};
+  cluster.links().defaults().duplicate_probability = 0.5;
+  struct ReorderLog final : rv::EventSink {
+    std::uint32_t protocol_interest() const override { return 0; }
+    std::uint32_t channel_interest() const override {
+      return rv::channel_bit(sim::ChannelEvent::Kind::Delivered);
+    }
+    void on_channel_event(const sim::ChannelEvent& event) override {
+      std::uint64_t& newest = newest_by_link[{event.from, event.to}];
+      if (event.id < newest) {
+        ++reordered;
+      } else {
+        newest = event.id;
+      }
+    }
+    std::map<std::pair<int, int>, std::uint64_t> newest_by_link;
+    std::uint64_t reordered = 0;
+  } log;
+  cluster.add_sink(&log);
+  cluster.start();
+  cluster.run_until(2000);
+  EXPECT_GT(log.reordered, 0u);
+  EXPECT_EQ(cluster.network_stats().reordered, log.reordered);
 }
 
 // Sends and deliveries of one message share its id, so the two are

@@ -148,7 +148,7 @@ TEST(PlainSender, CrashSilences) {
 }
 
 TEST(PlainDetector, SuspectsAfterKMisses) {
-  PlainDetector det{10, 3};
+  PlainDetector det{10, 3, 0};
   det.start(0);
   EXPECT_EQ(det.next_event_time(), 30);
   det.on_message(8, Message{1, true});
@@ -161,13 +161,36 @@ TEST(PlainDetector, SuspectsAfterKMisses) {
 }
 
 TEST(PlainDetector, BeatAlwaysResets) {
-  PlainDetector det{10, 1};
+  PlainDetector det{10, 1, 0};
   det.start(0);
   for (Time t = 5; t <= 95; t += 5) {
     det.on_message(t, Message{1, true});
     EXPECT_FALSE(det.on_elapsed(t).inactivated);
   }
   EXPECT_FALSE(det.suspected());
+}
+
+// Loss-free k=1 run over a link with one-way delays in [0, 1]: a beat
+// at delay 0 and the next at delay 1 arrive period + 1 apart, which is
+// delay jitter, not a missed beat.
+TEST(PlainDetector, DelayJitterWithinTheBoundIsNotAMiss) {
+  constexpr Time kPeriod = 16;
+  PlainSender sender{1, kPeriod};
+  PlainDetector det{kPeriod, 1, 1};
+  sender.start(0);
+  det.start(0);
+  det.on_message(0, Message{1, true});  // first beat, delay 0
+  const Time sent_at = sender.next_event_time();
+  ASSERT_EQ(sender.on_elapsed(sent_at).messages.size(), 1u);
+  // The detector's timer fires while the second beat is in flight.
+  EXPECT_GT(det.next_event_time(), sent_at);
+  EXPECT_FALSE(det.on_elapsed(sent_at).inactivated);
+  det.on_message(sent_at + 1, Message{1, true});  // second beat, delay 1
+  EXPECT_FALSE(det.on_elapsed(det.next_event_time() - 1).inactivated);
+  EXPECT_FALSE(det.suspected());
+  // A real silence is still caught: k periods plus the delay bound.
+  EXPECT_EQ(det.next_event_time(), sent_at + 1 + kPeriod + 1);
+  EXPECT_TRUE(det.on_elapsed(det.next_event_time()).inactivated);
 }
 
 }  // namespace
