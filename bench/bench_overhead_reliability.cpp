@@ -54,9 +54,10 @@ struct PlainOutcome {
   sim::NetworkStats net;
 };
 
-/// One event of the plain pair's loop. Deliveries and the crash fire
-/// at priority 0, the two timers at priority 1, so a beat arriving at
-/// a deadline is received before the timeout.
+/// One event of the plain pair's loop. Deliveries and the crash are
+/// posted at priority 0 (never cancelled), the two timers re-armed at
+/// priority 1, so a beat arriving at a deadline is received before the
+/// timeout.
 struct PlainEv {
   enum class Kind : std::uint8_t { SenderTimer, DetectorTimer, Deliver, Crash };
   Kind kind{};
@@ -86,8 +87,8 @@ PlainOutcome run_plain(hb::Time period, int k, double loss,
                            -1, out.net);
       // The link only loses and delays: no duplicates, no corruption.
       if (fate.outcome != sim::SendFate::Outcome::Deliver) continue;
-      wheel.arm(wheel.now() + fate.delay, 0,
-                PlainEv{PlainEv::Kind::Deliver, id, m.message});
+      wheel.post(wheel.now() + fate.delay, 0,
+                 PlainEv{PlainEv::Kind::Deliver, id, m.message});
     }
   };
   const auto arm_timer = [&](Wheel::Handle& timer, hb::Time when,
@@ -107,7 +108,7 @@ PlainOutcome run_plain(hb::Time period, int k, double loss,
             PlainEv::Kind::SenderTimer);
   arm_timer(detector_timer, detector.next_event_time(),
             PlainEv::Kind::DetectorTimer);
-  if (crash_at >= 0) wheel.arm(crash_at, 0, PlainEv{PlainEv::Kind::Crash});
+  if (crash_at >= 0) wheel.post(crash_at, 0, PlainEv{PlainEv::Kind::Crash});
 
   Wheel::Expired ev;
   while (wheel.pop(kHorizon, ev)) {

@@ -63,22 +63,22 @@ void ScaleCluster::run_until(sim::Time horizon) {
 }
 
 void ScaleCluster::crash_coordinator_at(sim::Time when) {
-  wheel_.arm(when, 0, Ev{Ev::Kind::CrashCoordinator, 0, 0});
+  wheel_.post(when, 0, Ev{Ev::Kind::CrashCoordinator, 0, 0});
 }
 
 void ScaleCluster::crash_participant_at(int id, sim::Time when) {
   AHB_EXPECTS(id >= 1 && id <= participant_count());
-  wheel_.arm(when, 0, Ev{Ev::Kind::CrashParticipant, 0, id});
+  wheel_.post(when, 0, Ev{Ev::Kind::CrashParticipant, 0, id});
 }
 
 void ScaleCluster::leave_at(int id, sim::Time when) {
   AHB_EXPECTS(id >= 1 && id <= participant_count());
-  wheel_.arm(when, 0, Ev{Ev::Kind::Leave, 0, id});
+  wheel_.post(when, 0, Ev{Ev::Kind::Leave, 0, id});
 }
 
 void ScaleCluster::rejoin_at(int id, sim::Time when) {
   AHB_EXPECTS(id >= 1 && id <= participant_count());
-  wheel_.arm(when, 0, Ev{Ev::Kind::Rejoin, 0, id});
+  wheel_.post(when, 0, Ev{Ev::Kind::Rejoin, 0, id});
 }
 
 void ScaleCluster::set_drift_at(int id, sim::Time when, std::int64_t num,
@@ -86,7 +86,7 @@ void ScaleCluster::set_drift_at(int id, sim::Time when, std::int64_t num,
   AHB_EXPECTS(id >= 0 && id <= participant_count());
   AHB_EXPECTS(num > 0 && den > 0);
   touch_clock(id);
-  wheel_.arm(when, 0, Ev{Ev::Kind::Drift, 0, id, 0, drift_rates_.size()});
+  wheel_.post(when, 0, Ev{Ev::Kind::Drift, 0, id, 0, drift_rates_.size()});
   drift_rates_.emplace_back(num, den);
 }
 
@@ -94,22 +94,22 @@ void ScaleCluster::corrupt_clock_at(int id, sim::Time when,
                                     std::int64_t delta) {
   AHB_EXPECTS(id >= 0 && id <= participant_count());
   touch_clock(id);
-  wheel_.arm(when, 0,
-             Ev{Ev::Kind::ClockOffset, 0, id, 0,
-                static_cast<std::uint64_t>(delta)});
+  wheel_.post(when, 0,
+              Ev{Ev::Kind::ClockOffset, 0, id, 0,
+                 static_cast<std::uint64_t>(delta)});
 }
 
 void ScaleCluster::wrap_clock_at(int id, sim::Time when,
                                  std::uint64_t margin) {
   AHB_EXPECTS(id >= 0 && id <= participant_count());
   touch_clock(id);
-  wheel_.arm(when, 0, Ev{Ev::Kind::ClockWrap, 0, id, 0, margin});
+  wheel_.post(when, 0, Ev{Ev::Kind::ClockWrap, 0, id, 0, margin});
 }
 
 void ScaleCluster::change_link_at(sim::Time when, int from, int to,
                                   const sim::LinkChange& change) {
-  wheel_.arm(when, 0,
-             Ev{Ev::Kind::LinkChange, 0, 0, 0, link_changes_.size()});
+  wheel_.post(when, 0,
+              Ev{Ev::Kind::LinkChange, 0, 0, 0, link_changes_.size()});
   link_changes_.push_back(TimedLinkChange{from, to, change});
 }
 
@@ -347,10 +347,10 @@ std::uint64_t ScaleCluster::send(int from, int to, bool flag) {
     channel(sim::ChannelEvent::Kind::Corrupted, from, to, id);
   }
   const Ev delivery{Ev::Kind::Deliver, from, to, id, wire.image};
-  wheel_.arm(now_ + fate.delay, 0, delivery);
+  wheel_.post(now_ + fate.delay, 0, delivery);
   if (fate.duplicate) {
     channel(sim::ChannelEvent::Kind::Duplicated, from, to, id);
-    wheel_.arm(now_ + fate.duplicate_delay, 0, delivery);
+    wheel_.post(now_ + fate.duplicate_delay, 0, delivery);
   }
   return id;
 }

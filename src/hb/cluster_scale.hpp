@@ -12,10 +12,13 @@
 // waiting-time ladder) and one flat vector of participant states indexed
 // by node id. Every pending event — a delivery, a node's deadline, a
 // scheduled fault — is one by-value entry on a hierarchical timer wheel
-// (sim/timer_wheel.hpp): arming appends it to a chunked slot list,
-// firing reads the due lists front to back, and re-arming a node's
-// deadline is O(1) — in place when its entry is still the newest of its
-// slot list, as the coordinator's deadline is between replies. Beats
+// (sim/timer_wheel.hpp): filing appends it to a chunked slot list and
+// firing reads the due lists front to back. Deliveries, duplicates and
+// scheduled faults are never cancelled, so they are posted without a
+// handle and cost no per-id bookkeeping; only node deadlines hold
+// handles, and re-arming one is O(1) — in place when its entry is still
+// the newest of its slot list, as the coordinator's deadline is between
+// replies. Beats
 // run through an inlined flat transport with no per-message heap
 // allocation: a round boundary is one pass over the member table that
 // fans out every beat of the round. The engine and the sans-I/O
@@ -310,7 +313,7 @@ class ScaleCluster {
   }
 
   /// Sends one beat: assigns the next message id, draws its fate from
-  /// the link's fault models (sim::decide_send) and arms the
+  /// the link's fault models (sim::decide_send) and posts the
   /// delivery (and any duplicate) on the wheel. Returns the id.
   std::uint64_t send(int from, int to, bool flag);
 

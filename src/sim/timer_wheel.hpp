@@ -16,23 +16,27 @@
 //
 // Layout. Entries are stored by value — {when, seq, id, payload}, the
 // priority implied by the list holding them — in one list per
-// (level, slot, priority). A list is a chain of fixed-size chunks
-// carved from blocks that never move and grow geometrically, so arming
-// writes one entry at a list's tail, firing reads the due lists front
-// to back, and an empty wheel allocates nothing. Cancellation retires
-// the handle's id in a dense per-id array: an entry is live iff that
-// array still holds the entry's 64-bit arm sequence number, which is
-// never reused, so no stale entry can come back to life. The entry
-// itself is removed at once only when it is still the newest of its
-// list (the handle names that list, and each list keeps its last seq) —
-// the common case in a small cluster, where a re-armed deadline is
-// often alone in its slot. Otherwise it stays, dead, until its list is
-// cascaded or drained, and a cancel that leaves more dead entries than
-// live ones (plus kSweepSlack) compacts every list, so stored() stays
-// below twice the live count at the latest cancel plus a constant, at
-// amortized O(1) per cancel. rearm() keeps a live handle's id, and
-// rewrites the entry in place when it is the newest of the list the new
-// deadline files into.
+// (level, slot, priority). A list is a chain of 64-entry chunks carved
+// from blocks that never move and double in size from one chunk, so
+// arming writes one entry at a list's tail, firing reads the due lists
+// front to back, and an empty wheel allocates nothing.
+//
+// Cancellation. arm() gives an entry an id and returns a handle;
+// post() files an entry that can never be cancelled (a delivery, a
+// scheduled fault) with no id, so it takes and retires nothing and is
+// always live. Cancellation retires the handle's id in a dense per-id
+// array: an armed entry is live iff that array still holds the entry's
+// 64-bit arm sequence number, which is never reused, so no stale entry
+// can come back to life. The entry itself is removed at once only when
+// it is still the newest of its list (the handle names that list, and
+// each list keeps its last seq) — the common case in a small cluster,
+// where a re-armed deadline is often alone in its slot. Otherwise it
+// stays, dead, until its list is cascaded or drained, and a cancel that
+// leaves more dead entries than live ones (plus kSweepSlack) compacts
+// every list, so stored() stays below twice the live count at the
+// latest cancel plus a constant, at amortized O(1) per cancel. rearm()
+// keeps a live handle's id, and rewrites the entry in place when it is
+// the newest of the list the new deadline files into.
 //
 // Firing. The due level-0 lists are drained in place through a cursor,
 // delivery priority first; a chunk is released as the cursor leaves it,
@@ -42,9 +46,10 @@
 //
 // Determinism contract: entries due at the same tick fire ordered by
 // (priority, arm-sequence) — deliveries at priority 0 outrun timers at
-// priority 1, ties fall back to FIFO arm order — and rearm() is
-// indistinguishable from cancel() followed by arm(). The heartbeat
-// engine's bit-for-bit reproducible event interleavings rest on this;
+// priority 1, ties fall back to FIFO arm order, and posts and arms
+// draw from one sequence — and rearm() is indistinguishable from
+// cancel() followed by arm(). The heartbeat engine's bit-for-bit
+// reproducible event interleavings rest on this;
 // tests/sim_timer_wheel_test.cpp pins the firing stream against a
 // sorted-set oracle keyed by (when, priority, seq).
 #pragma once
@@ -114,6 +119,17 @@ class TimerWheel {
     }
     ++pending_;
     return file(id, when, priority, payload);
+  }
+
+  /// Files an entry that is never cancelled (a message delivery, a
+  /// scheduled fault). It takes the next seq like arm(), so it fires in
+  /// the same (when, priority, seq) order, but it holds no id: posting
+  /// and firing it touch no per-id state, and there is no handle.
+  void post(Time when, int priority, const Payload& payload) {
+    AHB_EXPECTS(when >= now_);
+    AHB_EXPECTS(priority == 0 || priority == 1);
+    ++pending_;
+    file(kNoId, when, priority, payload);
   }
 
   /// Cancels a pending entry; returns true if it was still pending.
@@ -199,8 +215,11 @@ class TimerWheel {
   static constexpr int kLevels = 6;
   /// Total tick span the wheel can hold: 64^kLevels.
   static constexpr Time kSpanTicks = Time{1} << (kLevelBits * kLevels);
-  static constexpr std::uint32_t kChunkEntries = 16;
-  static constexpr std::size_t kFirstBlockChunks = 4;
+  static constexpr std::uint32_t kChunkEntries = 64;
+  /// One chunk, so a small cluster's wheel (a chaos campaign builds one
+  /// per run, for one or two participants) starts from a single
+  /// 64-entry block and grows by doubling only as its lists need.
+  static constexpr std::size_t kFirstBlockChunks = 1;
   /// Dead entries tolerated beyond the live count before a sweep.
   static constexpr std::size_t kSweepSlack = 64;
 
@@ -255,7 +274,10 @@ class TimerWheel {
   bool live(Handle h) const {
     return h.valid() && h.id < seq_of_.size() && seq_of_[h.id] == h.seq;
   }
-  bool live(const Entry& e) const { return seq_of_[e.id] == e.seq; }
+  /// Posted entries (id kNoId) are never cancelled: always live.
+  bool live(const Entry& e) const {
+    return e.id == kNoId || seq_of_[e.id] == e.seq;
+  }
 
   void retire(std::uint32_t id) {
     seq_of_[id] = 0;
@@ -360,11 +382,12 @@ class TimerWheel {
            lists_[h.list].last_seq == h.seq;
   }
 
-  /// Files a new entry for pending id `id` under a fresh seq.
+  /// Files a new entry for pending id `id` (kNoId: a post) under a
+  /// fresh seq.
   Handle file(std::uint32_t id, Time when, int priority,
               const Payload& payload) {
     const std::uint64_t seq = next_seq_++;
-    seq_of_[id] = seq;
+    if (id != kNoId) seq_of_[id] = seq;
     ++stored_;
     const std::uint32_t list = target(when, priority);
     if (list == kNoList) {
@@ -426,8 +449,10 @@ class TimerWheel {
         const Entry& entry = head->entries[list.begin++];
         --stored_;
         AHB_ASSERT(entry.when == now_);
-        if (!live(entry)) continue;
-        retire(entry.id);
+        if (entry.id != kNoId) {
+          if (seq_of_[entry.id] != entry.seq) continue;  // cancelled
+          retire(entry.id);
+        }
         --pending_;
         out.when = entry.when;
         out.priority = priority;

@@ -13,8 +13,10 @@
 // (the newest entry of a list removed at once, older ones left dead),
 // rearm's in-place path, multi-level cascades, the slot-ring wrap
 // where an entry lands at or behind the current slot index of its
-// level, arms beyond the wheel's 64^6-tick span, and the bound on the
-// cancelled entries a long run leaves behind.
+// level, arms beyond the wheel's 64^6-tick span, posts (no id, never
+// cancelled) mixed into the same lists as arms, same-tick lists long
+// enough to span dozens of chunks, and the bound on the cancelled
+// entries a long run leaves behind.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -166,16 +168,18 @@ TEST(TimerWheel, AdvanceToSkipsEmptySpansAndKeepsLaterEntriesLive) {
 }
 
 TEST(TimerWheel, RandomisedAgainstOracle) {
-  // Seeded random arm/cancel/rearm/drain campaign. Mixed scales pick
-  // deltas from every level (biased small, occasionally past the span),
-  // pop horizons land mid-slot and on boundaries, single pops leave a
-  // tick half drained so the next operations act mid-tick, and armed
-  // entries are cancelled or re-armed wherever they sit: in a slot, in
-  // the ready drain or in the far heap. Re-arming the latest arm at its
-  // own (when, priority) takes the in-place path. Seeds 6-8 hold about
-  // 30 entries pending and cancel or re-arm instead of arming more, so
-  // the dead pile up past the live ones and the sweep compacts lists
-  // mid-campaign, mid-tick included.
+  // Seeded random arm/post/cancel/rearm/drain campaign. Mixed scales
+  // pick deltas from every level (biased small, occasionally past the
+  // span), pop horizons land mid-slot and on boundaries, single pops
+  // leave a tick half drained so the next operations act mid-tick —
+  // posts at the current tick then append behind the drain cursor —
+  // and armed entries are cancelled or re-armed wherever they sit: in a
+  // slot, in the ready drain or in the far heap, with posts filed
+  // before and after them in the same lists. Re-arming the latest arm
+  // at its own (when, priority) takes the in-place path. Seeds 6-8 hold
+  // about 30 entries pending and cancel or re-arm instead of arming or
+  // posting more, so the dead pile up past the live ones and the sweep
+  // compacts lists mid-campaign, mid-tick included.
   constexpr Time kSpan = Time{1} << 36;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE(testing::Message() << "seed=" << seed);
@@ -195,29 +199,35 @@ TEST(TimerWheel, RandomisedAgainstOracle) {
       entry = OracleEntry{when, prio, seq++, payload};
       oracle.insert(entry);
     };
+    const auto random_delta = [&] {
+      switch (rng.below(5)) {
+        case 0: return static_cast<Time>(rng.below(4));
+        case 1: return static_cast<Time>(rng.below(64));
+        case 2: return static_cast<Time>(rng.below(64 * 64));
+        case 3: return static_cast<Time>(rng.below(64ull * 64 * 64 * 64));
+        default: return kSpan + static_cast<Time>(rng.below(4096));
+      }
+    };
     for (int step = 0; step < 4000; ++step) {
-      auto op = rng.below(12);
-      if (churn && op < 6 && oracle.size() > 30) op = rng.below(2) == 0 ? 7 : 9;
+      auto op = rng.below(14);
+      if (churn && (op < 6 || op > 11) && oracle.size() > 30) {
+        op = rng.below(2) == 0 ? 7 : 9;
+      }
       if (op < 6) {  // arm
-        Time delta;
-        switch (rng.below(5)) {
-          case 0: delta = static_cast<Time>(rng.below(4)); break;
-          case 1: delta = static_cast<Time>(rng.below(64)); break;
-          case 2: delta = static_cast<Time>(rng.below(64 * 64)); break;
-          case 3:
-            delta = static_cast<Time>(rng.below(64ull * 64 * 64 * 64));
-            break;
-          default:
-            delta = kSpan + static_cast<Time>(rng.below(4096));
-            break;
-        }
-        const Time when = wheel.now() + delta;
+        const Time when = wheel.now() + random_delta();
         const int prio = static_cast<int>(rng.below(2));
         const int payload = static_cast<int>(seq);
         const auto handle = wheel.arm(when, prio, payload);
         const OracleEntry entry{when, prio, seq, payload};
         oracle.insert(entry);
         live.push_back({handle, entry});
+        ++seq;
+      } else if (op > 11) {  // post: anywhere, or at the current tick
+        const Time when = wheel.now() + (op == 12 ? random_delta() : 0);
+        const int prio = static_cast<int>(rng.below(2));
+        const int payload = static_cast<int>(seq);
+        wheel.post(when, prio, payload);
+        oracle.insert(OracleEntry{when, prio, seq, payload});
         ++seq;
       } else if (op < 8 && !live.empty()) {  // cancel a random entry
         const auto pick = rng.below(live.size());
@@ -265,6 +275,106 @@ TEST(TimerWheel, RandomisedAgainstOracle) {
     EXPECT_TRUE(oracle.empty());
     EXPECT_EQ(wheel.pending(), 0u);
   }
+}
+
+TEST(TimerWheel, PostsTakeNoIds) {
+  // A posted entry can never be cancelled, so it holds no id: with
+  // thousands of posts pending the first arm still gets id 0, and
+  // firing the posts retires nothing that a later arm could reuse.
+  Wheel wheel;
+  for (int i = 0; i < 5000; ++i) wheel.post(10 + i % 50, i % 2, i);
+  EXPECT_EQ(wheel.pending(), 5000u);
+  const Wheel::Handle first = wheel.arm(20, 1, -1);
+  EXPECT_EQ(first.id, 0u);
+  EXPECT_EQ(wheel.pending(), 5001u);
+  Wheel::Expired expired;
+  std::size_t fired = 0;
+  while (wheel.pop(100, expired)) ++fired;
+  EXPECT_EQ(fired, 5001u);
+  EXPECT_EQ(wheel.stored(), 0u);
+  EXPECT_FALSE(wheel.cancel(first));  // fired: id 0 retired
+  EXPECT_EQ(wheel.arm(200, 1, -2).id, 0u);
+  EXPECT_EQ(wheel.arm(200, 1, -3).id, 1u);
+}
+
+TEST(TimerWheel, LongListsDrainAndSweepAcrossChunks) {
+  // Same-tick lists thousands of entries long, dozens of chunks each.
+  // First one is drained a pop at a time while posts append behind the
+  // cursor. Then one whose older half arrives by cascade after its
+  // newer half was filed straight into level 0 (so it is sorted once,
+  // across chunks) is drained part way, most of its armed entries are
+  // cancelled so a sweep compacts it from the cursor, and posts append
+  // behind the compacted tail while the rest drains. Every pop is
+  // checked against the oracle.
+  Wheel wheel;
+  std::set<OracleEntry> oracle;
+  std::vector<std::pair<Wheel::Handle, OracleEntry>> armed;
+  std::uint64_t seq = 1;
+  const auto post = [&](Time when, int prio) {
+    const int payload = static_cast<int>(seq);
+    wheel.post(when, prio, payload);
+    oracle.insert(OracleEntry{when, prio, seq++, payload});
+  };
+  const auto arm = [&](Time when, int prio) {
+    const OracleEntry entry{when, prio, seq, static_cast<int>(seq)};
+    armed.push_back({wheel.arm(when, prio, entry.payload), entry});
+    oracle.insert(entry);
+    ++seq;
+  };
+  const auto pop_one = [&](Time horizon) {
+    Wheel::Expired expired;
+    if (!wheel.pop(horizon, expired)) return false;
+    if (oracle.empty()) {
+      ADD_FAILURE() << "wheel fired more than the oracle";
+      return false;
+    }
+    const OracleEntry expect = *oracle.begin();
+    oracle.erase(oracle.begin());
+    EXPECT_EQ(expired.when, expect.when);
+    EXPECT_EQ(expired.priority, expect.priority);
+    EXPECT_EQ(expired.seq, expect.seq);
+    EXPECT_EQ(expired.payload, expect.payload);
+    return true;
+  };
+
+  constexpr Time kTick = 100;
+  for (int i = 0; i < 1500; ++i) post(kTick, i % 3 == 0 ? 1 : 0);
+  int fired = 0;
+  while (pop_one(kTick)) {
+    ++fired;
+    if (fired <= 1500) post(kTick, fired % 2);  // at now: behind the cursor
+    ASSERT_EQ(wheel.pending(), oracle.size());
+  }
+  EXPECT_EQ(fired, 3000);
+  EXPECT_TRUE(oracle.empty());
+  EXPECT_EQ(wheel.stored(), 0u);
+
+  constexpr Time kLate = Time{1} << 14;  // a level-2 slot boundary
+  for (int i = 0; i < 1200; ++i) {  // level 2, cascaded at kLate
+    if (i % 5 == 0) post(kLate, 1); else arm(kLate, 1);
+  }
+  wheel.advance_to(kLate - 10);
+  for (int i = 0; i < 1200; ++i) {  // level 0, ahead of the cascade
+    if (i % 5 == 0) post(kLate, 1); else arm(kLate, 1);
+  }
+  for (int i = 0; i < 301; ++i) ASSERT_TRUE(pop_one(kLate));
+  std::size_t cancelled = 0;
+  for (const auto& [handle, entry] : armed) {
+    if (entry.seq % 4 == 0) continue;
+    const bool still = oracle.erase(entry) > 0;
+    EXPECT_EQ(wheel.cancel(handle), still);
+    cancelled += still ? 1 : 0;
+    ASSERT_LE(wheel.stored(), 2 * wheel.pending() + 64);
+  }
+  EXPECT_GT(cancelled, 1000u);  // enough dead to force sweeps
+  ASSERT_EQ(wheel.pending(), oracle.size());
+  fired = 0;
+  while (pop_one(kLate)) {
+    if (++fired % 10 == 0) post(kLate, fired % 20 == 0 ? 0 : 1);
+  }
+  EXPECT_TRUE(oracle.empty());
+  EXPECT_EQ(wheel.pending(), 0u);
+  EXPECT_EQ(wheel.stored(), 0u);
 }
 
 TEST(TimerWheel, RearmFiresExactlyLikeCancelThenArm) {
