@@ -5,7 +5,9 @@
 // Three measurements per size on the scale engine (hb::ScaleCluster):
 //   - steady state: lossless rounds of the static protocol; reports
 //     beats/sec and ns/beat (the per-beat cost must stay near-constant
-//     from 10k to 100k — that is the O(1) timer-wheel claim).
+//     from 10k to 100k — that is the O(1) timer-wheel claim) and the
+//     wheel's memory per node: the peak of stored_events() / n, sampled
+//     after every tick.
 //   - detection latency: one random member crashes mid-run; the
 //     coordinator accelerates down the waiting-time ladder and
 //     inactivates. Reports p50/p99/max over seeded runs against the
@@ -53,6 +55,7 @@ struct SteadyResult {
   std::uint64_t rounds = 0;
   std::uint64_t beats = 0;
   double seconds = 0;
+  double wheel_entries_per_node = 0;  ///< peak stored_events() / n
   sim::NetworkStats net;
   double beats_per_sec() const {
     return seconds > 0 ? static_cast<double>(beats) / seconds : 0;
@@ -69,12 +72,24 @@ std::uint64_t steady_rounds(int n) {
   return std::max<std::uint64_t>(20, 2'000'000 / static_cast<unsigned>(n));
 }
 
+/// Runs a started cluster to `horizon` one tick at a time; returns the
+/// peak of stored_events() per node over the run.
+double run_sampling_wheel(hb::ScaleCluster& cluster, sim::Time horizon) {
+  std::size_t peak = cluster.stored_events();
+  for (sim::Time t = cluster.now() + 1; t <= horizon; ++t) {
+    cluster.run_until(t);
+    peak = std::max(peak, cluster.stored_events());
+  }
+  return static_cast<double>(peak) / cluster.participant_count();
+}
+
 SteadyResult steady_state_scale(int n) {
   hb::ScaleCluster cluster{scale_config(hb::Variant::Static, n, 42)};
   const auto start = std::chrono::steady_clock::now();
   cluster.start();
-  cluster.run_until(static_cast<sim::Time>(steady_rounds(n)) * kTmax + 1);
   SteadyResult r;
+  r.wheel_entries_per_node = run_sampling_wheel(
+      cluster, static_cast<sim::Time>(steady_rounds(n)) * kTmax + 1);
   r.seconds = seconds_since(start);
   r.rounds = cluster.stats().rounds;
   r.beats = cluster.stats().beats;
@@ -117,9 +132,9 @@ MonitoredResult steady_state_scale_monitored(int n) {
       static_cast<sim::Time>(steady_rounds(n)) * kTmax + 1;
   const auto start = std::chrono::steady_clock::now();
   cluster.start();
-  cluster.run_until(horizon);
-  cluster.sinks().finish(horizon);
   MonitoredResult r;
+  r.steady.wheel_entries_per_node = run_sampling_wheel(cluster, horizon);
+  cluster.sinks().finish(horizon);
   r.steady.seconds = seconds_since(start);
   r.steady.rounds = cluster.stats().rounds;
   r.steady.beats = cluster.stats().beats;
@@ -262,8 +277,9 @@ int main(int argc, char** argv) {
     std::printf("== Cluster-scale heartbeat engine (static protocol, "
                 "tmin=%lld tmax=%lld, lossless, in-spec delays) ==\n\n",
                 static_cast<long long>(kTmin), static_cast<long long>(kTmax));
-    std::printf("%9s %8s %12s %14s %10s  %s\n", "n", "rounds", "beats",
-                "beats/sec", "ns/beat", "detect p50/p99/max (ticks)");
+    std::printf("%9s %8s %12s %14s %10s %9s  %s\n", "n", "rounds", "beats",
+                "beats/sec", "ns/beat", "wheel/n",
+                "detect p50/p99/max (ticks)");
   }
 
   // One untimed run first: the first timed row would otherwise pay for
@@ -302,16 +318,19 @@ int main(int argc, char** argv) {
       std::printf(
           "{\"bench\": \"cluster_scale/steady_n%d\", \"participants\": %d, "
           "\"rounds\": %llu, \"beats\": %llu, \"seconds\": %.3f, "
-          "\"beats_per_sec\": %.0f, \"ns_per_beat\": %.1f, %s}\n",
+          "\"beats_per_sec\": %.0f, \"ns_per_beat\": %.1f, "
+          "\"wheel_entries_per_node\": %.3f, %s}\n",
           n, n, static_cast<unsigned long long>(steady.rounds),
           static_cast<unsigned long long>(steady.beats), steady.seconds,
           steady.beats_per_sec(), steady.ns_per_beat(),
+          steady.wheel_entries_per_node,
           bench::network_stats_fields(steady.net).c_str());
       std::printf(
           "{\"bench\": \"cluster_scale/steady_monitored_n%d\", "
           "\"participants\": %d, \"rounds\": %llu, \"beats\": %llu, "
           "\"seconds\": %.3f, \"beats_per_sec\": %.0f, \"ns_per_beat\": %.1f, "
-          "\"monitor_events\": %llu, \"monitor_ns_per_event\": %.1f, "
+          "\"wheel_entries_per_node\": %.3f, \"monitor_events\": %llu, "
+          "\"monitor_ns_per_event\": %.1f, "
           "\"monitor_overhead_pct\": %.1f, \"monitor_overhead_q1\": %.1f, "
           "\"monitor_overhead_q3\": %.1f, \"overhead_pairs\": %d, "
           "\"violations\": %zu, \"availability_up_fraction\": %.4f}\n",
@@ -319,6 +338,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(monitored.steady.beats),
           monitored.steady.seconds, monitored.steady.beats_per_sec(),
           monitored.steady.ns_per_beat(),
+          monitored.steady.wheel_entries_per_node,
           static_cast<unsigned long long>(monitored.monitor_events),
           monitor_ns_per_event, overhead.median, overhead.q1, overhead.q3,
           pairs, monitored.violations, monitored.up_fraction);
@@ -331,18 +351,21 @@ int main(int argc, char** argv) {
           static_cast<long long>(detect.p99),
           static_cast<long long>(detect.max), detect.seconds);
     } else {
-      std::printf("%9d %8llu %12llu %14.0f %10.1f  %lld/%lld/%lld\n", n,
+      std::printf("%9d %8llu %12llu %14.0f %10.1f %9.3f  %lld/%lld/%lld\n", n,
                   static_cast<unsigned long long>(steady.rounds),
                   static_cast<unsigned long long>(steady.beats),
                   steady.beats_per_sec(), steady.ns_per_beat(),
+                  steady.wheel_entries_per_node,
                   static_cast<long long>(detect.p50),
                   static_cast<long long>(detect.p99),
                   static_cast<long long>(detect.max));
-      std::printf("%9s %8s %12s %14.0f %10.1f  rv on: %.1f%% overhead "
+      std::printf("%9s %8s %12s %14.0f %10.1f %9.3f  rv on: %.1f%% overhead "
                   "(median of %d pairs, q1..q3 %.1f..%.1f%%), "
                   "%.1f ns/event, %zu violation(s)\n",
                   "", "", "", monitored.steady.beats_per_sec(),
-                  monitored.steady.ns_per_beat(), overhead.median, pairs,
+                  monitored.steady.ns_per_beat(),
+                  monitored.steady.wheel_entries_per_node, overhead.median,
+                  pairs,
                   overhead.q1, overhead.q3, monitor_ns_per_event,
                   monitored.violations);
     }

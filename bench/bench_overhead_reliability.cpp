@@ -56,8 +56,8 @@ struct PlainOutcome {
 
 /// One event of the plain pair's loop. Deliveries and the crash are
 /// posted at priority 0 (never cancelled), the two timers re-armed at
-/// priority 1, so a beat arriving at a deadline is received before the
-/// timeout.
+/// priority 1 by retime (their payloads never change), so a beat
+/// arriving at a deadline is received before the timeout.
 struct PlainEv {
   enum class Kind : std::uint8_t { SenderTimer, DetectorTimer, Deliver, Crash };
   Kind kind{};
@@ -96,7 +96,7 @@ PlainOutcome run_plain(hb::Time period, int k, double loss,
     if (when == hb::kNever) {
       wheel.cancel(timer);
     } else {
-      timer = wheel.rearm(timer, when, 1, PlainEv{kind});
+      timer = wheel.retime(timer, when, 1, PlainEv{kind});
     }
   };
   Wheel::Handle sender_timer;

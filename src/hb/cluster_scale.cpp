@@ -63,22 +63,22 @@ void ScaleCluster::run_until(sim::Time horizon) {
 }
 
 void ScaleCluster::crash_coordinator_at(sim::Time when) {
-  wheel_.post(when, 0, Ev{Ev::Kind::CrashCoordinator, 0, 0});
+  wheel_.post(when, 0, Ev::of(Ev::Kind::CrashCoordinator, 0));
 }
 
 void ScaleCluster::crash_participant_at(int id, sim::Time when) {
   AHB_EXPECTS(id >= 1 && id <= participant_count());
-  wheel_.post(when, 0, Ev{Ev::Kind::CrashParticipant, 0, id});
+  wheel_.post(when, 0, Ev::of(Ev::Kind::CrashParticipant, id));
 }
 
 void ScaleCluster::leave_at(int id, sim::Time when) {
   AHB_EXPECTS(id >= 1 && id <= participant_count());
-  wheel_.post(when, 0, Ev{Ev::Kind::Leave, 0, id});
+  wheel_.post(when, 0, Ev::of(Ev::Kind::Leave, id));
 }
 
 void ScaleCluster::rejoin_at(int id, sim::Time when) {
   AHB_EXPECTS(id >= 1 && id <= participant_count());
-  wheel_.post(when, 0, Ev{Ev::Kind::Rejoin, 0, id});
+  wheel_.post(when, 0, Ev::of(Ev::Kind::Rejoin, id));
 }
 
 void ScaleCluster::set_drift_at(int id, sim::Time when, std::int64_t num,
@@ -86,7 +86,7 @@ void ScaleCluster::set_drift_at(int id, sim::Time when, std::int64_t num,
   AHB_EXPECTS(id >= 0 && id <= participant_count());
   AHB_EXPECTS(num > 0 && den > 0);
   touch_clock(id);
-  wheel_.post(when, 0, Ev{Ev::Kind::Drift, 0, id, 0, drift_rates_.size()});
+  wheel_.post(when, 0, Ev::of(Ev::Kind::Drift, id, drift_rates_.size()));
   drift_rates_.emplace_back(num, den);
 }
 
@@ -95,21 +95,20 @@ void ScaleCluster::corrupt_clock_at(int id, sim::Time when,
   AHB_EXPECTS(id >= 0 && id <= participant_count());
   touch_clock(id);
   wheel_.post(when, 0,
-              Ev{Ev::Kind::ClockOffset, 0, id, 0,
-                 static_cast<std::uint64_t>(delta)});
+              Ev::of(Ev::Kind::ClockOffset, id,
+                     static_cast<std::uint64_t>(delta)));
 }
 
 void ScaleCluster::wrap_clock_at(int id, sim::Time when,
                                  std::uint64_t margin) {
   AHB_EXPECTS(id >= 0 && id <= participant_count());
   touch_clock(id);
-  wheel_.post(when, 0, Ev{Ev::Kind::ClockWrap, 0, id, 0, margin});
+  wheel_.post(when, 0, Ev::of(Ev::Kind::ClockWrap, id, margin));
 }
 
 void ScaleCluster::change_link_at(sim::Time when, int from, int to,
                                   const sim::LinkChange& change) {
-  wheel_.post(when, 0,
-              Ev{Ev::Kind::LinkChange, 0, 0, 0, link_changes_.size()});
+  wheel_.post(when, 0, Ev::of(Ev::Kind::LinkChange, 0, link_changes_.size()));
   link_changes_.push_back(TimedLinkChange{from, to, change});
 }
 
@@ -132,13 +131,15 @@ bool ScaleCluster::all_inactive() const {
 
 void ScaleCluster::handle(const Ev& ev) {
   switch (ev.kind) {
-    case Ev::Kind::Deliver:
+    case Ev::Kind::Deliver: {
+      const WireMessage wire = unpack_wire(ev.from, ev.wire);
       if (ev.node == 0) {
-        deliver_to_coordinator(ev.from, ev.operand, ev.msg_id);
+        deliver_to_coordinator(ev.from, wire, ev.value());
       } else {
-        deliver_to_participant(ev.node, ev.from, ev.operand, ev.msg_id);
+        deliver_to_participant(ev.node, ev.from, wire, ev.value());
       }
       break;
+    }
     case Ev::Kind::NodeTimer:
       // The fired timer's handle is stale now (its seq is retired), so
       // the re-arm is a plain arm.
@@ -177,18 +178,18 @@ void ScaleCluster::handle(const Ev& ev) {
       break;
     }
     case Ev::Kind::Drift: {
-      const auto [num, den] = drift_rates_[ev.operand];
+      const auto [num, den] = drift_rates_[ev.value()];
       apply_drift(ev.node, num, den);
       break;
     }
     case Ev::Kind::ClockOffset:
-      apply_clock_offset(ev.node, static_cast<std::int64_t>(ev.operand));
+      apply_clock_offset(ev.node, static_cast<std::int64_t>(ev.value()));
       break;
     case Ev::Kind::ClockWrap:
-      apply_clock_wrap(ev.node, ev.operand);
+      apply_clock_wrap(ev.node, ev.value());
       break;
     case Ev::Kind::LinkChange: {
-      const TimedLinkChange& timed = link_changes_[ev.operand];
+      const TimedLinkChange& timed = link_changes_[ev.value()];
       links_.apply(timed.from, timed.to, timed.change);
       break;
     }
@@ -341,12 +342,10 @@ std::uint64_t ScaleCluster::send(int from, int to, bool flag) {
     channel(sim::ChannelEvent::Kind::Lost, from, to, id);
     return id;
   }
-  WireMessage wire = wire_encode(Message{from, flag});
-  if (fate.corrupt) {
-    sim::corrupt_bit(wire, fate.corrupt_bit);
-    channel(sim::ChannelEvent::Kind::Corrupted, from, to, id);
-  }
-  const Ev delivery{Ev::Kind::Deliver, from, to, id, wire.image};
+  if (fate.corrupt) channel(sim::ChannelEvent::Kind::Corrupted, from, to, id);
+  Ev delivery = Ev::of(Ev::Kind::Deliver, to, id);
+  delivery.from = from;
+  delivery.wire = pack_wire(flag, fate.corrupt, fate.corrupt_bit);
   wheel_.post(now_ + fate.delay, 0, delivery);
   if (fate.duplicate) {
     channel(sim::ChannelEvent::Kind::Duplicated, from, to, id);
@@ -381,7 +380,7 @@ void ScaleCluster::reject(int from, int to, std::uint64_t id) {
   channel(sim::ChannelEvent::Kind::Rejected, from, to, id);
 }
 
-void ScaleCluster::deliver_to_coordinator(int from, std::uint64_t wire,
+void ScaleCluster::deliver_to_coordinator(int from, WireMessage wire,
                                           std::uint64_t id) {
   ++net_stats_.delivered;
   channel(sim::ChannelEvent::Kind::Delivered, from, 0, id);
@@ -389,7 +388,7 @@ void ScaleCluster::deliver_to_coordinator(int from, std::uint64_t wire,
   // Boundary validation before any protocol effect: a corrupted image
   // is rejected and counted, never acted on (fail-safe), and the timer
   // is left as it was.
-  const std::optional<Message> msg = decode_wire(from, WireMessage{wire});
+  const std::optional<Message> msg = decode_wire(from, wire);
   if (!msg) {
     reject(from, 0, id);
     return;
@@ -411,13 +410,12 @@ void ScaleCluster::deliver_to_coordinator(int from, std::uint64_t wire,
   arm_node_timer(0);
 }
 
-void ScaleCluster::deliver_to_participant(int id, int from,
-                                          std::uint64_t wire,
+void ScaleCluster::deliver_to_participant(int id, int from, WireMessage wire,
                                           std::uint64_t msg_id) {
   ++net_stats_.delivered;
   channel(sim::ChannelEvent::Kind::Delivered, from, id, msg_id);
   track_delivery(newest_from_coord_, id, msg_id);
-  const std::optional<Message> msg = decode_wire(from, WireMessage{wire});
+  const std::optional<Message> msg = decode_wire(from, wire);
   if (!msg) {
     reject(from, id, msg_id);
     return;
@@ -492,8 +490,8 @@ void ScaleCluster::arm_node_timer(int id) {
     handle = Wheel::Handle{};
     return;
   }
-  handle = wheel_.rearm(handle, std::max(when, now_), timer_priority_,
-                        Ev{Ev::Kind::NodeTimer, 0, id});
+  handle = wheel_.retime(handle, std::max(when, now_), timer_priority_,
+                         Ev::of(Ev::Kind::NodeTimer, id));
 }
 
 void ScaleCluster::emit(ProtocolEvent::Kind kind, int node,

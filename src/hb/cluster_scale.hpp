@@ -11,21 +11,23 @@
 // (joined/received/registered as word-packed bitsets plus the
 // waiting-time ladder) and one flat vector of participant states indexed
 // by node id. Every pending event — a delivery, a node's deadline, a
-// scheduled fault — is one by-value entry on a hierarchical timer wheel
+// scheduled fault — is one 40-byte entry on a hierarchical timer wheel
 // (sim/timer_wheel.hpp): filing appends it to a chunked slot list and
 // firing reads the due lists front to back. Deliveries, duplicates and
 // scheduled faults are never cancelled, so they are posted without a
 // handle and cost no per-id bookkeeping; only node deadlines hold
-// handles, and re-arming one is O(1) — in place when its entry is still
-// the newest of its slot list, as the coordinator's deadline is between
-// replies. Beats
-// run through an inlined flat transport with no per-message heap
-// allocation: a round boundary is one pass over the member table that
-// fans out every beat of the round. The engine and the sans-I/O
-// hb::Coordinator and hb::Participant classes (the library's
-// per-process API) both call hb/transitions.hpp, where each transition
-// is stated once; the engine adds only wire decoding, transport,
-// clocks, timers and sinks.
+// handles. Re-arming one is an O(1) retime: a deadline that stays at its
+// tick or moves later — a participant's on every beat it receives, the
+// coordinator's on every reply — keeps its entry where it is and
+// records the new deadline, so a node holds one entry, not one per
+// beat. Beats run through an inlined flat transport with no per-message
+// heap allocation: a round boundary is one pass over the member table
+// that fans out every beat of the round, and an in-flight beat carries
+// its wire image as one byte (pack_wire) that is rebuilt at delivery.
+// The engine and the sans-I/O hb::Coordinator and hb::Participant
+// classes (the library's per-process API) both call hb/transitions.hpp,
+// where each transition is stated once; the engine adds only wire
+// decoding, transport, clocks, timers and sinks.
 //
 // Determinism. Same-instant work fires in (time, priority,
 // schedule-order) sequence — deliveries and injected faults at priority
@@ -107,6 +109,23 @@ struct ScaleStats {
   std::uint64_t beats = 0;   ///< coordinator -> member beat messages sent
   std::uint64_t replies = 0; ///< participant -> coordinator beats (echo/join/leave)
 };
+
+/// The flat transport carries a beat's 8-byte wire image as one byte
+/// and rebuilds it at delivery: bit 7 is the flag and, when the image
+/// was corrupted in flight, bit 6 is set and bits 0..5 name the flipped
+/// bit. unpack_wire(sender, pack_wire(...)) is wire_encode followed by
+/// sim::corrupt_bit, byte for byte.
+inline std::uint8_t pack_wire(bool flag, bool corrupt, std::uint64_t bit) {
+  static_assert(sizeof(WireMessage) * 8 <= 64);
+  return static_cast<std::uint8_t>((flag ? 0x80 : 0) |
+                                   (corrupt ? 0x40 | bit : 0));
+}
+
+inline WireMessage unpack_wire(int sender, std::uint8_t packed) {
+  WireMessage wire = wire_encode(Message{sender, (packed & 0x80) != 0});
+  if ((packed & 0x40) != 0) sim::corrupt_bit(wire, packed & 0x3f);
+  return wire;
+}
 
 class ScaleCluster {
  public:
@@ -204,12 +223,15 @@ class ScaleCluster {
   const sim::NetworkStats& network_stats() const { return net_stats_; }
   const ScaleStats& stats() const { return scale_stats_; }
   /// Events held by the wheel, cancelled timers not yet dropped included
-  /// (sim::TimerWheel::stored): at most about twice the pending events.
+  /// (sim::TimerWheel::stored). Deadlines re-armed later keep their one
+  /// entry (TimerWheel::retime), so in steady state this is the pending
+  /// events: one deadline per node plus the beats in flight.
   std::size_t stored_events() const { return wheel_.stored(); }
 
  private:
   /// Wheel payload: one pending simulation event, stored by value in
-  /// the wheel's chunked slot lists (no per-message allocation).
+  /// the wheel's chunked slot lists (no per-message allocation). 20
+  /// bytes, aligned to 4, so a wheel entry is 40.
   struct Ev {
     enum class Kind : std::uint8_t {
       Deliver,           ///< message delivery: from -> node
@@ -218,18 +240,31 @@ class ScaleCluster {
       CrashParticipant,
       Leave,
       Rejoin,
-      Drift,             ///< node's clock rate := drift_rates_[operand]
-      ClockOffset,       ///< node's register jumps by (int64)operand
-      ClockWrap,         ///< node's register repositioned operand before 2^64
-      LinkChange,        ///< link_changes_[operand] applies
+      Drift,             ///< node's clock rate := drift_rates_[value()]
+      ClockOffset,       ///< node's register jumps by (int64)value()
+      ClockWrap,         ///< node's register repositioned value() before 2^64
+      LinkChange,        ///< link_changes_[value()] applies
     };
     Kind kind{};
+    std::uint8_t wire = 0;  ///< Deliver: the image, packed (pack_wire)
     std::int32_t from = 0;
     std::int32_t node = 0;
-    std::uint64_t msg_id = 0;
-    std::uint64_t operand = 0;  ///< Deliver: the wire image
+    /// Deliver: the message id; otherwise the operand. Two halves keep
+    /// the payload 4-aligned.
+    std::uint32_t value_lo = 0;
+    std::uint32_t value_hi = 0;
+
+    static Ev of(Kind kind, int node, std::uint64_t value = 0) {
+      return Ev{kind, 0, 0, node, static_cast<std::uint32_t>(value),
+                static_cast<std::uint32_t>(value >> 32)};
+    }
+    std::uint64_t value() const {
+      return value_lo | std::uint64_t{value_hi} << 32;
+    }
   };
   using Wheel = sim::TimerWheel<Ev>;
+  // A new Ev field must not grow every pending event silently.
+  static_assert(Wheel::kEntryBytes <= 40);
 
   /// Node clock, pulse-style: the *hardware* register is a free-running
   /// modular uint64 advancing at rate num/den per global unit, and the
@@ -279,8 +314,8 @@ class ScaleCluster {
   void handle(const Ev& ev);
   /// Participant p[id]'s state (id range-checked).
   const ParticipantState& participant(int id) const;
-  void deliver_to_coordinator(int from, std::uint64_t wire, std::uint64_t id);
-  void deliver_to_participant(int id, int from, std::uint64_t wire,
+  void deliver_to_coordinator(int from, WireMessage wire, std::uint64_t id);
+  void deliver_to_participant(int id, int from, WireMessage wire,
                               std::uint64_t msg_id);
   /// The deadline transitions of one node at its local time `local`.
   void node_elapsed(int node, sim::Time local);
@@ -318,7 +353,7 @@ class ScaleCluster {
   std::uint64_t send(int from, int to, bool flag);
 
   /// Re-arms node `id`'s deadline timer at the global instant of its
-  /// next event (TimerWheel::rearm), or cancels it when there is none.
+  /// next event (TimerWheel::retime), or cancels it when there is none.
   void arm_node_timer(int id);
   void emit(ProtocolEvent::Kind kind, int node, std::uint64_t msg_id = 0,
             std::uint32_t fanout = 0);

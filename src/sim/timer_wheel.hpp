@@ -15,41 +15,55 @@
 // and nothing while there are none.
 //
 // Layout. Entries are stored by value — {when, seq, id, payload}, the
-// priority implied by the list holding them — in one list per
-// (level, slot, priority). A list is a chain of 64-entry chunks carved
-// from blocks that never move and double in size from one chunk, so
-// arming writes one entry at a list's tail, firing reads the due lists
-// front to back, and an empty wheel allocates nothing.
+// priority implied by the list holding them; 40 bytes for the heartbeat
+// engine's payload — in one list per (level, slot, priority). A list is
+// a chain of 64-entry chunks carved from blocks that never move and
+// double in size from one chunk, so arming writes one entry at a list's
+// tail, firing reads the due lists front to back, and an empty wheel
+// allocates nothing.
 //
 // Cancellation. arm() gives an entry an id and returns a handle;
 // post() files an entry that can never be cancelled (a delivery, a
 // scheduled fault) with no id, so it takes and retires nothing and is
-// always live. Cancellation retires the handle's id in a dense per-id
-// array: an armed entry is live iff that array still holds the entry's
-// 64-bit arm sequence number, which is never reused, so no stale entry
-// can come back to life. The entry itself is removed at once only when
-// it is still the newest of its list (the handle names that list, and
-// each list keeps its last seq) — the common case in a small cluster,
-// where a re-armed deadline is often alone in its slot. Otherwise it
-// stays, dead, until its list is cascaded or drained, and a cancel that
+// always live. An id names exactly one stored entry: a dense per-id
+// array holds that entry's logical key (when, seq) and its list, and
+// seq 0 while it is cancelled. A cancelled entry is removed at once
+// when it is still the newest of its list (its seq is the list's last)
+// — the common case in a small cluster, where a re-armed deadline is
+// often alone in its slot. Otherwise it stays, dead, holding its id
+// until its list is cascaded, drained or swept, and a cancel that
 // leaves more dead entries than live ones (plus kSweepSlack) compacts
 // every list, so stored() stays below twice the live count at the
 // latest cancel plus a constant, at amortized O(1) per cancel. rearm()
-// keeps a live handle's id, and rewrites the entry in place when it is
-// the newest of the list the new deadline files into.
+// rewrites the entry in place when it is the newest of the list the new
+// deadline files into, and otherwise files a new entry.
+//
+// Retiming. retime() is a rearm() that keeps the payload. When the
+// deadline stays at its tick or moves later, the entry stays where it
+// is and only its id's logical key changes (to the new when and a fresh
+// seq, as rearm would draw). Every list is reached before the ticks it
+// holds, so the entry is met no later than its new deadline: a cascade,
+// far filing or drain that meets it re-files it under its logical key,
+// and a level-0 list holding an entry retimed within its own tick is
+// sorted again when that tick comes. A participant re-arming its
+// inactivation deadline on every beat thus keeps one entry, not one
+// per beat. Deadlines that move earlier, change priority, wait in the
+// far heap or are retimed within the tick being drained take rearm()'s
+// paths, and so does the newest entry of a list, which rearm() moves
+// without leaving a dead one.
 //
 // Firing. The due level-0 lists are drained in place through a cursor,
 // delivery priority first; a chunk is released as the cursor leaves it,
 // and same-tick arms append behind the cursor. Arms append in sequence
-// order, so only a list that a cascade or a far filing left out of
-// order is sorted, once, when its tick comes.
+// order, so only a list that a cascade, a far filing or a retime left
+// out of order is sorted, once, when its tick comes.
 //
 // Determinism contract: entries due at the same tick fire ordered by
 // (priority, arm-sequence) — deliveries at priority 0 outrun timers at
 // priority 1, ties fall back to FIFO arm order, and posts and arms
-// draw from one sequence — and rearm() is indistinguishable from
-// cancel() followed by arm(). The heartbeat engine's bit-for-bit
-// reproducible event interleavings rest on this;
+// draw from one sequence — and rearm() and retime() are
+// indistinguishable from cancel() followed by arm(). The heartbeat
+// engine's bit-for-bit reproducible event interleavings rest on this;
 // tests/sim_timer_wheel_test.cpp pins the firing stream against a
 // sorted-set oracle keyed by (when, priority, seq).
 #pragma once
@@ -76,12 +90,11 @@ class TimerWheel {
  public:
   using Time = std::int64_t;
 
-  /// Reference to a pending entry: its id, the list it was filed in and
-  /// its arm sequence number. Default-constructed handles are invalid;
-  /// cancel() of an invalid, fired or cancelled handle is a no-op.
+  /// Reference to a pending entry: its id and its arm sequence number.
+  /// Default-constructed handles are invalid; cancel() of an invalid,
+  /// fired or cancelled handle is a no-op.
   struct Handle {
     std::uint32_t id = kNoId;
-    std::uint32_t list = kNoList;
     std::uint64_t seq = 0;
     bool valid() const { return id != kNoId; }
   };
@@ -109,16 +122,8 @@ class TimerWheel {
   Handle arm(Time when, int priority, const Payload& payload) {
     AHB_EXPECTS(when >= now_);
     AHB_EXPECTS(priority == 0 || priority == 1);
-    std::uint32_t id;
-    if (free_ids_.empty()) {
-      id = static_cast<std::uint32_t>(seq_of_.size());
-      seq_of_.push_back(0);
-    } else {
-      id = free_ids_.back();
-      free_ids_.pop_back();
-    }
     ++pending_;
-    return file(id, when, priority, payload);
+    return file_new(take_id(), when, priority, payload);
   }
 
   /// Files an entry that is never cancelled (a message delivery, a
@@ -129,7 +134,7 @@ class TimerWheel {
     AHB_EXPECTS(when >= now_);
     AHB_EXPECTS(priority == 0 || priority == 1);
     ++pending_;
-    file(kNoId, when, priority, payload);
+    file_new(kNoId, when, priority, payload);
   }
 
   /// Cancels a pending entry; returns true if it was still pending.
@@ -138,36 +143,56 @@ class TimerWheel {
   /// drained or swept.
   bool cancel(Handle h) {
     if (!live(h)) return false;
-    const bool newest = is_newest(h);
-    retire(h.id);
     --pending_;
-    unfile(h, newest);
+    if (unfile(h.id)) free_ids_.push_back(h.id);
     return true;
   }
 
   /// cancel(h) followed by arm(when, priority, payload): the entry takes
-  /// a fresh seq. A live handle keeps its id, and when its entry is
-  /// still the newest of its list and the new (when, priority) files
-  /// into that same list, the entry is rewritten in place — the
-  /// position cancel+arm would give it.
+  /// a fresh seq. When its entry is still the newest of its list and
+  /// the new (when, priority) files into that same list, the entry is
+  /// rewritten in place — the position cancel+arm would give it.
   Handle rearm(Handle h, Time when, int priority, const Payload& payload) {
     if (!live(h)) return arm(when, priority, payload);
     AHB_EXPECTS(when >= now_);
     AHB_EXPECTS(priority == 0 || priority == 1);
-    const bool newest = is_newest(h);
-    if (newest && target(when, priority) == h.list) {
-      List& list = lists_[h.list];
+    Armed& armed = armed_[h.id];
+    if (is_newest(armed) && target(when, priority) == armed.list) {
+      List& list = lists_[armed.list];
       Entry& entry = list.tail->entries[list.tail->size - 1];
-      entry.when = when;
-      entry.seq = next_seq_++;
+      entry.when = armed.when = when;
+      entry.seq = armed.seq = next_seq_++;
       entry.payload = payload;
       list.last_seq = entry.seq;
-      seq_of_[h.id] = entry.seq;
-      return Handle{h.id, h.list, entry.seq};
+      return Handle{h.id, entry.seq};
     }
-    seq_of_[h.id] = 0;  // the old entry is dead from here on
-    unfile(h, newest);
-    return file(h.id, when, priority, payload);
+    // The dead entry keeps its id until it is dropped.
+    const std::uint32_t id = unfile(h.id) ? h.id : take_id();
+    return file_new(id, when, priority, payload);
+  }
+
+  /// rearm(h, when, priority, payload) for an entry armed with
+  /// `payload` (which is used only when h is no longer live): fires
+  /// exactly like cancel+arm. A deadline that stays at its tick or moves
+  /// later leaves the entry where it is and records the new key (see
+  /// Retiming above), so re-arming a deadline on every beat leaves no
+  /// dead entries.
+  Handle retime(Handle h, Time when, int priority, const Payload& payload) {
+    if (!live(h)) return arm(when, priority, payload);
+    Armed& armed = armed_[h.id];
+    const std::uint32_t list = armed.list;
+    if (list == kNoList || (list & 1) != static_cast<std::uint32_t>(priority) ||
+        when < armed.when || (when == now_ && draining(list)) ||
+        (is_newest(armed) && detachable(list))) {
+      return rearm(h, when, priority, payload);
+    }
+    // A level-0 list holds one tick: a retime within it reorders it.
+    if (list < 2 * kSlots && target(when, priority) == list) {
+      lists_[list].sorted = false;
+    }
+    armed.when = when;
+    armed.seq = next_seq_++;
+    return Handle{h.id, armed.seq};
   }
 
   /// Pops the next live entry with when <= horizon, advancing now() to
@@ -230,6 +255,21 @@ class TimerWheel {
     Payload payload;
   };
 
+ public:
+  /// Bytes per stored entry, for callers that keep it small.
+  static constexpr std::size_t kEntryBytes = sizeof(Entry);
+
+ private:
+  /// Per id: the logical key of its one stored entry (which differs
+  /// from the entry's own after a retime) and the list holding it
+  /// (kNoList: the far heap). seq is 0 while the id is cancelled or
+  /// free.
+  struct Armed {
+    Time when;
+    std::uint64_t seq;
+    std::uint32_t list;
+  };
+
   struct Chunk {
     Chunk* next;
     std::uint32_t size;
@@ -270,17 +310,30 @@ class TimerWheel {
   static std::uint64_t slot_bit(std::uint32_t list) {
     return std::uint64_t{1} << ((list >> 1) & (kSlots - 1));
   }
+  /// True iff `list` is a level-0 list of the current tick: the one
+  /// drained now, which a retime within the tick cannot reorder.
+  bool draining(std::uint32_t list) const {
+    return list < 2 * kSlots &&
+           (list >> 1) == static_cast<std::uint32_t>(now_ & (kSlots - 1));
+  }
 
   bool live(Handle h) const {
-    return h.valid() && h.id < seq_of_.size() && seq_of_[h.id] == h.seq;
-  }
-  /// Posted entries (id kNoId) are never cancelled: always live.
-  bool live(const Entry& e) const {
-    return e.id == kNoId || seq_of_[e.id] == e.seq;
+    return h.id < armed_.size() && armed_[h.id].seq == h.seq;
   }
 
-  void retire(std::uint32_t id) {
-    seq_of_[id] = 0;
+  std::uint32_t take_id() {
+    if (free_ids_.empty()) {
+      armed_.push_back(Armed{});
+      return static_cast<std::uint32_t>(armed_.size() - 1);
+    }
+    const std::uint32_t id = free_ids_.back();
+    free_ids_.pop_back();
+    return id;
+  }
+
+  /// Drops a stored entry of a cancelled id, which frees the id.
+  void drop(std::uint32_t id) {
+    --stored_;
     free_ids_.push_back(id);
   }
 
@@ -335,16 +388,6 @@ class TimerWheel {
     return list_index(level, slot, priority);
   }
 
-  /// Files an existing entry into its target list or the far heap.
-  void place(const Entry& entry, int priority) {
-    const std::uint32_t list = target(entry.when, priority);
-    if (list == kNoList) {
-      push_far(entry, priority);
-    } else {
-      append(list, entry.seq) = entry;
-    }
-  }
-
   /// Reserves the tail slot of list `index` for an entry with `seq`.
   Entry& append(std::uint32_t index, std::uint64_t seq) {
     List& list = lists_[index];
@@ -368,69 +411,95 @@ class TimerWheel {
     return list.tail->entries[list.tail->size++];
   }
 
-  void push_far(const Entry& entry, int priority) {
-    far_.push_back(FarEntry{entry, priority});
-    std::push_heap(far_.begin(), far_.end(), far_later);
+  /// True iff the (live) entry of `armed` is the tail entry of its list
+  /// and holds its logical key — seqs are unique, so a match on the
+  /// list's last seq is that entry.
+  bool is_newest(const Armed& armed) const {
+    return armed.list != kNoList && lists_[armed.list].last_seq == armed.seq;
   }
 
-  /// True iff `h`'s (live) entry is the tail entry of the list it was
-  /// filed in — seqs are unique, so a match on the list's last seq is
-  /// that entry even after a cascade re-created the list.
-  bool is_newest(Handle h) {
-    return h.list != kNoList &&
-           (occupied_mask(h.list) & slot_bit(h.list)) != 0 &&
-           lists_[h.list].last_seq == h.seq;
+  /// True iff the tail entry of list `index` can be taken out at once:
+  /// it does not sit alone in a chunk behind others.
+  bool detachable(std::uint32_t index) const {
+    const List& list = lists_[index];
+    return list.tail->size > 1 || list.tail == list.head;
   }
 
-  /// Files a new entry for pending id `id` (kNoId: a post) under a
-  /// fresh seq.
-  Handle file(std::uint32_t id, Time when, int priority,
-              const Payload& payload) {
+  /// Stores a new entry for id `id` (kNoId: a post) under a fresh seq.
+  Handle file_new(std::uint32_t id, Time when, int priority,
+                  const Payload& payload) {
     const std::uint64_t seq = next_seq_++;
-    if (id != kNoId) seq_of_[id] = seq;
     ++stored_;
-    const std::uint32_t list = target(when, priority);
-    if (list == kNoList) {
-      push_far(Entry{when, seq, id, payload}, priority);
-    } else {
-      // Field by field into the list: no temporary to copy from.
-      Entry& entry = append(list, seq);
-      entry.when = when;
-      entry.seq = seq;
-      entry.id = id;
-      entry.payload = payload;
+    if (id != kNoId) {
+      armed_[id].when = when;
+      armed_[id].seq = seq;
     }
-    return Handle{id, list, seq};
+    file(when, seq, id, payload, priority);
+    return Handle{id, seq};
   }
 
-  /// Takes the dead entry of handle `h` out: at once when it is the
-  /// newest of its list (unless that would leave an empty chunk behind
-  /// others); otherwise it stays, and a sweep runs once the dead
-  /// outnumber the live.
-  void unfile(Handle h, bool newest) {
-    if (newest) {
-      List& list = lists_[h.list];
-      Chunk* tail = list.tail;
-      if (tail->size > 1) {
-        --tail->size;
-        list.last_seq = tail->entries[tail->size - 1].seq;
-        --stored_;
-        return;
-      }
-      if (tail == list.head) {
-        free_chunk(tail);
-        occupied_mask(h.list) &= ~slot_bit(h.list);
-        --stored_;
-        return;
-      }
+  /// The one filing path, for new and re-filed entries alike: appends
+  /// the entry to its target list or pushes it on the far heap, and
+  /// records where an armed entry went. Written field by field into the
+  /// list: no temporary to copy from.
+  void file(Time when, std::uint64_t seq, std::uint32_t id,
+            const Payload& payload, int priority) {
+    const std::uint32_t list = target(when, priority);
+    if (id != kNoId) armed_[id].list = list;
+    if (list == kNoList) {
+      far_.push_back(FarEntry{Entry{when, seq, id, payload}, priority});
+      std::push_heap(far_.begin(), far_.end(), far_later);
+      return;
     }
-    if (stored_ - pending_ > pending_ + kSweepSlack) sweep();
+    Entry& entry = append(list, seq);
+    entry.when = when;
+    entry.seq = seq;
+    entry.id = id;
+    entry.payload = payload;
+  }
+
+  /// Re-files an entry a cascade or far filing takes out, or one met
+  /// ahead of its retimed deadline, under its logical key; drops it
+  /// when cancelled.
+  void refile(const Entry& entry, int priority) {
+    if (entry.id == kNoId) {
+      return file(entry.when, entry.seq, kNoId, entry.payload, priority);
+    }
+    const Armed& armed = armed_[entry.id];
+    if (armed.seq == 0) return drop(entry.id);
+    file(armed.when, armed.seq, entry.id, entry.payload, priority);
+  }
+
+  /// Cancels id's entry: drops it at once when it is the newest of its
+  /// list (unless that would leave an empty chunk behind others) and
+  /// returns true — the id is free; otherwise the dead entry keeps the
+  /// id, and a sweep runs once the dead outnumber the live.
+  bool unfile(std::uint32_t id) {
+    Armed& armed = armed_[id];
+    const bool newest = is_newest(armed) && detachable(armed.list);
+    armed.seq = 0;
+    if (!newest) {
+      if (stored_ - pending_ > pending_ + kSweepSlack) sweep();
+      return false;
+    }
+    --stored_;
+    List& list = lists_[armed.list];
+    Chunk* tail = list.tail;
+    if (tail->size > 1) {
+      --tail->size;
+      list.last_seq = tail->entries[tail->size - 1].seq;
+    } else {
+      free_chunk(tail);
+      occupied_mask(armed.list) &= ~slot_bit(armed.list);
+    }
+    return true;
   }
 
   /// Fires the next live entry due at the current tick: the level-0
   /// lists of the current slot, priority 0 first, consumed through
-  /// their cursors. Releases each chunk the cursor leaves and each list
-  /// it exhausts; returns false once both are gone.
+  /// their cursors; cancelled entries are dropped and entries retimed
+  /// later re-filed as they are met. Releases each chunk the cursor
+  /// leaves and each list it exhausts; returns false once both are gone.
   bool next_ready(Expired& out) {
     const int slot = static_cast<int>(now_ & (kSlots - 1));
     const std::uint64_t bit = std::uint64_t{1} << slot;
@@ -447,12 +516,18 @@ class TimerWheel {
           continue;
         }
         const Entry& entry = head->entries[list.begin++];
-        --stored_;
         AHB_ASSERT(entry.when == now_);
         if (entry.id != kNoId) {
-          if (seq_of_[entry.id] != entry.seq) continue;  // cancelled
-          retire(entry.id);
+          Armed& armed = armed_[entry.id];
+          if (armed.seq == 0 || armed.when != now_) {
+            refile(entry, priority);  // cancelled, or retimed later
+            continue;
+          }
+          AHB_ASSERT(armed.seq == entry.seq);
+          armed.seq = 0;
+          free_ids_.push_back(entry.id);
         }
+        --stored_;
         --pending_;
         out.when = entry.when;
         out.priority = priority;
@@ -503,8 +578,8 @@ class TimerWheel {
     return best;
   }
 
-  /// Re-files the live entries of one coarse slot (both priorities)
-  /// one level down or more, dropping the dead ones.
+  /// Re-files the entries of one coarse slot (both priorities) one
+  /// level down or more, dropping the cancelled ones.
   void cascade(int level, int slot) {
     const std::uint64_t bit = std::uint64_t{1} << slot;
     for (int priority = 0; priority < 2; ++priority) {
@@ -513,12 +588,7 @@ class TimerWheel {
       Chunk* chunk = lists_[list_index(level, slot, priority)].head;
       while (chunk != nullptr) {
         for (std::uint32_t i = 0; i < chunk->size; ++i) {
-          const Entry& entry = chunk->entries[i];
-          if (live(entry)) {
-            place(entry, priority);  // delta < 64^level: files lower
-          } else {
-            --stored_;
-          }
+          refile(chunk->entries[i], priority);
         }
         Chunk* next = chunk->next;
         free_chunk(chunk);  // after its entries are read
@@ -543,17 +613,16 @@ class TimerWheel {
       std::pop_heap(far_.begin(), far_.end(), far_later);
       const FarEntry far = far_.back();
       far_.pop_back();
-      if (live(far.entry)) {
-        place(far.entry, far.priority);
-      } else {
-        --stored_;
-      }
+      refile(far.entry, far.priority);
     }
     const int slot = static_cast<int>(now_ & (kSlots - 1));
     for (int priority = 0; priority < 2; ++priority) {
       List& list = lists_[list_index(0, slot, priority)];
-      if ((occupied_[0][priority] >> slot & 1) != 0 && !list.sorted) {
+      if ((occupied_[0][priority] >> slot & 1) == 0 || list.sorted) continue;
+      if (compact(list, priority, true)) {
         sort_list(list);
+      } else {
+        occupied_[0][priority] &= ~(std::uint64_t{1} << slot);
       }
     }
   }
@@ -591,32 +660,50 @@ class TimerWheel {
         for (std::uint64_t bits = occupied_[level][priority]; bits != 0;
              bits &= bits - 1) {
           const int slot = std::countr_zero(bits);
-          if (!compact(lists_[list_index(level, slot, priority)])) {
+          if (!compact(lists_[list_index(level, slot, priority)], priority,
+                       false)) {
             occupied_[level][priority] &= ~(std::uint64_t{1} << slot);
           }
         }
       }
     }
-    const auto dead = std::remove_if(
-        far_.begin(), far_.end(),
-        [this](const FarEntry& far) { return !live(far.entry); });
-    stored_ -= static_cast<std::size_t>(far_.end() - dead);
+    // One application per entry, so each dead one is dropped once.
+    const auto dead =
+        std::remove_if(far_.begin(), far_.end(), [this](const FarEntry& far) {
+          const std::uint32_t id = far.entry.id;
+          if (id == kNoId || armed_[id].seq != 0) return false;
+          drop(id);
+          return true;
+        });
     far_.erase(dead, far_.end());
     std::make_heap(far_.begin(), far_.end(), far_later);
   }
 
-  /// Moves a list's live entries to its front, keeping their order;
-  /// returns false (list released) when none is left.
-  bool compact(List& list) {
+  /// Moves a list's kept entries to its front, in order, from its
+  /// cursor, dropping the cancelled ones. With `settle` (the list is
+  /// due now and about to be sorted) entries retimed past now are
+  /// re-filed as they are met and the rest take their logical seq.
+  /// Returns false (list released) when none is left.
+  bool compact(List& list, int priority, bool settle) {
     Chunk* write = list.head;
     std::uint32_t written = 0;
     std::uint32_t begin = list.begin;
     for (Chunk* read = list.head; read != nullptr; read = read->next) {
       for (std::uint32_t i = begin; i < read->size; ++i) {
-        const Entry& entry = read->entries[i];
-        if (!live(entry)) {
-          --stored_;
-          continue;
+        Entry& entry = read->entries[i];
+        if (entry.id != kNoId) {
+          const Armed& armed = armed_[entry.id];
+          if (armed.seq == 0) {
+            drop(entry.id);
+            continue;
+          }
+          if (settle) {
+            if (armed.when != now_) {
+              refile(entry, priority);
+              continue;
+            }
+            entry.seq = armed.seq;
+          }
         }
         if (written == kChunkEntries) {
           write = write->next;  // never passes `read`
@@ -640,7 +727,8 @@ class TimerWheel {
     return false;
   }
 
-  /// Releases every list and far entry (all of them dead).
+  /// Releases every list and far entry (all of them dead) and frees
+  /// every id.
   void clear() {
     for (int level = 0; level < kLevels; ++level) {
       for (int priority = 0; priority < 2; ++priority) {
@@ -654,6 +742,8 @@ class TimerWheel {
       }
     }
     far_.clear();
+    armed_.clear();
+    free_ids_.clear();
     stored_ = 0;
   }
 
@@ -661,8 +751,7 @@ class TimerWheel {
   std::uint64_t next_seq_ = 1;
   std::size_t pending_ = 0;
   std::size_t stored_ = 0;
-  /// Per id, the seq of its live entry; 0 while the id is free.
-  std::vector<std::uint64_t> seq_of_;
+  std::vector<Armed> armed_;  ///< by id
   std::vector<std::uint32_t> free_ids_;
   std::uint64_t occupied_[kLevels][2] = {};  ///< [level][priority] slot bits
   List lists_[kLevels * kSlots * 2];  // see List: read only while occupied

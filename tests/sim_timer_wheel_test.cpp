@@ -6,8 +6,9 @@
 // popped — is what makes the heartbeat engine's event interleavings
 // reproducible bit-for-bit, so it is pinned here against
 // an oracle that keeps every pending entry in one ordered multiset.
-// rearm() must be indistinguishable from cancel() followed by arm(), so
-// the oracle models it as erase plus insert under a fresh seq. The
+// rearm() and retime() must be indistinguishable from cancel() followed
+// by arm(), so the oracle models each as erase plus insert under a fresh
+// seq (retime keeps the payload). The
 // deterministic cases target the wheel's structural edges: same tick
 // ordering, cancels in a slot, in the ready drain and in the far heap
 // (the newest entry of a list removed at once, older ones left dead),
@@ -15,8 +16,9 @@
 // where an entry lands at or behind the current slot index of its
 // level, arms beyond the wheel's 64^6-tick span, posts (no id, never
 // cancelled) mixed into the same lists as arms, same-tick lists long
-// enough to span dozens of chunks, and the bound on the cancelled
-// entries a long run leaves behind.
+// enough to span dozens of chunks, the bound on the cancelled entries a
+// long run leaves behind, and retimes that leave an entry in place
+// while its deadline moves on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -179,7 +181,10 @@ TEST(TimerWheel, RandomisedAgainstOracle) {
   // at its own (when, priority) takes the in-place path. Seeds 6-8 hold
   // about 30 entries pending and cancel or re-arm instead of arming or
   // posting more, so the dead pile up past the live ones and the sweep
-  // compacts lists mid-campaign, mid-tick included.
+  // compacts lists mid-campaign, mid-tick included. Retimes move an
+  // entry later (a tick or two, or across cascades), keep it at its
+  // tick, move it earlier, past the span or to the other priority, and
+  // hit entries due at the current tick while it is half drained.
   constexpr Time kSpan = Time{1} << 36;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE(testing::Message() << "seed=" << seed);
@@ -199,6 +204,14 @@ TEST(TimerWheel, RandomisedAgainstOracle) {
       entry = OracleEntry{when, prio, seq++, payload};
       oracle.insert(entry);
     };
+    // Oracle side of retime(): the same, keeping the payload.
+    const auto retime = [&](std::size_t pick, Time when, int prio) {
+      auto& [handle, entry] = live[pick];
+      oracle.erase(entry);
+      handle = wheel.retime(handle, when, prio, entry.payload);
+      entry = OracleEntry{when, prio, seq++, entry.payload};
+      oracle.insert(entry);
+    };
     const auto random_delta = [&] {
       switch (rng.below(5)) {
         case 0: return static_cast<Time>(rng.below(4));
@@ -209,8 +222,8 @@ TEST(TimerWheel, RandomisedAgainstOracle) {
       }
     };
     for (int step = 0; step < 4000; ++step) {
-      auto op = rng.below(14);
-      if (churn && (op < 6 || op > 11) && oracle.size() > 30) {
+      auto op = rng.below(17);
+      if (churn && (op < 6 || op == 12 || op == 13) && oracle.size() > 30) {
         op = rng.below(2) == 0 ? 7 : 9;
       }
       if (op < 6) {  // arm
@@ -222,7 +235,34 @@ TEST(TimerWheel, RandomisedAgainstOracle) {
         oracle.insert(entry);
         live.push_back({handle, entry});
         ++seq;
-      } else if (op > 11) {  // post: anywhere, or at the current tick
+      } else if (op > 13 && !live.empty()) {  // retime
+        std::size_t pick = rng.below(live.size());
+        if (op == 16) {  // an entry due now, if any: mid-drain
+          for (std::size_t i = 0; i < live.size(); ++i) {
+            if (live[i].second.when == wheel.now()) pick = i;
+          }
+        }
+        const OracleEntry& entry = live[pick].second;
+        const Time from = std::max(entry.when, wheel.now());
+        Time when = from;  // same tick
+        switch (rng.below(6)) {
+          case 0: when += 1 + static_cast<Time>(rng.below(3)); break;
+          case 1:  // across cascades
+            when += static_cast<Time>(rng.below(64ull * 64 * 64));
+            break;
+          case 2:  // earlier, not before now
+            when = wheel.now() + static_cast<Time>(rng.below(
+                                     static_cast<std::uint64_t>(
+                                         from - wheel.now() + 1)));
+            break;
+          case 3:  // past the span
+            when = wheel.now() + kSpan + static_cast<Time>(rng.below(64));
+            break;
+          default: break;
+        }
+        retime(pick, when,
+               rng.below(5) == 0 ? 1 - entry.priority : entry.priority);
+      } else if (op == 12 || op == 13) {  // post: anywhere, or at now
         const Time when = wheel.now() + (op == 12 ? random_delta() : 0);
         const int prio = static_cast<int>(rng.below(2));
         const int payload = static_cast<int>(seq);
@@ -438,6 +478,125 @@ TEST(TimerWheel, RearmFiresExactlyLikeCancelThenArm) {
   EXPECT_EQ(ea.payload, 13);
   EXPECT_EQ(a.pending(), 0u);
   EXPECT_EQ(a.stored(), 0u);
+}
+
+TEST(TimerWheel, RetimeFiresExactlyLikeCancelThenArm) {
+  // The same seeded script on two wheels: one retimes, the other
+  // cancels and arms. Twelve handles share a few ticks with posts, so
+  // retimed entries are rarely the newest of their list and stay in
+  // place: later by a tick or across cascades, within their own tick
+  // (a level-0 list is then sorted again when its tick comes), earlier,
+  // to the other priority, past the span, and while their tick is half
+  // drained. Both wheels must fire identical streams.
+  constexpr Time kSpan = Time{1} << 36;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    Rng rng{seed};
+    Wheel a;
+    Wheel b;
+    std::vector<std::pair<Wheel::Handle, Wheel::Handle>> handles;
+    std::vector<Time> due;
+    for (int i = 0; i < 12; ++i) {
+      const Time when = 1 + static_cast<Time>(rng.below(40));
+      handles.push_back({a.arm(when, 1, i), b.arm(when, 1, i)});
+      due.push_back(when);
+    }
+    const auto same_pop = [&](Time horizon) {
+      Wheel::Expired ea;
+      Wheel::Expired eb;
+      const bool fa = a.pop(horizon, ea);
+      EXPECT_EQ(fa, b.pop(horizon, eb));
+      if (!fa) return false;
+      EXPECT_EQ(ea.when, eb.when);
+      EXPECT_EQ(ea.priority, eb.priority);
+      EXPECT_EQ(ea.seq, eb.seq);
+      EXPECT_EQ(ea.payload, eb.payload);
+      return true;
+    };
+    for (int step = 0; step < 3000; ++step) {
+      const auto op = rng.below(10);
+      const Time now = a.now();
+      if (op < 5) {
+        const auto i = rng.below(handles.size());
+        Time when = std::max(due[i], now);
+        switch (rng.below(6)) {
+          case 0: when += 1 + static_cast<Time>(rng.below(3)); break;
+          case 1: when += static_cast<Time>(rng.below(64 * 64 * 4)); break;
+          case 2: when = now + static_cast<Time>(rng.below(3)); break;
+          case 3: when += kSpan; break;
+          default: break;  // same tick
+        }
+        const int prio = rng.below(6) == 0 ? 0 : 1;
+        auto& [ha, hb] = handles[i];
+        ha = a.retime(ha, when, prio, static_cast<int>(i));
+        b.cancel(hb);
+        hb = b.arm(when, prio, static_cast<int>(i));
+        EXPECT_EQ(ha.seq, hb.seq);
+        due[i] = when;
+      } else if (op < 7) {
+        const Time when = now + static_cast<Time>(rng.below(20));
+        const int prio = static_cast<int>(rng.below(2));
+        a.post(when, prio, -1);
+        b.post(when, prio, -1);
+      } else if (op < 9) {
+        // A pop that finds nothing may stop at different cascade
+        // boundaries on the two wheels: align them at the horizon.
+        const Time horizon = now + static_cast<Time>(rng.below(4));
+        if (!same_pop(horizon)) {
+          a.advance_to(horizon);
+          b.advance_to(horizon);
+        }
+      } else {
+        const Time horizon = now + static_cast<Time>(rng.below(30));
+        while (same_pop(horizon)) {}
+        a.advance_to(horizon);
+        b.advance_to(horizon);
+      }
+      ASSERT_EQ(a.pending(), b.pending());
+      if (HasFailure()) return;
+    }
+    while (same_pop(Time{1} << 50)) {}  // far past the farthest retime
+    EXPECT_EQ(a.pending(), 0u);
+  }
+}
+
+TEST(TimerWheel, LaterRetimesLeaveNoDeadEntries) {
+  // The heartbeat engine's steady state: every deadline is pushed later
+  // before it comes due, on most ticks, among posts that fire. A retime
+  // later leaves the entry in place (or moves the newest of a list), so
+  // no entry is ever dead, and the deadlines, once left alone, fire at
+  // their last deadlines.
+  constexpr int kHandles = 200;
+  Wheel wheel;
+  std::vector<Wheel::Handle> handles(kHandles);
+  std::vector<Time> due(kHandles, 0);
+  for (int i = 0; i < kHandles; ++i) {
+    due[i] = 3 + i % 50;
+    handles[i] = wheel.arm(due[i], 1, i);
+  }
+  Wheel::Expired expired;
+  for (Time t = 1; t <= 20'000; ++t) {
+    while (wheel.pop(t, expired)) ASSERT_EQ(expired.payload, -1);
+    for (int i = 0; i < kHandles; ++i) {
+      if ((t + i) % 3 == 0) continue;
+      // Within a tick or two, or a level or two ahead.
+      due[i] = std::max(due[i] + 1, t + 3 + (t * 7 + i) % (i < 20 ? 3 : 5000));
+      handles[i] = wheel.retime(handles[i], due[i], 1, i);
+      ASSERT_EQ(wheel.stored(), wheel.pending());
+    }
+    wheel.post(t + 1 + t % 70, static_cast<int>(t % 2), -1);
+    ASSERT_EQ(wheel.stored(), wheel.pending());
+  }
+  std::vector<std::pair<Time, int>> expect;
+  for (int i = 0; i < kHandles; ++i) expect.push_back({due[i], i});
+  std::vector<std::pair<Time, int>> fired;
+  while (wheel.pop(Time{1} << 20, expired)) {
+    if (expired.payload >= 0) fired.push_back({expired.when, expired.payload});
+  }
+  std::sort(expect.begin(), expect.end());
+  std::sort(fired.begin(), fired.end());
+  EXPECT_EQ(fired, expect);
+  EXPECT_EQ(wheel.stored(), 0u);
 }
 
 TEST(TimerWheel, CancelledEntriesStayBounded) {
