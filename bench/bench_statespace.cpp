@@ -26,11 +26,11 @@
 
 #include "bench_util.hpp"
 #include "mc/explorer.hpp"
+#include "mc/concurrent_store.hpp"
 #include "mc/store.hpp"
 #include "models/heartbeat_model.hpp"
 #include "proto/timing.hpp"
 #include "util/contracts.hpp"
-#include "util/rng.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -124,24 +124,67 @@ void BM_SuccessorGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_SuccessorGeneration);
 
-void BM_StoreIntern(benchmark::State& state) {
-  Rng rng{1};
-  std::vector<ta::State> states;
-  for (int i = 0; i < 100000; ++i) {
-    ta::State s(16);
-    for (std::size_t j = 0; j < 16; ++j) {
-      s[j] = static_cast<ta::Slot>(rng.below(100));
+/// The first 100,000 reachable states of static n=2 (tmin 4, tmax 10)
+/// in BFS order: real inputs for the store encodings, which pack states
+/// against the model's declared ranges.
+const std::vector<ta::State>& intern_sample(const ta::Network& net) {
+  static const std::vector<ta::State> states = [&] {
+    constexpr std::size_t kCount = 100000;
+    std::vector<ta::State> out;
+    mc::StateStore seen{net.slot_count()};
+    seen.intern(net.initial_state());
+    out.push_back(net.initial_state());
+    for (std::size_t next = 0; next < out.size() && out.size() < kCount;
+         ++next) {
+      const ta::State s = out[next];
+      for (auto& t : net.successors(s)) {
+        if (out.size() == kCount) break;
+        if (seen.intern(t.target).second) out.push_back(std::move(t.target));
+      }
     }
-    states.push_back(std::move(s));
-  }
+    return out;
+  }();
+  return states;
+}
+
+/// Interns the sample into a fresh store: range(0) picks the encoding
+/// (0 none, 1 collapse), range(1) the store (0 StateStore, 1 the sharded
+/// ConcurrentStateStore). Both stores run the one intern core, so the
+/// difference is the shard choice and lock of the sharded wrapper.
+template <typename Store>
+void intern_all(benchmark::State& state, const ta::Network& net,
+                ta::Compression mode) {
+  const auto& states = intern_sample(net);
   for (auto _ : state) {
-    mc::StateStore store{16};
+    Store store{net.codec(), mode};
     for (const auto& s : states) benchmark::DoNotOptimize(store.intern(s));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(states.size()));
 }
-BENCHMARK(BM_StoreIntern)->Unit(benchmark::kMillisecond);
+
+void BM_StoreIntern(benchmark::State& state) {
+  static const auto model = [] {
+    models::BuildOptions options;
+    options.timing = {4, 10};
+    options.participants = 2;
+    return models::HeartbeatModel::build(models::Flavor::Static, options);
+  }();
+  const auto mode = state.range(0) == 0 ? ta::Compression::None
+                                        : ta::Compression::Collapse;
+  if (state.range(1) == 0) {
+    intern_all<mc::StateStore>(state, model.net(), mode);
+  } else {
+    intern_all<mc::ConcurrentStateStore>(state, model.net(), mode);
+  }
+  state.SetLabel(std::string(mode == ta::Compression::None ? "none"
+                                                           : "collapse") +
+                 (state.range(1) == 0 ? "/StateStore"
+                                      : "/ConcurrentStateStore"));
+}
+BENCHMARK(BM_StoreIntern)
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 /// The --json sweep: verifies R1-R3 of the static protocol at every
 /// Table-1 timing point and reports states/bytes per point and in total.

@@ -71,14 +71,14 @@ void for_each_successor(const ta::Network& net, bool por, const ta::State& s,
   }
 }
 
-/// The stored states from the initial state to `last`, following
-/// `parent_of` links, plus the canonical image of a transient hit.
-template <typename Store, typename ParentOf>
+/// The stored states from the initial state to `last`, following the
+/// store's parent links, plus the canonical image of a transient hit.
+template <typename Store>
 std::vector<ta::State> stored_chain(const Store& store, std::uint32_t last,
-                                    ParentOf parent_of,
                                     const ta::State* transient_hit) {
   std::vector<ta::State> chain;
-  for (std::uint32_t i = last; i != Store::kInvalidIndex; i = parent_of(i)) {
+  for (std::uint32_t i = last; i != Store::kInvalidIndex;
+       i = store.parent_of(i)) {
     chain.push_back(store.get(i));
   }
   std::reverse(chain.begin(), chain.end());
@@ -147,7 +147,6 @@ std::vector<SearchResult> Explorer::bfs_sequential(
   const auto start_time = std::chrono::steady_clock::now();
   const ta::StateCodec& codec = net_->codec();
   StateStore store{codec, limits.compression};
-  std::vector<std::uint32_t> parent;
   const bool canon = limits.symmetry == ta::Symmetry::Participants &&
                      codec.has_canonicalization();
   const bool por = limits.por;
@@ -184,11 +183,8 @@ std::vector<SearchResult> Explorer::bfs_sequential(
   // Settles `hits` at this very moment, so their statistics are exactly
   // those of a search that stopped here.
   const auto settle = [&](std::uint32_t last, const ta::State* transient_hit) {
-    const std::vector<TraceStep> trace = replay_trace(
-        stored_chain(
-            store, last, [&](std::uint32_t i) { return parent[i]; },
-            transient_hit),
-        canon, por);
+    const std::vector<TraceStep> trace =
+        replay_trace(stored_chain(store, last, transient_hit), canon, por);
     targets.settle(hits, trace, stats(), /*complete=*/false);
   };
 
@@ -197,7 +193,6 @@ std::vector<SearchResult> Explorer::bfs_sequential(
   if (canon) codec.canonicalize(test_buf.slots_mut());
   auto [init_index, inserted] = store.intern(test_buf);
   AHB_ASSERT(inserted);
-  parent.push_back(StateStore::kInvalidIndex);
 
   if (test(init)) {
     // The initial state already answers these queries: nothing beyond it
@@ -254,9 +249,8 @@ std::vector<SearchResult> Explorer::bfs_sequential(
           if (canon) codec.canonicalize(test_buf.slots_mut());
           key = test_buf.slots();
         }
-        auto [child, is_new] = store.intern(key);
+        auto [child, is_new] = store.intern(key, index);
         if (!is_new) return true;
-        parent.push_back(index);
         if (!canon && !por) test_buf.assign(target);
         if (test(test_buf)) {
           settle(child, nullptr);
@@ -489,10 +483,8 @@ std::vector<SearchResult> Explorer::bfs_parallel(
       }
       if (best == nullptr) continue;
       const std::vector<TraceStep> trace = replay_trace(
-          stored_chain(
-              store, best->transient ? best->parent : best->index,
-              [&](std::uint32_t i) { return store.parent_of(i); },
-              best->transient ? &best->image : nullptr),
+          stored_chain(store, best->transient ? best->parent : best->index,
+                       best->transient ? &best->image : nullptr),
           canon, por);
       targets.settle(std::span{&k, 1}, trace, stats(), /*complete=*/false);
     }

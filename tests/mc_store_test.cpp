@@ -33,13 +33,6 @@ TEST(StateStore, GetRoundTrips) {
   EXPECT_EQ(store.get(index), s);
 }
 
-TEST(StateStore, FindMissingReturnsInvalid) {
-  StateStore store{2};
-  store.intern(make_state({1, 1}));
-  EXPECT_EQ(store.find(make_state({2, 2})), StateStore::kInvalidIndex);
-  EXPECT_NE(store.find(make_state({1, 1})), StateStore::kInvalidIndex);
-}
-
 TEST(StateStore, SurvivesTableGrowth) {
   StateStore store{2};
   Rng rng{99};
@@ -50,12 +43,64 @@ TEST(StateStore, SurvivesTableGrowth) {
     store.intern(states.back());
   }
   EXPECT_EQ(store.size(), 20000u);
-  // Every state is still findable and round-trips after many rehashes.
+  // Every state keeps its index and round-trips after many rehashes.
   for (std::size_t i = 0; i < states.size(); i += 117) {
-    const auto index = store.find(states[i]);
-    ASSERT_NE(index, StateStore::kInvalidIndex);
+    const auto [index, fresh] = store.intern(states[i]);
+    EXPECT_FALSE(fresh);
+    EXPECT_EQ(index, i);
     EXPECT_EQ(store.get(index), states[i]);
   }
+  EXPECT_EQ(store.size(), 20000u);
+}
+
+TEST(StateStore, RawSpansStayValidAcrossGrowth) {
+  // The arena never moves an entry, so a borrowed span outlives any
+  // number of later interns.
+  StateStore store{2};
+  const auto [first, _] = store.intern(make_state({-1, -1}));
+  const ta::Slot* data = store.raw(first).data();
+  for (int i = 0; i < 100000; ++i) {
+    store.intern(make_state({i % 1000, i / 1000}));
+  }
+  EXPECT_EQ(store.raw(first).data(), data);
+  EXPECT_EQ(data[0], -1);
+  EXPECT_EQ(data[1], -1);
+}
+
+// A lone store indexes every 32-bit value but kInvalidIndex; the 26-bit
+// offsets of ConcurrentStateStore are a limit of its shard encoding only.
+static_assert(StateStore::kMaxStates == 0xffffffffu);
+
+TEST(StateStore, ArenaSegmentsCoverEveryIndex) {
+  struct Case {
+    std::uint32_t offset;
+    int segment;
+    std::uint32_t within;
+  };
+  const Case cases[] = {
+      {0, 0, 0},
+      {1023, 0, 1023},
+      {1024, 1, 0},
+      {(1u << 26) - 1, 16, (1u << 25) - 1},
+      {1u << 26, 17, 0},
+      {0xfffffffeu, 22, 0x7ffffffeu},
+  };
+  for (const Case& c : cases) {
+    const auto [segment, within] = StateStore::segment_of(c.offset);
+    EXPECT_EQ(segment, c.segment) << c.offset;
+    EXPECT_EQ(within, c.within) << c.offset;
+    EXPECT_LT(segment, StateStore::kMaxSegments) << c.offset;
+    EXPECT_LT(within, StateStore::segment_entries(segment)) << c.offset;
+  }
+  // Consecutive segments tile the offsets without gaps: the last offset
+  // of each segment is followed by offset 0 of the next.
+  std::uint64_t start = 0;
+  for (int seg = 0; seg < StateStore::kMaxSegments; ++seg) {
+    EXPECT_EQ(StateStore::segment_of(static_cast<std::uint32_t>(start)),
+              std::make_pair(seg, 0u));
+    start += StateStore::segment_entries(seg);
+  }
+  EXPECT_EQ(start, std::uint64_t{1} << 32);
 }
 
 TEST(StateStore, RawSpanMatches) {

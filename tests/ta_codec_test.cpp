@@ -115,12 +115,14 @@ TEST(StateCodec, CompressedStoresRoundTripAndAgreeOnIdentity) {
       ASSERT_EQ(nfresh, cfresh);
     }
     ASSERT_EQ(none.size(), collapse.size());
+    const std::size_t interned = collapse.size();
     ta::State out{codec.slot_count()};
     for (std::uint32_t i = 0; i < none.size(); ++i) {
       collapse.load(i, out);
       ASSERT_EQ(out, none.get(i));
-      ASSERT_EQ(collapse.find(out), i);
+      ASSERT_EQ(collapse.intern(out), std::make_pair(i, false));
     }
+    ASSERT_EQ(collapse.size(), interned);
   }
 }
 
