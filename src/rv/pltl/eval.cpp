@@ -1,7 +1,6 @@
 #include "rv/pltl/eval.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "util/contracts.hpp"
@@ -434,6 +433,155 @@ void index_units(Compiled& compiled) {
   });
 }
 
+// ---------------------------------------------------------------------------
+// Phantom positions.
+
+Phantom negate(Phantom p) {
+  switch (p) {
+    case Phantom::True: return Phantom::False;
+    case Phantom::False: return Phantom::True;
+    default: return p;
+  }
+}
+
+/// Both operands equal to their committed values make the result equal
+/// to its own; a constant operand says nothing of the committed result.
+Phantom conj(Phantom a, Phantom b) {
+  if (a == Phantom::False || b == Phantom::False) return Phantom::False;
+  if (a == Phantom::True && b == Phantom::True) return Phantom::True;
+  if (a == Phantom::Equal && b == Phantom::Equal) return Phantom::Equal;
+  return Phantom::Unknown;
+}
+
+Phantom disj(Phantom a, Phantom b) {
+  return negate(conj(negate(a), negate(b)));
+}
+
+Phantom iff(Phantom a, Phantom b) {
+  const auto constant = [](Phantom p) {
+    return p == Phantom::True || p == Phantom::False;
+  };
+  if (constant(a) && constant(b)) {
+    return a == b ? Phantom::True : Phantom::False;
+  }
+  return a == Phantom::Equal && b == Phantom::Equal ? Phantom::Equal
+                                                     : Phantom::Unknown;
+}
+
+/// `a since b` is `b || (a && m)`, where the memory m is the committed
+/// value.
+Phantom since(Phantom a, Phantom b) {
+  switch (b) {
+    case Phantom::True: return Phantom::True;
+    case Phantom::False:
+      if (a == Phantom::True) return Phantom::Equal;
+      return a == Phantom::False ? Phantom::False : Phantom::Unknown;
+    case Phantom::Equal:
+      return a == Phantom::True || a == Phantom::Equal ? Phantom::Equal
+                                                       : Phantom::Unknown;
+    case Phantom::Unknown: break;
+  }
+  return Phantom::Unknown;
+}
+
+/// Classifies instructions [begin, end) into `cls` (operands before
+/// `begin` already classified) and returns whether every operator
+/// state among them survives an event-free position:
+/// - `previously` stores its operand, so the operand must be Equal;
+/// - `historically`, `since` and unbounded `once` store their value,
+///   which must be Equal;
+/// - bounded `once` keeps "operand true at the last commit" and its
+///   witness, `holds` its anchor: the operand must be Equal (a flip is
+///   scheduled, and a unit whose flip is due is evaluated);
+/// - `before` with a true operand moves its witness to every new
+///   position (trap 2), so it never survives.
+bool classify(const std::vector<Instr>& instrs, int begin, int end,
+              std::vector<Phantom>& cls) {
+  const auto operand = [&cls](int j) {
+    return j >= 0 ? cls[static_cast<std::size_t>(j)] : Phantom::Unknown;
+  };
+  bool stable = true;
+  for (int i = begin; i < end; ++i) {
+    const Instr& ins = instrs[static_cast<std::size_t>(i)];
+    const Phantom a = operand(ins.a);
+    const Phantom b = operand(ins.b);
+    Phantom v = Phantom::Unknown;
+    switch (ins.op) {
+      case Node::Kind::True: v = Phantom::True; break;
+      case Node::Kind::False:
+      case Node::Kind::Init:
+      case Node::Kind::Event: v = Phantom::False; break;
+      case Node::Kind::Fluent: v = Phantom::Equal; break;
+      case Node::Kind::Not: v = negate(a); break;
+      case Node::Kind::And: v = conj(a, b); break;
+      case Node::Kind::Or: v = disj(a, b); break;
+      case Node::Kind::Implies: v = disj(negate(a), b); break;
+      case Node::Kind::Iff: v = iff(a, b); break;
+      case Node::Kind::Previously:
+        // Its value is the operand's committed value, not its own.
+        stable = stable && a == Phantom::Equal;
+        break;
+      case Node::Kind::Historically:
+        // `m && a` with m the committed value: m implies a was true.
+        v = a == Phantom::True || a == Phantom::Equal ? Phantom::Equal : a;
+        stable = stable && v == Phantom::Equal;
+        break;
+      case Node::Kind::Since:
+        v = since(a, b);
+        stable = stable && v == Phantom::Equal;
+        break;
+      case Node::Kind::Once:
+        if (ins.bound == kNever) {
+          // `a || m`, with m the committed value.
+          v = a == Phantom::True || a == Phantom::Unknown ? a : Phantom::Equal;
+          stable = stable && v == Phantom::Equal;
+        } else {
+          v = a == Phantom::True || a == Phantom::Equal ? a : Phantom::Unknown;
+          stable = stable && a == Phantom::Equal;
+        }
+        break;
+      case Node::Kind::Before: stable = false; break;
+      case Node::Kind::Holds:
+        v = a == Phantom::False || a == Phantom::Equal ? a : Phantom::Unknown;
+        stable = stable && a == Phantom::Equal;
+        break;
+      case Node::Kind::Forall:
+      case Node::Kind::Exists:
+        AHB_UNREACHABLE("quantifiers are expanded at compile time");
+    }
+    cls[static_cast<std::size_t>(i)] = v;
+  }
+  return stable;
+}
+
+/// Classifies every instance range, then the top range with each
+/// expansion's value taken as Equal.
+void classify_units(Compiled& compiled) {
+  const std::vector<Instr>& instrs = compiled.instrs;
+  std::vector<Phantom> cls(instrs.size(), Phantom::Unknown);
+  const auto unit_class = [&cls](int root, bool stable) {
+    const Phantom value = cls[static_cast<std::size_t>(root)];
+    return UnitClass{value, stable && value == Phantom::Equal};
+  };
+  for (Expansion& expansion : compiled.expansions) {
+    for (Expansion::Range& range : expansion.instances) {
+      const bool stable = classify(instrs, range.begin, range.root + 1, cls);
+      range.unit = unit_class(range.root, stable);
+    }
+  }
+  bool stable = true;
+  int begin = 0;
+  for (const Expansion& expansion : compiled.expansions) {
+    stable = classify(instrs, begin, expansion.instances.front().begin, cls) &&
+             stable;
+    cls[static_cast<std::size_t>(expansion.result())] = Phantom::Equal;
+    begin = expansion.result() + 1;
+  }
+  const int end = static_cast<int>(instrs.size());
+  stable = classify(instrs, begin, end, cls) && stable;
+  compiled.top = unit_class(end - 1, stable);
+}
+
 bool time_cmp(Time lhs, Cmp cmp, Time rhs) {
   switch (cmp) {
     case Cmp::Le: return lhs <= rhs;
@@ -565,6 +713,7 @@ CompileResult compile(const Node& formula, const BindParams& params) {
   }
   result.compiled = std::move(flattener.out);
   index_units(result.compiled);
+  classify_units(result.compiled);
   return result;
 }
 
@@ -572,9 +721,6 @@ CompileResult compile(const Node& formula, const BindParams& params) {
 // FormulaMonitor.
 
 namespace {
-
-/// The wake time of a unit that must be evaluated at every pass.
-constexpr Time kUnsettled = std::numeric_limits<Time>::min();
 
 /// The first time after `now` at which `(T - t) cmp bound` changes
 /// value, or kNever. Each comparison is monotone in T and changes at
@@ -607,6 +753,7 @@ FormulaMonitor::FormulaMonitor(std::shared_ptr<const Compiled> program,
   }
   scratch_.assign(instrs.size(), 0);
   committed_.assign(instrs.size(), 0);
+  top_unit_ = compiled.top;
 
   std::size_t total = 0;
   for (const Expansion& expansion : compiled.expansions) {
@@ -626,7 +773,7 @@ FormulaMonitor::FormulaMonitor(std::shared_ptr<const Compiled> program,
     group.fluent_bits = expansion.fluent_bits;
     for (const Expansion::Range& range : expansion.instances) {
       instances_.push_back({range.begin, range.root,
-                            static_cast<int>(groups_.size())});
+                            static_cast<int>(groups_.size()), range.unit});
     }
     group.inst_end = static_cast<int>(instances_.size());
     // Consistent with committed_ before the initial position: every
@@ -648,7 +795,7 @@ FormulaMonitor::FormulaMonitor(std::shared_ptr<const Compiled> program,
 // of line, the call costs small formulas ~10% of their per-event time.
 template <bool kCommit>
 [[gnu::always_inline]] inline bool FormulaMonitor::eval_range(
-    int begin, int end, const Pass& pass, Time& wake) {
+    int begin, int end, const Pass& pass, Wake& wake) {
   const Instr* instrs = program_->instrs.data();
   State* state = state_.data();
   std::uint8_t* vals = scratch_.data();
@@ -668,14 +815,15 @@ template <bool kCommit>
     st.t = operand != 0 ? now : t;
     st.b = operand;
   };
-  // Committing passes also lower `wake`. Connectives and fluents are
+  // Committing passes also fill `wake`. Connectives and fluents are
   // functions of their inputs, and Historically, Since and unbounded
-  // Once reach their fixed point in one step; the cases that lower it
+  // Once reach their fixed point in one step; the cases that fill it
   // below are the only ways a range can change at a later position
-  // without events.
-  const auto unsettle = [&wake] { wake = kUnsettled; };
+  // without events. (A stable unit ignores `unsettled`: its class
+  // proves the change never reaches its root or operator state.)
+  const auto unsettle = [&wake] { wake.unsettled = true; };
   const auto flip = [&wake, now](Time t, const Instr& ins) {
-    wake = std::min(wake, next_flip(t, ins.cmp, ins.bound, now));
+    wake.flip = std::min(wake.flip, next_flip(t, ins.cmp, ins.bound, now));
   };
   bool v = false;
   for (int i = begin; i < end; ++i) {
@@ -788,37 +936,57 @@ template <bool kCommit>
 
 template <bool kCommit>
 void FormulaMonitor::eval_due(const Pass& pass) {
-  for (const int k : due_) {
+  for (std::size_t i = 0; i < due_.size(); ++i) {
+    const int k = due_[i];
     Instance& inst = instances_[static_cast<std::size_t>(k)];
     Group& group = groups_[static_cast<std::size_t>(inst.group)];
     const bool before = committed_[static_cast<std::size_t>(inst.root)] != 0;
-    Time wake = kNever;
-    const bool after =
-        eval_range<kCommit>(inst.begin, inst.root + 1, pass, wake);
+    bool after = before;
+    if (!kCommit && i >= timed_ && inst.unit.root != Phantom::Unknown) {
+      // Due only as unsettled: a check pass is an event-free position
+      // for it, whose root value its class names.
+      if (inst.unit.root == Phantom::Equal) continue;
+      after = inst.unit.root == Phantom::True;
+    } else {
+      Wake wake;
+      after = eval_range<kCommit>(inst.begin, inst.root + 1, pass, wake);
+      ++instances_evaluated_;
+      if constexpr (kCommit) {
+        inst.wake = wake.flip;
+        inst.unsettled = wake.unsettled && !inst.unit.stable;
+        requeue(k);
+      }
+    }
     group.pass += static_cast<int>(after != group.conj) -
                   static_cast<int>(before != group.conj);
-    ++instances_evaluated_;
-    if constexpr (kCommit) {
-      inst.wake = wake;
-      requeue(k);
-    }
   }
 }
 
 template <bool kCommit>
 bool FormulaMonitor::eval(const Pass& pass) {
-  bool top = top_due_;
+  const std::uint64_t evaluated = instances_evaluated_;
+  bool changed = false;  // an expansion's value
   if (!due_.empty()) {
     eval_due<kCommit>(pass);
     for (const Group& group : groups_) {
-      top = top || (group.pass > 0) != (group.committed > 0);
+      changed = changed || (group.pass > 0) != (group.committed > 0);
     }
   }
   bool root = committed_.back() != 0;
+  bool top = top_due_ || changed;
+  if (!kCommit && top && !changed && !top_timed_ &&
+      top_unit_.root != Phantom::Unknown) {
+    // Due only as unsettled, its expansion values unchanged: as for an
+    // instance, the class names the root.
+    top = false;
+    if (top_unit_.root != Phantom::Equal) {
+      root = top_unit_.root == Phantom::True;
+    }
+  }
   if (top) {
     // The top range: the runs between the groups, each followed by the
     // value of the group it precedes.
-    Time wake = kNever;
+    Wake wake;
     int begin = 0;
     for (const Group& group : groups_) {
       eval_range<kCommit>(begin, group.first, pass, wake);
@@ -828,10 +996,13 @@ bool FormulaMonitor::eval(const Pass& pass) {
       begin = group.result + 1;
     }
     eval_range<kCommit>(begin, static_cast<int>(scratch_.size()), pass, wake);
-    if constexpr (kCommit) top_wake_ = wake;
+    if constexpr (kCommit) {
+      top_wake_ = wake.flip;
+      top_unsettled_ = wake.unsettled && !top_unit_.stable;
+    }
     root = scratch_.back() != 0;
   }
-  if (top || !due_.empty()) ++passes_evaluated_;
+  if (top || instances_evaluated_ != evaluated) ++passes_evaluated_;
   if (!due_.empty()) {
     for (Group& group : groups_) {
       if constexpr (kCommit) {
@@ -854,15 +1025,13 @@ void FormulaMonitor::make_due(int k) {
 
 void FormulaMonitor::collect_due(Time now) {
   ++pass_id_;
-  // kUnsettled is below every time.
-  top_due_ = top_wake_ <= now;
-  if (now < last_commit_) {
-    // Settling assumes time never runs back past the last commit.
-    top_due_ = true;
+  // Settling assumes time never runs back past the last commit.
+  const bool rewind = now < last_commit_;
+  top_timed_ = rewind || top_wake_ <= now;
+  top_due_ = top_timed_ || top_unsettled_;
+  if (rewind) {
     for (int k = 0; k < static_cast<int>(instances_.size()); ++k) make_due(k);
   }
-  for (const int k : unsettled_) make_due(k);
-  unsettled_.clear();
   while (!flips_.empty() && flips_.top().first <= now) {
     const auto [at, k] = flips_.top();
     flips_.pop();
@@ -871,6 +1040,15 @@ void FormulaMonitor::collect_due(Time now) {
     inst.scheduled = kNever;
     if (inst.wake == at) make_due(k);
   }
+  timed_ = due_.size();
+  for (const int k : unsettled_) make_due(k);
+  unsettled_.clear();
+}
+
+bool FormulaMonitor::idle(Time now) const {
+  return unsettled_.empty() && !top_unsettled_ && top_wake_ > now &&
+         (flips_.empty() || flips_.top().first > now) &&
+         now >= last_commit_ && last_value_ == (committed_.back() != 0);
 }
 
 void FormulaMonitor::wake(const hb::ProtocolEvent* pe,
@@ -904,9 +1082,8 @@ void FormulaMonitor::wake(const hb::ProtocolEvent* pe,
 
 void FormulaMonitor::requeue(int k) {
   Instance& inst = instances_[static_cast<std::size_t>(k)];
-  if (inst.wake == kUnsettled) {
-    unsettled_.push_back(k);
-  } else if (inst.wake != kNever && inst.wake != inst.scheduled) {
+  if (inst.unsettled) unsettled_.push_back(k);
+  if (inst.wake != kNever && inst.wake != inst.scheduled) {
     // One entry per flip time: an instance re-woken before its flip
     // keeps the entry it has.
     inst.scheduled = inst.wake;
@@ -947,13 +1124,26 @@ void FormulaMonitor::observe(Time now, bool root_value) {
 void FormulaMonitor::handle(Time at, const hb::ProtocolEvent* pe,
                             const sim::ChannelEvent* ce) {
   ++events_seen_;
-  collect_due(at);
-  // Check pass: the instant `at` has been reached but the event has
-  // not happened yet — deadlines that expired strictly before the
-  // event are caught with pre-event state.
-  observe(at, eval<false>({at, nullptr, nullptr, /*init=*/false}));
+  if (idle(at)) {
+    // The check pass would evaluate and observe nothing: only open the
+    // step pass's due set.
+    ++pass_id_;
+    top_due_ = false;
+  } else {
+    collect_due(at);
+    // Check pass: the instant `at` has been reached but the event has
+    // not happened yet — deadlines that expired strictly before the
+    // event are caught with pre-event state.
+    observe(at, eval<false>({at, nullptr, nullptr, /*init=*/false}));
+  }
   const std::uint8_t changed = pe != nullptr ? tracker_.apply(*pe) : 0;
   wake(pe, ce, changed);
+  if (due_.empty() && !top_due_) {
+    // Nothing was due at the check pass either, which observed the
+    // committed root: the step pass would only move the position on.
+    last_commit_ = at;
+    return;
+  }
   // Step pass: the event's own position, committed.
   observe(at, eval<true>({at, pe, ce, /*init=*/false}));
   due_.clear();

@@ -5,12 +5,51 @@
 // instruction cap at scale, fails the build instead of the first
 // campaign that attaches the formulas. Run automatically as a
 // POST_BUILD step of the pltl_check target.
+//
+// It also prints, per formula, how its evaluation units classify at
+// event-free positions (DESIGN.md "Settled-range evaluation"), so the
+// build log shows which formulas take the monitor's fast paths:
+//   pltl_check: s2 at n=4: 5 units, 5 stable, 5 exact, root equal
 #include <cstdio>
+#include <string_view>
 
 #include "rv/pltl/eval.hpp"
 #include "rv/pltl/formulas.hpp"
 
 namespace pltl = ahb::rv::pltl;
+
+namespace {
+
+const char* to_string(pltl::Phantom phantom) {
+  switch (phantom) {
+    case pltl::Phantom::True: return "true";
+    case pltl::Phantom::False: return "false";
+    case pltl::Phantom::Equal: return "equal";
+    case pltl::Phantom::Unknown: break;
+  }
+  return "unknown";
+}
+
+/// One line: the unit counts of `compiled` and its root's class.
+void print_classes(std::string_view name, int participants,
+                   const pltl::Compiled& compiled) {
+  int units = 1;  // the top range
+  int stable = compiled.top.stable ? 1 : 0;
+  int exact = compiled.top.root == pltl::Phantom::Equal ? 1 : 0;
+  for (const auto& expansion : compiled.expansions) {
+    for (const auto& range : expansion.instances) {
+      ++units;
+      stable += range.unit.stable ? 1 : 0;
+      exact += range.unit.root == pltl::Phantom::Equal ? 1 : 0;
+    }
+  }
+  std::printf("pltl_check: %.*s at n=%d: %d units, %d stable, %d exact, "
+              "root %s\n",
+              static_cast<int>(name.size()), name.data(), participants, units,
+              stable, exact, to_string(compiled.top.root));
+}
+
+}  // namespace
 
 int main() {
   const pltl::BindParams points[] = {
@@ -22,6 +61,8 @@ int main() {
       // compiler's instruction cap.
       {ahb::proto::Variant::Static, {4, 10}, true, 10000, 2},
   };
+  // The point whose unit classes are printed.
+  const pltl::BindParams& shown = points[3];
   int failures = 0;
   for (const auto& formula : pltl::shipped_formulas()) {
     const pltl::ParseResult parsed = pltl::parse(formula.text);
@@ -48,6 +89,9 @@ int main() {
                      compiled.error.c_str());
         ++failures;
         break;
+      }
+      if (&params == &shown) {
+        print_classes(formula.name, params.participants, compiled.compiled);
       }
     }
   }
