@@ -1,6 +1,7 @@
 #include "rv/pltl/eval.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "util/contracts.hpp"
@@ -436,6 +437,12 @@ void index_units(Compiled& compiled) {
 // ---------------------------------------------------------------------------
 // Phantom positions.
 
+/// An instruction's value at an event-free position — every event atom
+/// and `init` false, every fluent unchanged, no time-bounded operator
+/// flipping — given the operator state its last committed position
+/// left: constant, or equal to the value committed there.
+enum class Phantom : std::uint8_t { Unknown, True, False, Equal };
+
 Phantom negate(Phantom p) {
   switch (p) {
     case Phantom::True: return Phantom::False;
@@ -554,19 +561,19 @@ bool classify(const std::vector<Instr>& instrs, int begin, int end,
   return stable;
 }
 
-/// Classifies every instance range, then the top range with each
-/// expansion's value taken as Equal.
+/// Decides the stability of every instance range, then of the top
+/// range with each expansion's value taken as Equal: every operator
+/// state survives and the root is Equal.
 void classify_units(Compiled& compiled) {
   const std::vector<Instr>& instrs = compiled.instrs;
   std::vector<Phantom> cls(instrs.size(), Phantom::Unknown);
-  const auto unit_class = [&cls](int root, bool stable) {
-    const Phantom value = cls[static_cast<std::size_t>(root)];
-    return UnitClass{value, stable && value == Phantom::Equal};
+  const auto stable_unit = [&cls](int root, bool stable) {
+    return stable && cls[static_cast<std::size_t>(root)] == Phantom::Equal;
   };
   for (Expansion& expansion : compiled.expansions) {
     for (Expansion::Range& range : expansion.instances) {
       const bool stable = classify(instrs, range.begin, range.root + 1, cls);
-      range.unit = unit_class(range.root, stable);
+      range.stable = stable_unit(range.root, stable);
     }
   }
   bool stable = true;
@@ -579,7 +586,7 @@ void classify_units(Compiled& compiled) {
   }
   const int end = static_cast<int>(instrs.size());
   stable = classify(instrs, begin, end, cls) && stable;
-  compiled.top = unit_class(end - 1, stable);
+  compiled.top_stable = stable_unit(end - 1, stable);
 }
 
 bool time_cmp(Time lhs, Cmp cmp, Time rhs) {
@@ -722,6 +729,9 @@ CompileResult compile(const Node& formula, const BindParams& params) {
 
 namespace {
 
+/// The wake time of a unit that must be evaluated at every pass.
+constexpr Time kUnsettled = std::numeric_limits<Time>::min();
+
 /// The first time after `now` at which `(T - t) cmp bound` changes
 /// value, or kNever. Each comparison is monotone in T and changes at
 /// most once: where T - t reaches bound (Lt, Ge) or bound + 1 (Le, Gt).
@@ -753,7 +763,6 @@ FormulaMonitor::FormulaMonitor(std::shared_ptr<const Compiled> program,
   }
   scratch_.assign(instrs.size(), 0);
   committed_.assign(instrs.size(), 0);
-  top_unit_ = compiled.top;
 
   std::size_t total = 0;
   for (const Expansion& expansion : compiled.expansions) {
@@ -773,7 +782,7 @@ FormulaMonitor::FormulaMonitor(std::shared_ptr<const Compiled> program,
     group.fluent_bits = expansion.fluent_bits;
     for (const Expansion::Range& range : expansion.instances) {
       instances_.push_back({range.begin, range.root,
-                            static_cast<int>(groups_.size()), range.unit});
+                            static_cast<int>(groups_.size()), range.stable});
     }
     group.inst_end = static_cast<int>(instances_.size());
     // Consistent with committed_ before the initial position: every
@@ -795,7 +804,7 @@ FormulaMonitor::FormulaMonitor(std::shared_ptr<const Compiled> program,
 // of line, the call costs small formulas ~10% of their per-event time.
 template <bool kCommit>
 [[gnu::always_inline]] inline bool FormulaMonitor::eval_range(
-    int begin, int end, const Pass& pass, Wake& wake) {
+    int begin, int end, const Pass& pass, bool stable, Time& wake) {
   const Instr* instrs = program_->instrs.data();
   State* state = state_.data();
   std::uint8_t* vals = scratch_.data();
@@ -815,15 +824,18 @@ template <bool kCommit>
     st.t = operand != 0 ? now : t;
     st.b = operand;
   };
-  // Committing passes also fill `wake`. Connectives and fluents are
+  // Committing passes also lower `wake`. Connectives and fluents are
   // functions of their inputs, and Historically, Since and unbounded
-  // Once reach their fixed point in one step; the cases that fill it
+  // Once reach their fixed point in one step; the cases that lower it
   // below are the only ways a range can change at a later position
-  // without events. (A stable unit ignores `unsettled`: its class
-  // proves the change never reaches its root or operator state.)
-  const auto unsettle = [&wake] { wake.unsettled = true; };
+  // without events. A stable range is never unsettled: compile()
+  // proved that such a change reaches neither its root nor its
+  // operator state.
+  const auto unsettle = [&wake, stable] {
+    if (!stable) wake = kUnsettled;
+  };
   const auto flip = [&wake, now](Time t, const Instr& ins) {
-    wake.flip = std::min(wake.flip, next_flip(t, ins.cmp, ins.bound, now));
+    wake = std::min(wake, next_flip(t, ins.cmp, ins.bound, now));
   };
   bool v = false;
   for (int i = begin; i < end; ++i) {
@@ -936,73 +948,52 @@ template <bool kCommit>
 
 template <bool kCommit>
 void FormulaMonitor::eval_due(const Pass& pass) {
-  for (std::size_t i = 0; i < due_.size(); ++i) {
-    const int k = due_[i];
+  for (const int k : due_) {
     Instance& inst = instances_[static_cast<std::size_t>(k)];
     Group& group = groups_[static_cast<std::size_t>(inst.group)];
     const bool before = committed_[static_cast<std::size_t>(inst.root)] != 0;
-    bool after = before;
-    if (!kCommit && i >= timed_ && inst.unit.root != Phantom::Unknown) {
-      // Due only as unsettled: a check pass is an event-free position
-      // for it, whose root value its class names.
-      if (inst.unit.root == Phantom::Equal) continue;
-      after = inst.unit.root == Phantom::True;
-    } else {
-      Wake wake;
-      after = eval_range<kCommit>(inst.begin, inst.root + 1, pass, wake);
-      ++instances_evaluated_;
-      if constexpr (kCommit) {
-        inst.wake = wake.flip;
-        inst.unsettled = wake.unsettled && !inst.unit.stable;
-        requeue(k);
-      }
-    }
+    Time wake = kNever;
+    const bool after = eval_range<kCommit>(inst.begin, inst.root + 1, pass,
+                                           inst.stable, wake);
     group.pass += static_cast<int>(after != group.conj) -
                   static_cast<int>(before != group.conj);
+    ++instances_evaluated_;
+    if constexpr (kCommit) {
+      inst.wake = wake;
+      requeue(k);
+    }
   }
 }
 
 template <bool kCommit>
 bool FormulaMonitor::eval(const Pass& pass) {
-  const std::uint64_t evaluated = instances_evaluated_;
-  bool changed = false;  // an expansion's value
+  bool top = top_due_;
   if (!due_.empty()) {
     eval_due<kCommit>(pass);
     for (const Group& group : groups_) {
-      changed = changed || (group.pass > 0) != (group.committed > 0);
+      top = top || (group.pass > 0) != (group.committed > 0);
     }
   }
   bool root = committed_.back() != 0;
-  bool top = top_due_ || changed;
-  if (!kCommit && top && !changed && !top_timed_ &&
-      top_unit_.root != Phantom::Unknown) {
-    // Due only as unsettled, its expansion values unchanged: as for an
-    // instance, the class names the root.
-    top = false;
-    if (top_unit_.root != Phantom::Equal) {
-      root = top_unit_.root == Phantom::True;
-    }
-  }
   if (top) {
     // The top range: the runs between the groups, each followed by the
     // value of the group it precedes.
-    Wake wake;
+    const bool stable = program_->top_stable;
+    Time wake = kNever;
     int begin = 0;
     for (const Group& group : groups_) {
-      eval_range<kCommit>(begin, group.first, pass, wake);
+      eval_range<kCommit>(begin, group.first, pass, stable, wake);
       const auto result = static_cast<std::size_t>(group.result);
       scratch_[result] = (group.pass > 0) != group.conj ? 1 : 0;
       if constexpr (kCommit) committed_[result] = scratch_[result];
       begin = group.result + 1;
     }
-    eval_range<kCommit>(begin, static_cast<int>(scratch_.size()), pass, wake);
-    if constexpr (kCommit) {
-      top_wake_ = wake.flip;
-      top_unsettled_ = wake.unsettled && !top_unit_.stable;
-    }
+    eval_range<kCommit>(begin, static_cast<int>(scratch_.size()), pass, stable,
+                        wake);
+    if constexpr (kCommit) top_wake_ = wake;
     root = scratch_.back() != 0;
   }
-  if (top || instances_evaluated_ != evaluated) ++passes_evaluated_;
+  if (top || !due_.empty()) ++passes_evaluated_;
   if (!due_.empty()) {
     for (Group& group : groups_) {
       if constexpr (kCommit) {
@@ -1025,13 +1016,15 @@ void FormulaMonitor::make_due(int k) {
 
 void FormulaMonitor::collect_due(Time now) {
   ++pass_id_;
-  // Settling assumes time never runs back past the last commit.
-  const bool rewind = now < last_commit_;
-  top_timed_ = rewind || top_wake_ <= now;
-  top_due_ = top_timed_ || top_unsettled_;
-  if (rewind) {
+  // kUnsettled is below every time.
+  top_due_ = top_wake_ <= now;
+  if (now < last_commit_) {
+    // Settling assumes time never runs back past the last commit.
+    top_due_ = true;
     for (int k = 0; k < static_cast<int>(instances_.size()); ++k) make_due(k);
   }
+  for (const int k : unsettled_) make_due(k);
+  unsettled_.clear();
   while (!flips_.empty() && flips_.top().first <= now) {
     const auto [at, k] = flips_.top();
     flips_.pop();
@@ -1040,15 +1033,6 @@ void FormulaMonitor::collect_due(Time now) {
     inst.scheduled = kNever;
     if (inst.wake == at) make_due(k);
   }
-  timed_ = due_.size();
-  for (const int k : unsettled_) make_due(k);
-  unsettled_.clear();
-}
-
-bool FormulaMonitor::idle(Time now) const {
-  return unsettled_.empty() && !top_unsettled_ && top_wake_ > now &&
-         (flips_.empty() || flips_.top().first > now) &&
-         now >= last_commit_ && last_value_ == (committed_.back() != 0);
 }
 
 void FormulaMonitor::wake(const hb::ProtocolEvent* pe,
@@ -1082,8 +1066,9 @@ void FormulaMonitor::wake(const hb::ProtocolEvent* pe,
 
 void FormulaMonitor::requeue(int k) {
   Instance& inst = instances_[static_cast<std::size_t>(k)];
-  if (inst.unsettled) unsettled_.push_back(k);
-  if (inst.wake != kNever && inst.wake != inst.scheduled) {
+  if (inst.wake == kUnsettled) {
+    unsettled_.push_back(k);
+  } else if (inst.wake != kNever && inst.wake != inst.scheduled) {
     // One entry per flip time: an instance re-woken before its flip
     // keeps the entry it has.
     inst.scheduled = inst.wake;
@@ -1124,23 +1109,21 @@ void FormulaMonitor::observe(Time now, bool root_value) {
 void FormulaMonitor::handle(Time at, const hb::ProtocolEvent* pe,
                             const sim::ChannelEvent* ce) {
   ++events_seen_;
-  if (idle(at)) {
-    // The check pass would evaluate and observe nothing: only open the
-    // step pass's due set.
-    ++pass_id_;
-    top_due_ = false;
-  } else {
-    collect_due(at);
-    // Check pass: the instant `at` has been reached but the event has
-    // not happened yet — deadlines that expired strictly before the
-    // event are caught with pre-event state.
+  collect_due(at);
+  // Check pass: the instant `at` has been reached but the event has
+  // not happened yet — deadlines that expired strictly before the
+  // event are caught with pre-event state. With nothing due it would
+  // evaluate nothing and observe the committed root, which only a
+  // finish() since the last commit can have left unobserved.
+  if (!due_.empty() || top_due_ || last_value_ != (committed_.back() != 0)) {
     observe(at, eval<false>({at, nullptr, nullptr, /*init=*/false}));
   }
   const std::uint8_t changed = pe != nullptr ? tracker_.apply(*pe) : 0;
   wake(pe, ce, changed);
   if (due_.empty() && !top_due_) {
-    // Nothing was due at the check pass either, which observed the
-    // committed root: the step pass would only move the position on.
+    // Nothing was due at the check pass either, so the committed root
+    // is the last value observed: the step pass would only move the
+    // position on.
     last_commit_ = at;
     return;
   }

@@ -35,13 +35,12 @@
 // pass with nothing due evaluates nothing and observes the committed
 // root (DESIGN.md "Past-time LTL requirements").
 //
-// Phantom positions: compile() also classifies each unit's root at an
-// event-free position (UnitClass). A *stable* unit's root and operator
-// state survive such a position unchanged, so it is never unsettled;
-// a check pass evaluates only the units a flip or a time rewind made
-// due and the unsettled units whose root it cannot name, and reads
-// every other root from its class. An event that finds nothing due
-// and wakes no unit costs a fluent update.
+// Phantom positions: compile() also proves, per unit, whether its root
+// and every operator state survive an event-free position unchanged
+// (a *stable* unit). A stable unit is never unsettled: it is evaluated
+// only when an event names it or a time-bounded operator flips. An
+// event that finds nothing due, whose committed root was the last
+// value observed, and that wakes no unit costs a fluent update.
 //
 // A violation is recorded whenever the formula's value falls from true
 // to false (edge-triggered, so a standing violation is counted once
@@ -151,22 +150,6 @@ class FluentTracker {
   bool coordinator_live_ = true;
 };
 
-/// An instruction's value at an event-free position — every event atom
-/// and `init` false, every fluent unchanged, no time-bounded operator
-/// flipping — given the operator state its last committed position
-/// left: constant, or equal to the value committed there.
-enum class Phantom : std::uint8_t { Unknown, True, False, Equal };
-
-/// What compile() proves about an evaluation unit at event-free
-/// positions. A unit is *exact* when `root` is Equal.
-struct UnitClass {
-  Phantom root = Phantom::Unknown;
-  /// The root and every operator state are unchanged (so the root is
-  /// Equal): the unit needs no evaluation until an event names it or a
-  /// time-bounded operator flips.
-  bool stable = false;
-};
-
 /// One outermost `forall`/`exists` expansion in the instruction array.
 /// Instance k (participant id k + 1) is the contiguous range
 /// [instances[k].begin, instances[k].root]; for k >= 1 the join that
@@ -180,7 +163,12 @@ struct Expansion {
     int begin = 0;
     int root = 0;
     int join = -1;  ///< -1 for the first instance
-    UnitClass unit;
+    /// At an event-free position — every event atom and `init` false,
+    /// every fluent unchanged, no time-bounded operator flipping — the
+    /// root and every operator state keep their committed values: the
+    /// instance needs no evaluation until an event names it or a flip
+    /// is due.
+    bool stable = false;
   };
   bool conj = true;  ///< forall (And joins) or exists (Or joins)
   std::vector<Range> instances;
@@ -218,9 +206,10 @@ struct Compiled {
   std::uint32_t top_protocol_bits = 0;
   std::uint32_t top_channel_bits = 0;
   std::uint8_t top_fluent_bits = 0;
-  /// The top range's class, with every expansion value taken as Equal
-  /// (an expansion whose value changes wakes the top range anyway).
-  UnitClass top;
+  /// The top range is stable, as an instance can be, given unchanged
+  /// expansion values (an expansion whose value changes wakes the top
+  /// range anyway).
+  bool top_stable = false;
   std::uint32_t protocol_mask = 0;
   std::uint32_t channel_mask = 0;
   bool uses_fluents = false;
@@ -239,7 +228,7 @@ struct CompileResult {
 /// one run of top-range instructions between expansions. Fails on
 /// unbound variables, out-of-range participant ids, arguments on
 /// channel atoms, negative resolved bounds, or a tree taller than
-/// kMaxDepth. Every unit is classified (UnitClass) here, once per
+/// kMaxDepth. Every unit's stability is decided here, once per
 /// configuration, so building a monitor scans no instruction.
 CompileResult compile(const Node& formula, const BindParams& params);
 
@@ -277,9 +266,9 @@ class FormulaMonitor final : public EventSink {
   /// Root value at the last committed position (test hook).
   bool value() const { return committed_.empty() ? true : committed_.back() != 0; }
   /// Per-subformula committed value, postorder index (test hook). Roots
-  /// and joins are exact; inside a stable unit (UnitClass) the values
-  /// are those of its last evaluation, which an event-free position
-  /// may have changed without changing the root.
+  /// and joins are exact; inside a stable unit (Expansion::Range) the
+  /// values are those of its last evaluation, which an event-free
+  /// position may have changed without changing the root.
   bool value_at(std::size_t i) const;
   std::size_t size() const { return committed_.size(); }
 
@@ -288,8 +277,7 @@ class FormulaMonitor final : public EventSink {
   /// initial position evaluates every instance once).
   std::uint64_t instances_evaluated() const { return instances_evaluated_; }
   /// Passes that evaluated any instruction (the initial position is
-  /// one); a pass with nothing due, or whose due units it all read
-  /// from their classes, is not counted.
+  /// one); a pass with nothing due is not counted.
   std::uint64_t passes_evaluated() const { return passes_evaluated_; }
 
  private:
@@ -324,17 +312,10 @@ class FormulaMonitor final : public EventSink {
     int begin = 0;
     int root = 0;
     int group = 0;
-    UnitClass unit;             ///< copied from its Expansion::Range
-    bool unsettled = false;     ///< listed in unsettled_
-    Time wake = hb::kNever;     ///< next flip time, or kNever
+    bool stable = false;        ///< copied from its Expansion::Range
+    Time wake = 0;              ///< kUnsettled, next flip time, or kNever
     Time scheduled = hb::kNever;  ///< time of its live entry in flips_
     std::uint64_t queued = 0;   ///< pass id it was last made due in
-  };
-
-  /// What a committing pass learns about the next positions of a unit.
-  struct Wake {
-    Time flip = hb::kNever;  ///< earliest flip of a time-bounded operator
-    bool unsettled = false;  ///< an event-free position would change it
   };
 
   struct Pass {
@@ -346,14 +327,14 @@ class FormulaMonitor final : public EventSink {
 
   /// Evaluates instructions [begin, end); returns the last one's value.
   /// A committing pass also updates operator state and committed_, and
-  /// records in `wake` when the range may stop reproducing what it
-  /// committed at positions without events: at once (unsettled), at
-  /// the next flip of a time-bounded operator, or never.
+  /// lowers `wake` to the earliest time the range may stop reproducing
+  /// what it committed at a position without events: kUnsettled (at
+  /// once, never for a `stable` range), the next flip of a time-bounded
+  /// operator, or kNever.
   template <bool kCommit>
-  bool eval_range(int begin, int end, const Pass& pass, Wake& wake);
+  bool eval_range(int begin, int end, const Pass& pass, bool stable,
+                  Time& wake);
   /// Evaluates the due instances, updating their groups' pass counts.
-  /// A check pass reads the root of an instance due only as unsettled
-  /// from its class when the class names it.
   template <bool kCommit>
   void eval_due(const Pass& pass);
   /// One evaluation pass: the due instances, then the top range if it
@@ -361,13 +342,9 @@ class FormulaMonitor final : public EventSink {
   template <bool kCommit>
   bool eval(const Pass& pass);
   void make_due(int k);
-  /// Makes due the instances whose flip is <= now (every instance if
-  /// time runs back), then the unsettled ones, and the top range on the
-  /// same rules.
+  /// Makes due the unsettled instances and those whose flip is <= now,
+  /// and the top range on the same rules.
   void collect_due(Time now);
-  /// Nothing is due at `now` and the committed root was the last value
-  /// observed: a check pass would evaluate nothing and observe nothing.
-  bool idle(Time now) const;
   /// Makes due the units an event's atoms or fluent changes name.
   void wake(const hb::ProtocolEvent* pe, const sim::ChannelEvent* ce,
             std::uint8_t changed);
@@ -383,19 +360,14 @@ class FormulaMonitor final : public EventSink {
   std::vector<Group> groups_;
   std::vector<Instance> instances_;
   std::vector<int> due_;          ///< instances the current event evaluates
-  /// due_[0, timed_) were made due by a flip or a time rewind.
-  std::size_t timed_ = 0;
   std::vector<int> unsettled_;    ///< due at the next pass
   std::priority_queue<std::pair<Time, int>, std::vector<std::pair<Time, int>>,
                       std::greater<>>
       flips_;  ///< (flip time, instance); superseded entries are skipped
   std::uint64_t pass_id_ = 0;
   Time last_commit_ = 0;          ///< time of the last committed position
-  Time top_wake_ = hb::kNever;    ///< the top range's next flip
-  bool top_unsettled_ = false;
-  UnitClass top_unit_;            ///< copied from program_
+  Time top_wake_ = 0;             ///< the top range's wake, as an instance's
   bool top_due_ = true;           ///< the top range is due this pass
-  bool top_timed_ = false;        ///< ... made due by a flip or a rewind
   FluentTracker tracker_;
   std::uint32_t protocol_mask_ = 0;
   std::uint32_t channel_mask_ = 0;

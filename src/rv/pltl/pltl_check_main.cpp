@@ -6,10 +6,11 @@
 // campaign that attaches the formulas. Run automatically as a
 // POST_BUILD step of the pltl_check target.
 //
-// It also prints, per formula, how its evaluation units classify at
-// event-free positions (DESIGN.md "Settled-range evaluation"), so the
-// build log shows which formulas take the monitor's fast paths:
-//   pltl_check: s2 at n=4: 5 units, 5 stable, 5 exact, root equal
+// It also prints, per formula, how many of its evaluation units are
+// stable at event-free positions (DESIGN.md "Settled-range
+// evaluation"), so the build log shows which formulas take the
+// monitor's fast path:
+//   pltl_check: s2 at n=4: 5 units, 5 stable
 #include <cstdio>
 #include <string_view>
 
@@ -20,33 +21,20 @@ namespace pltl = ahb::rv::pltl;
 
 namespace {
 
-const char* to_string(pltl::Phantom phantom) {
-  switch (phantom) {
-    case pltl::Phantom::True: return "true";
-    case pltl::Phantom::False: return "false";
-    case pltl::Phantom::Equal: return "equal";
-    case pltl::Phantom::Unknown: break;
-  }
-  return "unknown";
-}
-
-/// One line: the unit counts of `compiled` and its root's class.
-void print_classes(std::string_view name, int participants,
-                   const pltl::Compiled& compiled) {
+/// One line: the units of `compiled` and how many of them are stable.
+void print_stable(std::string_view name, int participants,
+                  const pltl::Compiled& compiled) {
   int units = 1;  // the top range
-  int stable = compiled.top.stable ? 1 : 0;
-  int exact = compiled.top.root == pltl::Phantom::Equal ? 1 : 0;
+  int stable = compiled.top_stable ? 1 : 0;
   for (const auto& expansion : compiled.expansions) {
     for (const auto& range : expansion.instances) {
       ++units;
-      stable += range.unit.stable ? 1 : 0;
-      exact += range.unit.root == pltl::Phantom::Equal ? 1 : 0;
+      stable += range.stable ? 1 : 0;
     }
   }
-  std::printf("pltl_check: %.*s at n=%d: %d units, %d stable, %d exact, "
-              "root %s\n",
+  std::printf("pltl_check: %.*s at n=%d: %d units, %d stable\n",
               static_cast<int>(name.size()), name.data(), participants, units,
-              stable, exact, to_string(compiled.top.root));
+              stable);
 }
 
 }  // namespace
@@ -61,7 +49,7 @@ int main() {
       // compiler's instruction cap.
       {ahb::proto::Variant::Static, {4, 10}, true, 10000, 2},
   };
-  // The point whose unit classes are printed.
+  // The point whose stable units are printed.
   const pltl::BindParams& shown = points[3];
   int failures = 0;
   for (const auto& formula : pltl::shipped_formulas()) {
@@ -91,7 +79,7 @@ int main() {
         break;
       }
       if (&params == &shown) {
-        print_classes(formula.name, params.participants, compiled.compiled);
+        print_stable(formula.name, params.participants, compiled.compiled);
       }
     }
   }

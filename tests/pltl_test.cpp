@@ -1339,22 +1339,24 @@ TEST(PltlFuzz, AStableInstanceSkipsThePositionAfterItsOwnEvent) {
   // no check pass evaluates anything.
   EXPECT_EQ(ladder.monitor().instances_evaluated() - before, 4u);
 
-  // An exact root over unstable state is not enough: the position
-  // after reply(1) clears `previously reply(1)`, which the beat at t=3
-  // then reads. The instance must be evaluated in between.
-  Lockstep exact("exists p: true since (beat && previously reply(p))",
-                 static_params(2));
-  ASSERT_TRUE(exact.ok());
-  exact.protocol(PKind::ParticipantReplied, 1, 1);
-  exact.protocol(PKind::CoordinatorReceivedBeat, 2, 2);
-  exact.protocol(PKind::CoordinatorBeat, 0, 3);
-  ASSERT_TRUE(exact.matches());
-  EXPECT_FALSE(exact.monitor().value());
+  // A root that keeps its committed value over unstable operator state
+  // is not enough: the position after reply(1) clears `previously
+  // reply(1)`, which the beat at t=3 then reads. The instance must be
+  // evaluated in between.
+  Lockstep unstable("exists p: true since (beat && previously reply(p))",
+                    static_params(2));
+  ASSERT_TRUE(unstable.ok());
+  unstable.protocol(PKind::ParticipantReplied, 1, 1);
+  unstable.protocol(PKind::CoordinatorReceivedBeat, 2, 2);
+  unstable.protocol(PKind::CoordinatorBeat, 0, 3);
+  ASSERT_TRUE(unstable.matches());
+  EXPECT_FALSE(unstable.monitor().value());
 }
 
 TEST(PltlFuzz, ACheckPassReadsPreviouslyFromTheLastPosition) {
-  // `previously` is never exact: at the check position after reply(1)
-  // its value is that reply, not what it committed there.
+  // `previously` over an event is never stable: at the check position
+  // after reply(1) its value is that reply, not what it committed
+  // there.
   for (const char* text :
        {"!previously reply(1)", "forall p: !previously reply(p)"}) {
     SCOPED_TRACE(text);
@@ -1369,66 +1371,66 @@ TEST(PltlFuzz, ACheckPassReadsPreviouslyFromTheLastPosition) {
   }
 }
 
-pltl::UnitClass top_class(const std::string& text) {
+bool top_stable(const std::string& text) {
   const auto parsed = pltl::parse(text);
   EXPECT_TRUE(parsed.ok()) << parsed.error;
   const auto compiled = pltl::compile(*parsed.formula, static_params(2));
   EXPECT_TRUE(compiled.ok()) << compiled.error;
-  return compiled.compiled.top;
+  return compiled.compiled.top_stable;
 }
 
 TEST(PltlClasses, EachRuleAtAnEventFreePosition) {
-  using P = pltl::Phantom;
+  // Stable: at an event-free position (events and `init` false, fluents
+  // unchanged, no flip) the root keeps its committed value and every
+  // operator state survives.
   const struct {
     const char* text;
-    P root;
     bool stable;
   } cases[] = {
-      {"alive(1)", P::Equal, true},
-      {"true", P::True, false},
-      {"beat", P::False, false},
-      {"init", P::False, false},
-      {"!beat", P::True, false},
-      {"alive(1) && member(1)", P::Equal, true},
-      {"alive(1) && !beat", P::Unknown, false},  // its commit saw beat
-      {"alive(1) || beat", P::Unknown, false},
-      {"alive(1) <-> member(1)", P::Equal, true},
-      {"beat <-> lost", P::True, false},
-      {"alive(1) <-> beat", P::Unknown, false},
-      {"previously alive(1)", P::Unknown, false},
-      {"beat && previously alive(1)", P::False, false},
-      {"previously beat", P::Unknown, false},
-      {"historically alive(1)", P::Equal, true},
-      {"historically beat", P::False, false},
-      {"!c_recv_beat(1) since beat", P::Equal, true},
-      {"c_recv_beat(1) since beat", P::False, false},
-      {"alive(1) since beat", P::Unknown, false},
-      {"alive(1) since member(1)", P::Equal, true},
-      {"beat since member(1)", P::Unknown, false},
-      {"true since (beat && previously (true since beat))", P::Equal, true},
-      {"true since (beat && previously reply(1))", P::Equal, false},
-      {"init since alive(1)", P::Unknown, false},
-      {"once beat", P::Equal, true},
-      {"once[<= 3] beat", P::Unknown, false},
-      {"once[<= 3] alive(1)", P::Equal, true},
-      {"holds[> 3] alive(1)", P::Equal, true},
-      {"holds[> 3] true", P::Unknown, false},
-      {"holds[> 3] beat", P::False, false},
-      {"before[<= 3] alive(1)", P::Unknown, false},
-      {"beat -> before[<= 3] lost", P::True, false},
-      {"forall p: alive(p)", P::Equal, true},  // an expansion reads Equal
+      {"alive(1)", true},
+      {"true", false},  // constant, not its committed value
+      {"beat", false},
+      {"init", false},
+      {"!beat", false},
+      {"alive(1) && member(1)", true},
+      {"alive(1) && !beat", false},  // its commit may have seen beat
+      {"alive(1) || beat", false},
+      {"alive(1) <-> member(1)", true},
+      {"beat <-> lost", false},
+      {"alive(1) <-> beat", false},
+      {"previously alive(1)", false},  // reads the last commit's operand
+      {"beat && previously alive(1)", false},
+      {"previously beat", false},
+      {"historically alive(1)", true},
+      {"historically beat", false},
+      {"!c_recv_beat(1) since beat", true},
+      {"c_recv_beat(1) since beat", false},
+      {"alive(1) since beat", false},
+      {"alive(1) since member(1)", true},
+      {"beat since member(1)", false},
+      {"true since (beat && previously (true since beat))", true},
+      // The root keeps its value, but `previously reply(1)` does not.
+      {"true since (beat && previously reply(1))", false},
+      {"init since alive(1)", false},
+      {"once beat", true},
+      {"once[<= 3] beat", false},
+      {"once[<= 3] alive(1)", true},
+      {"holds[> 3] alive(1)", true},
+      {"holds[> 3] true", false},
+      {"holds[> 3] beat", false},
+      {"before[<= 3] alive(1)", false},  // never stable
+      {"beat -> before[<= 3] lost", false},
+      {"forall p: alive(p)", true},  // an expansion's value reads as kept
   };
   for (const auto& c : cases) {
-    const pltl::UnitClass unit = top_class(c.text);
-    EXPECT_EQ(unit.root, c.root) << c.text;
-    EXPECT_EQ(unit.stable, c.stable) << c.text;
+    EXPECT_EQ(top_stable(c.text), c.stable) << c.text;
   }
 }
 
 TEST(PltlClasses, ShippedFormulasTakeTheFastPaths) {
   // Every unit of r1, r3 and s2 is stable, so only events that name a
   // unit and due flips evaluate anything; r2's `before` is never
-  // stable, but its root reads true at every check position.
+  // stable, so the event after its operand held evaluates it again.
   for (const int n : {1, 3, 200}) {
     SCOPED_TRACE("n=" + std::to_string(n));
     for (const auto& spec : pltl::shipped_monitor_specs()) {
@@ -1439,15 +1441,15 @@ TEST(PltlClasses, ShippedFormulasTakeTheFastPaths) {
       ASSERT_TRUE(compiled.ok());
       const pltl::Compiled& c = compiled.compiled;
       if (spec.name == "r2") {
-        EXPECT_EQ(c.top.root, pltl::Phantom::True);
+        EXPECT_FALSE(c.top_stable);
         EXPECT_TRUE(c.expansions.empty());
         continue;
       }
-      EXPECT_TRUE(c.top.stable);
+      EXPECT_TRUE(c.top_stable);
       std::size_t instances = 0;
       for (const auto& expansion : c.expansions) {
         for (const auto& range : expansion.instances) {
-          EXPECT_TRUE(range.unit.stable) << "instance " << instances;
+          EXPECT_TRUE(range.stable) << "instance " << instances;
           ++instances;
         }
       }
@@ -1719,9 +1721,11 @@ TEST(PltlScale, S2WorkOnTheStaticMissionStream) {
   cluster.run_until(spec.horizon);
   cluster.sinks().finish(spec.horizon);
   EXPECT_EQ(s2->violations_total(), 0u);
+  // The stream's fingerprint.
   EXPECT_EQ(s2->events_seen(), 66'210u);
-  EXPECT_EQ(s2->instances_evaluated(), 88'283u);
-  EXPECT_EQ(s2->passes_evaluated(), 66'211u);
+  // Measured: 88,283 instance bodies in 66,211 passes.
+  EXPECT_LE(s2->instances_evaluated(), 90'000u);
+  EXPECT_LE(s2->passes_evaluated(), 67'000u);
 }
 
 chaos::RunSpec crash_spec_at_scale() {
