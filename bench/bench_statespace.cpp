@@ -118,8 +118,12 @@ void BM_SuccessorGeneration(benchmark::State& state) {
   const auto model =
       models::HeartbeatModel::build(models::Flavor::Binary, options);
   const auto init = model.net().initial_state();
+  ta::SuccessorScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.net().successors(init));
+    model.net().for_each_successor(
+        init, scratch, [](const ta::SuccessorView& v) {
+          benchmark::DoNotOptimize(v.target.data());
+        });
   }
 }
 BENCHMARK(BM_SuccessorGeneration);
@@ -134,13 +138,15 @@ const std::vector<ta::State>& intern_sample(const ta::Network& net) {
     mc::StateStore seen{net.slot_count()};
     seen.intern(net.initial_state());
     out.push_back(net.initial_state());
+    ta::SuccessorScratch scratch;
     for (std::size_t next = 0; next < out.size() && out.size() < kCount;
          ++next) {
       const ta::State s = out[next];
-      for (auto& t : net.successors(s)) {
-        if (out.size() == kCount) break;
-        if (seen.intern(t.target).second) out.push_back(std::move(t.target));
-      }
+      net.for_each_successor(s, scratch, [&](const ta::SuccessorView& v) {
+        if (out.size() == kCount) return false;
+        if (seen.intern(v.target).second) out.emplace_back(v.target);
+        return true;
+      });
     }
     return out;
   }();

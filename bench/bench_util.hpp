@@ -11,7 +11,6 @@
 #pragma once
 
 #include <algorithm>
-#include <charconv>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
@@ -26,6 +25,7 @@
 #include "models/heartbeat_model.hpp"
 #include "sim/link.hpp"
 #include "ta/codec.hpp"
+#include "util/strings.hpp"
 
 namespace ahb::bench {
 
@@ -63,20 +63,6 @@ struct BenchArgs {
 /// Binary-specific flag hook: return true when `arg` was consumed.
 /// Lets a bench keep its extra flags while sharing the common parser.
 using ExtraFlag = std::function<bool(const char* arg)>;
-
-/// Parses a whole decimal argument into `out`. Fails on an empty value,
-/// a sign, trailing characters, or a value outside [lo, hi].
-inline bool parse_count(const char* text, std::uint64_t lo, std::uint64_t hi,
-                        std::uint64_t& out) {
-  const char* end = text + std::strlen(text);
-  std::uint64_t value = 0;
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc{} || ptr != end || value < lo || value > hi) {
-    return false;
-  }
-  out = value;
-  return true;
-}
 
 /// Parses --json, --threads=N, --compression=MODE, --symmetry=MODE,
 /// --por, --max-states=N and an optional positional participant count.

@@ -19,7 +19,10 @@
 //   --check r1|r2|r3|all|deadlock
 //   --trace               print the counterexample timeline
 //   --full-trace          print every state along the counterexample
-//   --bitstate LOG2BITS   supertrace search instead of exact (r2/r3)
+//
+// Malformed input fails closed: a non-numeric or out-of-range number, an
+// unknown flag, flavor or check prints the usage line and exits with 2.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -27,10 +30,10 @@
 #include <string>
 #include <vector>
 
-#include "mc/bitstate.hpp"
 #include "mc/explorer.hpp"
 #include "models/heartbeat_model.hpp"
 #include "trace/trace.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -42,8 +45,27 @@ struct CliOptions {
   std::string check = "all";
   bool trace = false;
   bool full_trace = false;
-  int bitstate = 0;
 };
+
+// Every clock cap is at most 3*tmax + 1 and must fit a 16-bit slot.
+constexpr std::uint64_t kMaxTime = 10000;
+// Exhaustive search stops being feasible past n = 3; the cap only keeps a
+// typo from building a network that exhausts memory.
+constexpr std::uint64_t kMaxParticipants = 64;
+
+/// Parses a whole decimal flag value in [lo, hi] into `out`.
+bool parse_int(const char* text, std::uint64_t lo, std::uint64_t hi,
+               int& out) {
+  std::uint64_t value = 0;
+  if (text == nullptr || !parse_count(text, lo, hi, value)) return false;
+  out = static_cast<int>(value);
+  return true;
+}
+
+bool known_check(const std::string& check) {
+  return check == "r1" || check == "r2" || check == "r3" || check == "all" ||
+         check == "deadlock";
+}
 
 std::optional<models::Flavor> parse_flavor(const std::string& name) {
   using models::Flavor;
@@ -60,7 +82,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --flavor F --tmin N --tmax N [--participants N]\n"
                "          [--fixed | --receive-priority | --corrected-bounds]\n"
-               "          [--rejoin naive|graceful] [--bitstate LOG2]\n"
+               "          [--rejoin naive|graceful]\n"
                "          --check r1|r2|r3|all|deadlock [--trace|--full-trace]\n",
                argv0);
   return 2;
@@ -72,33 +94,12 @@ struct Check {
   mc::Pred violation;
 };
 
-/// Runs the reachability checks on one model — one exact search settles
-/// all of them, while --bitstate runs one supertrace search each —
-/// printing verdicts and optional traces. Returns true iff every
-/// requirement HOLDS.
+/// Runs the reachability checks on one model in one search, printing
+/// verdicts and optional traces. Returns true iff every requirement
+/// HOLDS.
 bool run_checks(const models::HeartbeatModel& model,
                 std::span<const Check> checks, const CliOptions& cli) {
   bool all_hold = true;
-  if (cli.bitstate > 0) {
-    for (const Check& check : checks) {
-      const auto result =
-          mc::reach_bitstate(model.net(), check.violation, cli.bitstate);
-      std::printf("%s: %s  (bitstate: %llu states marked, %.3fs, %zu KiB)\n",
-                  check.name,
-                  result.found ? "VIOLATED"
-                               : "no violation found (NOT exhaustive)",
-                  static_cast<unsigned long long>(result.stats.states),
-                  result.stats.elapsed.count(),
-                  result.stats.store_bytes / 1024);
-      if (result.found && cli.trace) {
-        std::printf("%s",
-                    trace::render_timeline(model.net(), result.trace).c_str());
-      }
-      all_hold &= !result.found;
-    }
-    return all_hold;
-  }
-
   std::vector<mc::Pred> targets;
   for (const Check& check : checks) targets.push_back(check.violation);
   mc::Explorer explorer{model.net()};
@@ -140,17 +141,17 @@ int main(int argc, char** argv) {
       if (!flavor) return usage(argv[0]);
       cli.flavor = *flavor;
     } else if (arg == "--tmin") {
-      const char* value = next();
-      if (!value) return usage(argv[0]);
-      cli.build.timing.tmin = std::atoi(value);
+      if (!parse_int(next(), 1, kMaxTime, cli.build.timing.tmin)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--tmax") {
-      const char* value = next();
-      if (!value) return usage(argv[0]);
-      cli.build.timing.tmax = std::atoi(value);
+      if (!parse_int(next(), 1, kMaxTime, cli.build.timing.tmax)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--participants") {
-      const char* value = next();
-      if (!value) return usage(argv[0]);
-      cli.build.participants = std::atoi(value);
+      if (!parse_int(next(), 1, kMaxParticipants, cli.build.participants)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--fixed") {
       cli.build.fixed = true;
     } else if (arg == "--receive-priority") {
@@ -169,23 +170,19 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--check") {
       const char* value = next();
-      if (!value) return usage(argv[0]);
+      if (!value || !known_check(value)) return usage(argv[0]);
       cli.check = value;
     } else if (arg == "--trace") {
       cli.trace = true;
     } else if (arg == "--full-trace") {
       cli.full_trace = true;
-    } else if (arg == "--bitstate") {
-      const char* value = next();
-      if (!value) return usage(argv[0]);
-      cli.bitstate = std::atoi(value);
     } else {
       return usage(argv[0]);
     }
   }
   if (!cli.build.timing.valid()) {
     std::fprintf(stderr, "invalid timing: need 0 < tmin <= tmax\n");
-    return 2;
+    return usage(argv[0]);
   }
 
   std::printf("model: %s protocol, tmin=%d tmax=%d, n=%d%s%s%s\n",

@@ -569,9 +569,11 @@ std::vector<TraceStep> Explorer::replay_trace(
   std::vector<TraceStep> trace;
   if (chain.empty()) return trace;
   const ta::StateCodec& codec = net_->codec();
+  ta::SuccessorScratch scratch;
   ta::State canon_buf;
-  const auto matches = [&](const ta::State& real, const ta::State& image) {
-    canon_buf.assign(real.slots());
+  const auto matches = [&](std::span<const ta::Slot> real,
+                           const ta::State& image) {
+    canon_buf.assign(real);
     if (canon) codec.canonicalize(canon_buf.slots_mut());
     return std::ranges::equal(canon_buf.slots(), image.slots());
   };
@@ -585,25 +587,33 @@ std::vector<TraceStep> Explorer::replay_trace(
   // Per stored step, a bounded DFS over real successors: match directly
   // first (shortest extension), then descend through transient states —
   // fusion only ever skipped transients, so gaps close within the
-  // fusion depth cap. This is the cold counterexample path; the
-  // allocating successors() API keeps it simple.
+  // fusion depth cap. The transient successors are copied out of the
+  // scratch before the descent reuses it.
   const std::uint32_t budget0 = 1 + (por ? kFusionDepthCap : 0);
   const auto extend = [&](auto&& self, const ta::State& from,
                           const ta::State& image,
                           std::uint32_t budget) -> bool {
     if (budget == 0) return false;
-    const std::vector<ta::Transition> succs = net_->successors(from);
-    for (const auto& t : succs) {
-      if (matches(t.target, image)) {
-        trace.push_back(TraceStep{net_->label_of(t), t.target});
-        return true;
+    bool found = false;
+    std::vector<TraceStep> transients;
+    net_->for_each_successor(from, scratch, [&](const ta::SuccessorView& v) {
+      if (matches(v.target, image)) {
+        trace.push_back(TraceStep{net_->label_of(v), ta::State{v.target}});
+        found = true;
+        return false;
       }
-    }
-    if (!por) return false;
-    for (const auto& t : succs) {
-      if (!net_->committed_location_active(t.target)) continue;
-      trace.push_back(TraceStep{net_->label_of(t), t.target});
-      if (self(self, t.target, image, budget - 1)) return true;
+      if (por) {
+        ta::State target{v.target};
+        if (net_->committed_location_active(target)) {
+          transients.push_back(TraceStep{net_->label_of(v), std::move(target)});
+        }
+      }
+      return true;
+    });
+    if (found) return true;
+    for (const auto& step : transients) {
+      trace.push_back(step);
+      if (self(self, step.state, image, budget - 1)) return true;
       trace.pop_back();
     }
     return false;

@@ -98,25 +98,20 @@ LivenessResult find_accepting_cycle(const ta::Network& net,
       const ta::State s = store.get(path[i]);
       std::string action;
       if (i > 0) {
+        // The label belongs to the first real successor whose image is
+        // the stored child (under symmetry, quotient edges connect
+        // canonical representatives).
         const ta::State prev = store.get(path[i - 1]);
-        if (!canon) {
-          action = net.action_between(prev, s.slots(), scratch);
-        } else {
-          // Quotient edges connect canonical representatives: the label
-          // belongs to whichever real successor canonicalizes onto the
-          // stored child.
-          action = "<unknown>";
-          net.for_each_successor(
-              prev, scratch, [&](const ta::SuccessorView& v) {
-                canon_buf.assign(v.target);
-                codec.canonicalize(canon_buf.slots_mut());
-                if (std::ranges::equal(canon_buf.slots(), s.slots())) {
-                  action = net.label_of(v);
-                  return false;
-                }
-                return true;
-              });
-        }
+        action = "<unknown>";
+        net.for_each_successor(prev, scratch, [&](const ta::SuccessorView& v) {
+          canon_buf.assign(v.target);
+          if (canon) codec.canonicalize(canon_buf.slots_mut());
+          if (std::ranges::equal(canon_buf.slots(), s.slots())) {
+            action = net.label_of(v);
+            return false;
+          }
+          return true;
+        });
       }
       result.lasso.push_back(TraceStep{std::move(action), s});
     }

@@ -9,10 +9,11 @@
 namespace ahb::mc {
 
 namespace {
-constexpr std::size_t kInitialTableSize = 1u << 12;
-// Component tables start small: even large sweeps see only hundreds of
-// distinct local sub-vectors per automaton.
-constexpr std::size_t kInitialCompTableSize = 1u << 6;
+// Every hash table (states and components) starts small and doubles: a
+// concurrent store is 64 shards and the guided-replay memo interns only
+// tens of states, while even large sweeps see only hundreds of distinct
+// local sub-vectors per automaton.
+constexpr std::size_t kInitialTableSize = 1u << 6;
 
 static_assert(StateStore::segment_of(StateStore::kMaxStates - 1).first <
                   StateStore::kMaxSegments,
@@ -79,11 +80,11 @@ StateStore::StateStore(const ta::StateCodec& codec, ta::Compression mode)
     if (codec.component(c).index_bits == 0) continue;
     if (codec.component(c).key_bits <= 64) {
       comps_[c].keys.entry_bytes = sizeof(std::uint64_t);
-      comps_[c].fast_table.assign(kInitialCompTableSize,
+      comps_[c].fast_table.assign(kInitialTableSize,
                                   CompTable::FastSlot{});
     } else {
       comps_[c].keys.entry_bytes = codec.component(c).key_bytes;
-      comps_[c].table.assign(kInitialCompTableSize, kInvalidIndex);
+      comps_[c].table.assign(kInitialTableSize, kInvalidIndex);
       max_key = std::max(max_key, codec.component(c).key_bytes);
     }
   }

@@ -57,8 +57,10 @@ class StateStore {
   // Arena geometry: segment 0 holds kSeg0Entries entries, segment k >= 1
   // holds 2^(kSeg0Bits + k - 1), so capacity doubles, the allocation
   // stays within 2x of what is used, and the segments cover every
-  // 32-bit offset.
-  static constexpr int kSeg0Bits = 10;
+  // 32-bit offset. Segment 0 is small because every shard of a
+  // concurrent store allocates one per arena (states, parents and each
+  // component's keys), even when it holds a handful of states.
+  static constexpr int kSeg0Bits = 6;
   static constexpr std::uint32_t kSeg0Entries = 1u << kSeg0Bits;
   static constexpr int kMaxSegments = 32 - kSeg0Bits + 1;
 

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "util/contracts.hpp"
-#include "util/hash.hpp"
 
 namespace ahb::ta {
 
@@ -104,7 +103,6 @@ StateCodec StateCodec::Builder::build() && {
   for (std::size_t slot = 0; slot < decls_.size(); ++slot) {
     const auto& d = decls_[slot];
     codec.fields_.push_back(Field{d.min, range_width(d.min, d.max)});
-    codec.packed_bits_ += codec.fields_.back().width;
     if (d.owner >= 0) {
       codec.components_[static_cast<std::size_t>(d.owner)].slots.push_back(
           static_cast<std::uint32_t>(slot));
@@ -112,7 +110,6 @@ StateCodec StateCodec::Builder::build() && {
       codec.residue_slots_.push_back(static_cast<std::uint32_t>(slot));
     }
   }
-  codec.packed_bytes_ = (codec.packed_bits_ + 7) / 8;
 
   for (auto& comp : codec.components_) {
     std::size_t key_bits = 0;
@@ -141,44 +138,6 @@ StateCodec StateCodec::Builder::build() && {
   }
   codec.root_bytes_ = (codec.root_bits_ + 7) / 8;
   return codec;
-}
-
-// ---- full-state packing ----
-
-void StateCodec::pack(std::span<const Slot> slots, std::byte* out) const {
-  AHB_EXPECTS(slots.size() == fields_.size());
-  std::memset(out, 0, packed_bytes_);
-  std::size_t bit = 0;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    const Field& f = fields_[i];
-    AHB_ASSERT(slots[i] >= f.base);
-    const auto value =
-        static_cast<std::uint64_t>(static_cast<std::int32_t>(slots[i]) -
-                                   static_cast<std::int32_t>(f.base));
-    AHB_ASSERT(f.width == kMaxFieldBits ||
-               value < (std::uint64_t{1} << f.width));
-    put_bits(out, bit, f.width, value);
-    bit += f.width;
-  }
-}
-
-void StateCodec::unpack(const std::byte* in, std::span<Slot> out) const {
-  AHB_EXPECTS(out.size() == fields_.size());
-  std::size_t bit = 0;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const Field& f = fields_[i];
-    out[i] = static_cast<Slot>(static_cast<std::int32_t>(f.base) +
-                               static_cast<std::int32_t>(
-                                   get_bits(in, bit, f.width)));
-    bit += f.width;
-  }
-}
-
-std::uint64_t StateCodec::packed_hash(std::span<const Slot> slots,
-                                      std::span<std::byte> scratch) const {
-  AHB_EXPECTS(scratch.size() >= packed_bytes_);
-  pack(slots, scratch.data());
-  return hash_bytes(scratch.subspan(0, packed_bytes_));
 }
 
 // ---- components ----

@@ -1,15 +1,13 @@
-// Compressed state encodings for the explorer's stores (SPIN-style).
+// Compressed state encoding for the explorer's stores (SPIN-style).
 //
 // A frozen Network knows the exact value range of every slot: location
 // slots range over [0, #locations-1], clocks saturate at their cap, and
 // variables carry a declared range (defaulting to the full Slot range
-// when unannotated). The StateCodec derives two encodings from that
-// metadata:
+// when unannotated). Every slot therefore has a bit-field of its actual
+// width (booleans 1 bit, clocks ceil(log2(cap+1)) bits, constant slots
+// none), and the StateCodec builds the collapse encoding from those
+// fields:
 //
-//  - Bit-packing: every slot packed to its actual width (booleans 1 bit,
-//    clocks ceil(log2(cap+1)) bits) instead of 16. Injective, fixed
-//    stride, order-preserving per slot. No store keeps whole packed
-//    states; the packed image is the bitstate filter's hash key.
 //  - Collapse (after SPIN's COLLAPSE mode): each automaton's local
 //    sub-vector — its location slot plus the variables declared as owned
 //    by it — is interned once in a small per-component table; the global
@@ -20,7 +18,7 @@
 //    for large ones (many owned variables) the 32-bit cap is where
 //    collapse beats plain packing.
 //
-// Both encodings are deterministic functions of the frozen layout, so
+// The encoding is a deterministic function of the frozen layout, so
 // state identity — and therefore reachable-state counts, verdicts and
 // counterexample lengths — is invariant under compression.
 #pragma once
@@ -94,23 +92,6 @@ class StateCodec {
 
   std::size_t slot_count() const { return fields_.size(); }
   const Field& field(std::size_t slot) const { return fields_[slot]; }
-
-  // ---- full-state bit-packing (the bitstate filter's hash image under
-  // compression) ----
-
-  std::size_t packed_bytes() const { return packed_bytes_; }
-
-  /// Packs `slots` into `out[0..packed_bytes)`. Zero-fills trailing
-  /// slack bits, so packed images are memcmp- and hash-comparable.
-  /// Aborts if any slot is outside its declared range.
-  void pack(std::span<const Slot> slots, std::byte* out) const;
-  void unpack(const std::byte* in, std::span<Slot> out) const;
-
-  /// hash_bytes of the packed image; `scratch` must hold at least
-  /// packed_bytes() bytes. Injectivity of pack() makes this an exact
-  /// stand-in for hashing the raw slot vector.
-  std::uint64_t packed_hash(std::span<const Slot> slots,
-                            std::span<std::byte> scratch) const;
 
   // ---- COLLAPSE partition (Collapse mode) ----
 
@@ -213,8 +194,6 @@ class StateCodec {
   std::vector<Field> fields_;
   std::vector<Component> components_;
   std::vector<std::uint32_t> residue_slots_;
-  std::size_t packed_bits_ = 0;
-  std::size_t packed_bytes_ = 0;
   std::size_t root_bits_ = 0;
   std::size_t root_bytes_ = 0;
 

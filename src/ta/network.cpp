@@ -541,21 +541,6 @@ void Network::for_each_successor_impl(const State& s,
   f(ctx, tick);
 }
 
-std::vector<Transition> Network::successors(const State& s) const {
-  AHB_EXPECTS(frozen_);
-  std::vector<Transition> out;
-  SuccessorScratch scratch;
-  for_each_successor(s, scratch, [&](const SuccessorView& v) {
-    Transition t;
-    t.target = ta::State{v.target};
-    t.kind = v.kind;
-    t.sender = v.sender;
-    t.receivers.assign(v.receivers.begin(), v.receivers.end());
-    out.push_back(std::move(t));
-  });
-  return out;
-}
-
 bool Network::has_successor(const State& s) const {
   SuccessorScratch scratch;
   return has_successor(s, scratch);
@@ -576,20 +561,6 @@ bool Network::has_successor(const State& s, SuccessorScratch& scratch) const {
     return true;
   }
   return tick_into(s, scratch.candidate);
-}
-
-std::string Network::action_between(const State& from,
-                                    std::span<const Slot> to,
-                                    SuccessorScratch& scratch) const {
-  std::string action = "<unknown>";
-  for_each_successor(from, scratch, [&](const SuccessorView& v) {
-    if (std::ranges::equal(v.target, to)) {
-      action = label_of(v);
-      return false;
-    }
-    return true;
-  });
-  return action;
 }
 
 const std::string& Network::automaton_name(AutomatonId a) const {
@@ -614,18 +585,6 @@ LocKind Network::location_kind(AutomatonId a, int loc_index) const {
   return automata_[static_cast<std::size_t>(a.value)]
       .locations[static_cast<std::size_t>(loc_index)]
       .kind;
-}
-
-std::string Network::label_of(const Transition& t) const {
-  if (t.kind == Transition::Kind::Tick) return "tick";
-  const auto part_label = [&](const Transition::Part& p) {
-    const auto& a = automata_[static_cast<std::size_t>(p.automaton)];
-    const auto& e = a.edges[static_cast<std::size_t>(p.edge)];
-    return a.name + "." + (e.label.empty() ? "<unlabeled>" : e.label);
-  };
-  std::string out = part_label(t.sender);
-  for (const auto& r : t.receivers) out += " >> " + part_label(r);
-  return out;
 }
 
 std::string Network::label_of(const SuccessorView& v) const {

@@ -95,7 +95,7 @@ struct Edge {
   bool invisible = false;
 };
 
-/// One discrete or delay step of the network.
+/// The kinds and parts of one discrete or delay step of the network.
 struct Transition {
   enum class Kind : std::uint8_t { Tick, Internal, Sync, Broadcast };
 
@@ -105,11 +105,6 @@ struct Transition {
 
     friend bool operator==(const Part&, const Part&) = default;
   };
-
-  State target;
-  Kind kind = Kind::Tick;
-  Part sender{};                ///< the internal edge for Kind::Internal
-  std::vector<Part> receivers;  ///< one for Sync, zero or more for Broadcast
 };
 
 /// Borrowed view of one successor, handed to for_each_successor
@@ -119,8 +114,9 @@ struct Transition {
 struct SuccessorView {
   std::span<const Slot> target;
   Transition::Kind kind = Transition::Kind::Tick;
-  Transition::Part sender{};
-  std::span<const Transition::Part> receivers;
+  Transition::Part sender{};  ///< the internal edge for Kind::Internal
+  std::span<const Transition::Part> receivers;  ///< one for Sync, zero or
+                                                ///< more for Broadcast
 };
 
 /// Reusable per-caller (per-worker) buffers for successor generation.
@@ -155,7 +151,7 @@ struct SuccessorScratch {
 ///
 /// Usage: construct, add automata/locations/edges/variables/clocks/
 /// channels, then freeze(); afterwards only the semantic queries
-/// (initial_state, successors, ...) may be used.
+/// (initial_state, for_each_successor, ...) may be used.
 class Network {
  public:
   Network() = default;
@@ -225,20 +221,12 @@ class Network {
   bool frozen() const { return frozen_; }
   State initial_state() const;
 
-  /// All enabled transitions from `s`: the maximal-priority discrete
-  /// transitions (respecting committed-location semantics) plus the tick
-  /// if delay is allowed.
-  ///
-  /// Compatibility wrapper over for_each_successor: materializes every
-  /// successor into a fresh vector. Hot paths (explorer, NDFS, LTS
-  /// extraction) use for_each_successor directly to stay allocation-free.
-  std::vector<Transition> successors(const State& s) const;
-
-  /// Streams the enabled transitions of `s` (same set and order as
-  /// successors()) into `f` without allocating: candidate targets are
-  /// built in `scratch`, which is reused across calls. `f` receives a
-  /// SuccessorView valid only during the call; if `f` returns bool,
-  /// returning false stops the enumeration early.
+  /// Streams the enabled transitions of `s` into `f` without
+  /// allocating: the maximal-priority discrete transitions (respecting
+  /// committed-location semantics), then the tick if delay is allowed.
+  /// Candidate targets are built in `scratch`, which is reused across
+  /// calls. `f` receives a SuccessorView valid only during the call; if
+  /// `f` returns bool, returning false stops the enumeration early.
   template <typename F>
   void for_each_successor(const State& s, SuccessorScratch& scratch,
                           F&& f) const {
@@ -264,18 +252,11 @@ class Network {
   }
 
   /// True iff `s` has at least one successor. Early-exits on the first
-  /// applicable discrete edge instead of materializing the full
-  /// successor vector (the emptiness test is the deadlock check, which
-  /// runs once per explored state).
+  /// applicable discrete edge instead of generating every successor
+  /// (the emptiness test is the deadlock check, which runs once per
+  /// explored state).
   bool has_successor(const State& s) const;
   bool has_successor(const State& s, SuccessorScratch& scratch) const;
-
-  /// Label of some transition from `from` to the state with slots `to`,
-  /// or "<unknown>" if none connects them. Used when rebuilding
-  /// counterexample traces, where labels are re-derived instead of being
-  /// stored per state.
-  std::string action_between(const State& from, std::span<const Slot> to,
-                             SuccessorScratch& scratch) const;
 
   /// True iff the unit delay step is enabled in `s`.
   bool tick_enabled(const State& s) const;
@@ -306,8 +287,7 @@ class Network {
   LocKind location_kind(AutomatonId a, int loc_index) const;
 
   /// Human-readable action label of a transition ("tick",
-  /// "p0.send_beat -> ch.recv_beat", ...).
-  std::string label_of(const Transition& t) const;
+  /// "p0.send_beat >> ch.recv_beat", ...).
   std::string label_of(const SuccessorView& v) const;
 
   /// Multi-line dump of a state (locations, variables, clocks).

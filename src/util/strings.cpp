@@ -1,5 +1,6 @@
 #include "util/strings.hpp"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -39,6 +40,18 @@ std::string pad_left(std::string_view s, std::size_t width) {
 std::string pad_right(std::string_view s, std::size_t width) {
   if (s.size() >= width) return std::string{s};
   return std::string{s} + std::string(width - s.size(), ' ');
+}
+
+bool parse_count(std::string_view text, std::uint64_t lo, std::uint64_t hi,
+                 std::uint64_t& out) {
+  const char* end = text.data() + text.size();
+  std::uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value < lo || value > hi) {
+    return false;
+  }
+  out = value;
+  return true;
 }
 
 }  // namespace ahb

@@ -1,6 +1,8 @@
-// Small string helpers shared by trace printing and benchmark tables.
+// Small string helpers shared by trace printing, benchmark tables and
+// command-line parsing.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,5 +20,11 @@ std::string pad_left(std::string_view s, std::size_t width);
 
 /// Right-pads (left-aligns) `s` to `width` with spaces.
 std::string pad_right(std::string_view s, std::size_t width);
+
+/// Parses a whole decimal argument into `out`. Fails (leaving `out`
+/// untouched) on an empty value, a sign, trailing characters, or a value
+/// outside [lo, hi].
+bool parse_count(std::string_view text, std::uint64_t lo, std::uint64_t hi,
+                 std::uint64_t& out);
 
 }  // namespace ahb

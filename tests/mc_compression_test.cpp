@@ -16,6 +16,7 @@
 #include "mc/explorer.hpp"
 #include "models/heartbeat_model.hpp"
 #include "util/rng.hpp"
+#include "successors.hpp"
 
 namespace ahb {
 namespace {
@@ -163,7 +164,7 @@ TEST(ConcurrentStoreCompression, CollapseHammerStaysExact) {
     while (!frontier.empty() && states.size() < 40000) {
       std::vector<ta::State> next;
       for (const auto& s : frontier) {
-        for (auto& t : net.successors(s)) {
+        for (auto& t : test::successors(net, s)) {
           if (states.size() >= 40000) break;
           if (seen.intern(t.target).second) {
             states.push_back(t.target);

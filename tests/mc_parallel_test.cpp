@@ -131,11 +131,14 @@ TEST(ParallelCounterexamples, ShortestTraceLengthIsThreadCountInvariant) {
     ASSERT_TRUE(r.found) << "threads=" << threads;
     EXPECT_EQ(r.trace.size(), base.trace.size()) << "threads=" << threads;
     EXPECT_EQ(r.stats.depth, base.stats.depth) << "threads=" << threads;
-    // Every step of the reconstructed trace must carry a valid action
-    // label (action_between asserts if states are not connected, but an
-    // empty label would mean the lookup silently failed).
+    // Every step of the replayed trace must carry a real action label:
+    // replay_trace labels a stored step that no successor reaches
+    // "<unreplayed>", and an empty label would mean the lookup silently
+    // failed.
     for (std::size_t i = 1; i < r.trace.size(); ++i) {
       EXPECT_FALSE(r.trace[i].action.empty())
+          << "threads=" << threads << " step=" << i;
+      EXPECT_NE(r.trace[i].action, "<unreplayed>")
           << "threads=" << threads << " step=" << i;
     }
   }

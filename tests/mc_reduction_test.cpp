@@ -21,6 +21,7 @@
 #include "proto/timing.hpp"
 #include "ta/network.hpp"
 #include "util/rng.hpp"
+#include "successors.hpp"
 
 namespace ahb {
 namespace {
@@ -48,7 +49,7 @@ std::vector<ta::State> sample_states(const ta::Network& net,
   while (!frontier.empty() && states.size() < max_states) {
     std::vector<ta::State> next;
     for (const auto& s : frontier) {
-      for (auto& t : net.successors(s)) {
+      for (auto& t : test::successors(net, s)) {
         if (states.size() >= max_states) break;
         if (seen.intern(t.target).second) {
           states.push_back(t.target);
@@ -189,7 +190,7 @@ TEST(Reduction, CounterexampleTraceIsARealRun) {
     const auto& step = result.trace[i];
     EXPECT_NE(step.action, "<unreplayed>");
     bool connected = false;
-    for (const auto& t : net.successors(result.trace[i - 1].state)) {
+    for (const auto& t : test::successors(net, result.trace[i - 1].state)) {
       if (t.target == step.state) {
         connected = true;
         break;

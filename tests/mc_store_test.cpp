@@ -77,13 +77,15 @@ TEST(StateStore, ArenaSegmentsCoverEveryIndex) {
     int segment;
     std::uint32_t within;
   };
+  constexpr std::uint32_t seg0 = StateStore::kSeg0Entries;
+  constexpr int bits = StateStore::kSeg0Bits;
   const Case cases[] = {
       {0, 0, 0},
-      {1023, 0, 1023},
-      {1024, 1, 0},
-      {(1u << 26) - 1, 16, (1u << 25) - 1},
-      {1u << 26, 17, 0},
-      {0xfffffffeu, 22, 0x7ffffffeu},
+      {seg0 - 1, 0, seg0 - 1},
+      {seg0, 1, 0},
+      {(1u << 26) - 1, 26 - bits, (1u << 25) - 1},
+      {1u << 26, 27 - bits, 0},
+      {0xfffffffeu, 32 - bits, 0x7ffffffeu},
   };
   for (const Case& c : cases) {
     const auto [segment, within] = StateStore::segment_of(c.offset);

@@ -1,18 +1,18 @@
-// StateCodec property tests: the codec's encodings (bit-packing and
-// collapse, see ta/codec.hpp) must be exact — every reachable state
-// encodes and decodes back to itself, and the packed hash is a function
-// of the state value alone. The states come from a BFS prefix of a real
+// StateCodec property tests: the codec's collapse encoding (see
+// ta/codec.hpp) must be exact — every reachable state encodes and
+// decodes back to itself. The states come from a BFS prefix of a real
 // protocol model so the sampled vectors exercise genuine slot ranges,
 // not synthetic ones.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
 #include "mc/store.hpp"
 #include "models/heartbeat_model.hpp"
 #include "ta/codec.hpp"
-#include "util/hash.hpp"
+#include "successors.hpp"
 
 namespace ahb {
 namespace {
@@ -42,7 +42,7 @@ std::vector<ta::State> sample_reachable(const ta::Network& net,
   seen.insert({states[0].slots().begin(), states[0].slots().end()});
   while (next < states.size() && states.size() < limit) {
     const ta::State state = states[next++];
-    for (auto& t : net.successors(state)) {
+    for (auto& t : test::successors(net, state)) {
       if (states.size() >= limit) break;
       if (seen.insert({t.target.slots().begin(), t.target.slots().end()})
               .second) {
@@ -53,47 +53,33 @@ std::vector<ta::State> sample_reachable(const ta::Network& net,
   return states;
 }
 
-TEST(StateCodec, PackRoundTripsEveryReachableState) {
+TEST(StateCodec, CollapseRootRoundTripsViaComponents) {
+  // Every slot is a component member or a residue slot of the root, so
+  // decoding each component key and the root rebuilds the whole state —
+  // which also checks that every reachable value lies in its declared
+  // range (an out-of-range value would not survive its bit-field).
   for (const auto flavor :
        {Flavor::Binary, Flavor::TwoPhase, Flavor::Static, Flavor::Dynamic}) {
     const auto model = build_model(flavor, 2, 4, 10);
     const auto& codec = model.net().codec();
     const auto states = sample_reachable(model.net(), 3000);
     ASSERT_GT(states.size(), 100u);
-    std::vector<std::byte> packed(codec.packed_bytes());
-    std::vector<std::byte> packed2(codec.packed_bytes());
-    ta::State decoded{codec.slot_count()};
+    ASSERT_GT(codec.component_count(), 0u);
+    const std::vector<std::uint32_t> indices(codec.component_count(), 0);
+    std::vector<std::uint32_t> decoded_indices(codec.component_count());
+    std::vector<std::byte> root(codec.root_bytes());
     for (const auto& s : states) {
-      codec.pack(s.slots(), packed.data());
-      codec.unpack(packed.data(), decoded.slots_mut());
-      ASSERT_EQ(decoded, s);
-      // The hash is a function of the value: re-encoding the decoded
-      // vector gives the identical image and hash.
-      codec.pack(decoded.slots(), packed2.data());
-      ASSERT_EQ(packed, packed2);
-      ASSERT_EQ(codec.packed_hash(s.slots(), packed2),
-                hash_bytes({packed.data(), packed.size()}));
-    }
-  }
-}
-
-TEST(StateCodec, CollapseRootRoundTripsViaComponents) {
-  const auto model = build_model(Flavor::Static, 2, 4, 10);
-  const auto& codec = model.net().codec();
-  const auto states = sample_reachable(model.net(), 3000);
-  ASSERT_GT(states.size(), 100u);
-  ASSERT_GT(codec.component_count(), 0u);
-  for (const auto& s : states) {
-    for (std::size_t c = 0; c < codec.component_count(); ++c) {
-      const auto& comp = codec.component(c);
-      if (comp.key_bytes == 0) continue;
-      std::vector<std::byte> key(comp.key_bytes);
-      codec.pack_component(c, s.slots(), key.data());
       ta::State decoded{codec.slot_count()};
-      codec.unpack_component(c, key.data(), decoded.slots_mut());
-      for (const std::uint32_t slot : comp.slots) {
-        ASSERT_EQ(decoded.slots()[slot], s.slots()[slot]);
+      for (std::size_t c = 0; c < codec.component_count(); ++c) {
+        const auto& comp = codec.component(c);
+        // Never empty, so constant components pack into a real buffer.
+        std::vector<std::byte> key(std::max<std::size_t>(comp.key_bytes, 1));
+        codec.pack_component(c, s.slots(), key.data());
+        codec.unpack_component(c, key.data(), decoded.slots_mut());
       }
+      codec.pack_root(indices, s.slots(), root.data());
+      codec.unpack_root(root.data(), decoded_indices, decoded.slots_mut());
+      ASSERT_EQ(decoded, s);
     }
   }
 }
@@ -148,15 +134,17 @@ TEST(StateCodec, WidthsComeFromDeclaredRanges) {
   EXPECT_EQ(codec.field(3).width, 3);  // [-3,4]: 8 values
   EXPECT_EQ(codec.field(3).base, -3);
   EXPECT_EQ(codec.field(4).width, 3);  // clock capped at 5: 6 values
-  // 1 + 0 + 3 + 3 bits = 7 bits -> one byte.
-  EXPECT_EQ(codec.packed_bytes(), 1u);
+  // The root holds flag, clk and a's component index (8 tuples: 3 bits):
+  // 1 + 3 + 3 bits = 7 bits -> one byte.
+  EXPECT_EQ(codec.root_bytes(), 1u);
+  // The negative minimum rebases and decodes back to -3.
   ta::State s = net.initial_state();
   s.slots_mut()[3] = -3;
-  std::byte b{};
-  codec.pack(s.slots(), &b);
+  std::byte key{};
+  codec.pack_component(0, s.slots(), &key);
   ta::State decoded{codec.slot_count()};
-  codec.unpack(&b, decoded.slots_mut());
-  EXPECT_EQ(decoded, s);
+  codec.unpack_component(0, &key, decoded.slots_mut());
+  EXPECT_EQ(decoded.slots()[3], -3);
 }
 
 }  // namespace

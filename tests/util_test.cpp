@@ -168,5 +168,17 @@ TEST(Strings, Pad) {
   EXPECT_EQ(pad_left("abcde", 3), "abcde");
 }
 
+TEST(Strings, ParseCountTakesOnlyWholeInRangeNumbers) {
+  std::uint64_t out = 7;
+  EXPECT_TRUE(parse_count("42", 1, 100, out));
+  EXPECT_EQ(out, 42u);
+  for (const char* bad : {"", "0", "101", "-3", "+4", "2x", " 4", "abc",
+                          "99999999999999999999999"}) {
+    out = 7;
+    EXPECT_FALSE(parse_count(bad, 1, 100, out)) << bad;
+    EXPECT_EQ(out, 7u) << bad;
+  }
+}
+
 }  // namespace
 }  // namespace ahb
