@@ -52,14 +52,7 @@ void ScaleCluster::start() {
 
 void ScaleCluster::run_until(sim::Time horizon) {
   Wheel::Expired expired;
-  while (wheel_.pop(horizon, expired)) {
-    now_ = expired.when;
-    handle(expired.payload);
-  }
-  if (now_ < horizon) {
-    now_ = horizon;
-    wheel_.advance_to(horizon);
-  }
+  while (wheel_.pop(horizon, expired)) handle(expired.payload);
 }
 
 void ScaleCluster::crash_coordinator_at(sim::Time when) {
@@ -217,16 +210,16 @@ ScaleCluster::NodeClock& ScaleCluster::touch_clock(int node) {
   const auto it = find_node(clocks_, node);
   if (it != clocks_.end() && it->first == node) return it->second;
   // The new clock reads the global clock, as if read right now.
-  const auto at = static_cast<std::uint64_t>(now_);
+  const auto at = static_cast<std::uint64_t>(now());
   return clocks_
-      .insert(it, {node, NodeClock{.base_global = now_, .hw_base = at,
-                                   .hw_last = at, .base_engine = now_,
-                                   .engine_local = now_}})
+      .insert(it, {node, NodeClock{.base_global = now(), .hw_base = at,
+                                   .hw_last = at, .base_engine = now(),
+                                   .engine_local = now()}})
       ->second;
 }
 
 sim::Time ScaleCluster::advance_clock(NodeClock& clock) {
-  const std::uint64_t hw_now = clock.hw(now_);
+  const std::uint64_t hw_now = clock.hw(now());
   if (hw_now == clock.hw_last) return clock.engine_local;
   if (config_.clock_guard) {
     // Modular-time idiom: only the age between two reads is meaningful,
@@ -259,7 +252,7 @@ sim::Time ScaleCluster::advance_clock(NodeClock& clock) {
     // The reconstruction left the affine track timers were mapped on;
     // re-anchor so future deadlines translate from the leaped clock.
     clock.hw_base = hw_now;
-    clock.base_global = now_;
+    clock.base_global = now();
     clock.base_engine = clock.engine_local;
   }
   clock.hw_last = hw_now;
@@ -270,10 +263,10 @@ void ScaleCluster::apply_drift(int node, std::int64_t num, std::int64_t den) {
   NodeClock& clock = *clock_of(node);
   // Close the old affine segment (register and engine anchor stay
   // continuous across the rate change).
-  clock.hw_base = clock.hw(now_);
+  clock.hw_base = clock.hw(now());
   clock.base_engine =
-      clock.base_engine + (now_ - clock.base_global) * clock.num / clock.den;
-  clock.base_global = now_;
+      clock.base_engine + (now() - clock.base_global) * clock.num / clock.den;
+  clock.base_global = now();
   clock.num = num;
   clock.den = den;
   // Timers were armed under the old rate; re-arm at the new one.
@@ -286,11 +279,11 @@ void ScaleCluster::apply_clock_offset(int node, std::int64_t delta) {
   // instant) and force a clock read right away, so the node's reaction
   // — fail-safe fence on a backward jump, conservative timeout on a
   // forward one — is deterministic.
-  clock.hw_base = clock.hw(now_) + static_cast<std::uint64_t>(delta);
-  clock.base_global = now_;
+  clock.hw_base = clock.hw(now()) + static_cast<std::uint64_t>(delta);
+  clock.base_global = now();
   const sim::Time local = advance_clock(clock);
   clock.base_engine = local;  // re-anchor the timer mapping
-  clock.base_global = now_;
+  clock.base_global = now();
   if (clock.fault) {
     fence_node(node, local);
     return;
@@ -302,7 +295,7 @@ void ScaleCluster::apply_clock_offset(int node, std::int64_t delta) {
 
 void ScaleCluster::apply_clock_wrap(int node, std::uint64_t margin) {
   NodeClock& clock = *clock_of(node);
-  const std::uint64_t hw_now = clock.hw(now_);
+  const std::uint64_t hw_now = clock.hw(now());
   // Reposition the register `margin` ticks before the 2^64 boundary,
   // translating the read history by the same shift: no age changes,
   // only the absolute position — which the modular idiom never looks
@@ -312,8 +305,8 @@ void ScaleCluster::apply_clock_wrap(int node, std::uint64_t margin) {
   const std::uint64_t shift = (0 - margin) - hw_now;
   clock.hw_base = hw_now + shift;
   clock.base_engine =
-      clock.base_engine + (now_ - clock.base_global) * clock.num / clock.den;
-  clock.base_global = now_;
+      clock.base_engine + (now() - clock.base_global) * clock.num / clock.den;
+  clock.base_global = now();
   clock.hw_last += shift;
 }
 
@@ -346,10 +339,10 @@ std::uint64_t ScaleCluster::send(int from, int to, bool flag) {
   Ev delivery = Ev::of(Ev::Kind::Deliver, to, id);
   delivery.from = from;
   delivery.wire = pack_wire(flag, fate.corrupt, fate.corrupt_bit);
-  wheel_.post(now_ + fate.delay, 0, delivery);
+  wheel_.post(now() + fate.delay, 0, delivery);
   if (fate.duplicate) {
     channel(sim::ChannelEvent::Kind::Duplicated, from, to, id);
-    wheel_.post(now_ + fate.duplicate_delay, 0, delivery);
+    wheel_.post(now() + fate.duplicate_delay, 0, delivery);
   }
   return id;
 }
@@ -490,14 +483,14 @@ void ScaleCluster::arm_node_timer(int id) {
     handle = Wheel::Handle{};
     return;
   }
-  handle = wheel_.retime(handle, std::max(when, now_), timer_priority_,
+  handle = wheel_.retime(handle, std::max(when, now()), timer_priority_,
                          Ev::of(Ev::Kind::NodeTimer, id));
 }
 
 void ScaleCluster::emit(ProtocolEvent::Kind kind, int node,
                         std::uint64_t msg_id, std::uint32_t fanout) {
   if (sinks_.wants(kind)) {
-    sinks_.emit(ProtocolEvent{kind, now_, node, msg_id, fanout});
+    sinks_.emit(ProtocolEvent{kind, now(), node, msg_id, fanout});
   }
 }
 

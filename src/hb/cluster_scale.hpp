@@ -197,7 +197,7 @@ class ScaleCluster {
 
   const ClusterConfig& config() const { return config_; }
   int participant_count() const { return coord_.participants(); }
-  sim::Time now() const { return now_; }
+  sim::Time now() const { return wheel_.now(); }
 
   // Protocol state. Times a process recorded itself (inactivation,
   // leave) are on its own clock, which is the global clock unless a
@@ -342,9 +342,9 @@ class ScaleCluster {
   /// violation when the guard is on) and returns the engine clock.
   sim::Time advance_clock(NodeClock& clock);
   sim::Time local_now(int node) {
-    if (clocks_.empty()) return now_;  // hot path: no clock faults
+    if (clocks_.empty()) return now();  // hot path: no clock faults
     NodeClock* clock = clock_of(node);
-    return clock != nullptr ? advance_clock(*clock) : now_;
+    return clock != nullptr ? advance_clock(*clock) : now();
   }
 
   /// Sends one beat: assigns the next message id, draws its fate from
@@ -360,7 +360,7 @@ class ScaleCluster {
   void channel(sim::ChannelEvent::Kind kind, int from, int to,
                std::uint64_t id) {
     if (sinks_.wants(kind)) {
-      sinks_.emit(sim::ChannelEvent{kind, from, to, id, now_});
+      sinks_.emit(sim::ChannelEvent{kind, from, to, id, now()});
     }
   }
   void track_delivery(std::vector<std::uint64_t>& newest, int index,
@@ -371,7 +371,6 @@ class ScaleCluster {
 
   Wheel wheel_;
   Rng rng_;
-  sim::Time now_ = 0;
   bool started_ = false;
 
   // Flat transport.

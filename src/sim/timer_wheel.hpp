@@ -22,50 +22,48 @@
 // tail, firing reads the due lists front to back, and an empty wheel
 // allocates nothing.
 //
-// Cancellation. arm() gives an entry an id and returns a handle;
-// post() files an entry that can never be cancelled (a delivery, a
-// scheduled fault) with no id, so it takes and retires nothing and is
-// always live. An id names exactly one stored entry: a dense per-id
-// array holds that entry's logical key (when, seq) and its list, and
-// seq 0 while it is cancelled. A cancelled entry is removed at once
-// when it is still the newest of its list (its seq is the list's last)
-// — the common case in a small cluster, where a re-armed deadline is
-// often alone in its slot. Otherwise it stays, dead, holding its id
-// until its list is cascaded, drained or swept, and a cancel that
-// leaves more dead entries than live ones (plus kSweepSlack) compacts
-// every list, so stored() stays below twice the live count at the
-// latest cancel plus a constant, at amortized O(1) per cancel. rearm()
-// rewrites the entry in place when it is the newest of the list the new
-// deadline files into, and otherwise files a new entry.
+// Ids. retime() of a handle that is not live arms a new entry under a
+// fresh id; post() files one that is never cancelled (a delivery, a
+// scheduled fault) with no id, so it takes and retires nothing. An id
+// names exactly one stored entry: a dense per-id array holds that
+// entry's logical key (when, seq) and its list, and seq 0 while it is
+// cancelled. cancel() removes an entry at once when it is still the
+// newest of its list (its seq is the list's last) — the common case in
+// a small cluster, where a deadline is often alone in its slot.
+// Otherwise the entry stays, dead, until its list is cascaded, drained
+// or swept, and a cancel that leaves more dead entries than live ones
+// (plus kSweepSlack) compacts every list, so stored() stays below twice
+// the live count at the latest cancel plus a constant, at amortized
+// O(1) per cancel.
 //
-// Retiming. retime() is a rearm() that keeps the payload. When the
-// deadline stays at its tick or moves later, the entry stays where it
-// is and only its id's logical key changes (to the new when and a fresh
-// seq, as rearm would draw). Every list is reached before the ticks it
+// Retiming. A live entry whose deadline stays at its tick or moves
+// later stays where it is; only its id's logical key changes, to the
+// new when and a fresh seq. Every list is reached before the ticks it
 // holds, so the entry is met no later than its new deadline: a cascade,
 // far filing or drain that meets it re-files it under its logical key,
 // and a level-0 list holding an entry retimed within its own tick is
 // sorted again when that tick comes. A participant re-arming its
-// inactivation deadline on every beat thus keeps one entry, not one
-// per beat. Deadlines that move earlier, change priority, wait in the
-// far heap or are retimed within the tick being drained take rearm()'s
-// paths, and so does the newest entry of a list, which rearm() moves
-// without leaving a dead one.
+// deadline on every beat thus keeps one entry, not one per beat. Any
+// other retime takes the entry out as cancel() does and files it anew:
+// a deadline that moves earlier, changes priority, waits in the far
+// heap or is retimed within the tick being drained, and the newest
+// entry of a list, which leaves no dead entry behind.
 //
-// Firing. The due level-0 lists are drained in place through a cursor,
-// delivery priority first; a chunk is released as the cursor leaves it,
-// and same-tick arms append behind the cursor. Arms append in sequence
-// order, so only a list that a cascade, a far filing or a retime left
-// out of order is sorted, once, when its tick comes.
+// Firing. pop() steps now() from one cascade boundary with work to the
+// next up to its horizon, and drains the due level-0 lists in place
+// through a cursor, delivery priority first; a chunk is released as the
+// cursor leaves it, and same-tick arms append behind the cursor. Arms
+// append in sequence order, so only a list that a cascade, a far filing
+// or a retime left out of order is sorted, once, when its tick comes.
 //
 // Determinism contract: entries due at the same tick fire ordered by
 // (priority, arm-sequence) — deliveries at priority 0 outrun timers at
 // priority 1, ties fall back to FIFO arm order, and posts and arms
-// draw from one sequence — and rearm() and retime() are
-// indistinguishable from cancel() followed by arm(). The heartbeat
-// engine's bit-for-bit reproducible event interleavings rest on this;
-// tests/sim_timer_wheel_test.cpp pins the firing stream against a
-// sorted-set oracle keyed by (when, priority, seq).
+// draw from one sequence — and retime() of a live handle is
+// indistinguishable from cancel() followed by a fresh arm. The
+// heartbeat engine's bit-for-bit reproducible event interleavings rest
+// on this; tests/sim_timer_wheel_test.cpp pins the firing stream
+// against a sorted-set oracle keyed by (when, priority, seq).
 #pragma once
 
 #include <algorithm>
@@ -107,29 +105,20 @@ class TimerWheel {
     Payload payload{};
   };
 
-  explicit TimerWheel(Time start = 0) : now_(start) {}
-
   Time now() const { return now_; }
   /// Live entries: armed, not yet fired or cancelled.
   std::size_t pending() const { return pending_; }
   /// Entries held, cancelled ones not yet dropped included.
   std::size_t stored() const { return stored_; }
 
-  /// Arms an entry at absolute tick `when` (>= now()). Priority is 0
-  /// (deliveries) or 1 (timers) — the two lanes the engine's
-  /// receive-priority tiebreak needs. O(1) within the wheel span of
-  /// 64^kLevels ticks, O(log k) beyond it.
-  Handle arm(Time when, int priority, const Payload& payload) {
-    AHB_EXPECTS(when >= now_);
-    AHB_EXPECTS(priority == 0 || priority == 1);
-    ++pending_;
-    return file_new(take_id(), when, priority, payload);
-  }
-
   /// Files an entry that is never cancelled (a message delivery, a
-  /// scheduled fault). It takes the next seq like arm(), so it fires in
-  /// the same (when, priority, seq) order, but it holds no id: posting
-  /// and firing it touch no per-id state, and there is no handle.
+  /// scheduled fault) at absolute tick `when` (>= now()). Priority is 0
+  /// (deliveries) or 1 (timers) — the two lanes the engine's
+  /// receive-priority tiebreak needs. It takes the next seq like an
+  /// armed entry, so it fires in the same (when, priority, seq) order,
+  /// but it holds no id: posting and firing it touch no per-id state,
+  /// and there is no handle. O(1) within the wheel span of 64^kLevels
+  /// ticks, O(log k) beyond it.
   void post(Time when, int priority, const Payload& payload) {
     AHB_EXPECTS(when >= now_);
     AHB_EXPECTS(priority == 0 || priority == 1);
@@ -148,43 +137,28 @@ class TimerWheel {
     return true;
   }
 
-  /// cancel(h) followed by arm(when, priority, payload): the entry takes
-  /// a fresh seq. When its entry is still the newest of its list and
-  /// the new (when, priority) files into that same list, the entry is
-  /// rewritten in place — the position cancel+arm would give it.
-  Handle rearm(Handle h, Time when, int priority, const Payload& payload) {
-    if (!live(h)) return arm(when, priority, payload);
+  /// Arms `h`'s entry at `when` (>= now()) under a fresh seq, as
+  /// cancel(h) followed by a fresh arm would: an invalid, fired or
+  /// cancelled handle arms a new entry, and a live one keeps the payload
+  /// it was armed with (`payload` must be that one). A deadline that
+  /// stays at its tick or moves later leaves the entry where it is and
+  /// records the new key (see Retiming above), so re-arming a deadline
+  /// on every beat leaves no dead entries.
+  Handle retime(Handle h, Time when, int priority, const Payload& payload) {
     AHB_EXPECTS(when >= now_);
     AHB_EXPECTS(priority == 0 || priority == 1);
-    Armed& armed = armed_[h.id];
-    if (is_newest(armed) && target(when, priority) == armed.list) {
-      List& list = lists_[armed.list];
-      Entry& entry = list.tail->entries[list.tail->size - 1];
-      entry.when = armed.when = when;
-      entry.seq = armed.seq = next_seq_++;
-      entry.payload = payload;
-      list.last_seq = entry.seq;
-      return Handle{h.id, entry.seq};
+    if (!live(h)) {
+      ++pending_;
+      return file_new(take_id(), when, priority, payload);
     }
-    // The dead entry keeps its id until it is dropped.
-    const std::uint32_t id = unfile(h.id) ? h.id : take_id();
-    return file_new(id, when, priority, payload);
-  }
-
-  /// rearm(h, when, priority, payload) for an entry armed with
-  /// `payload` (which is used only when h is no longer live): fires
-  /// exactly like cancel+arm. A deadline that stays at its tick or moves
-  /// later leaves the entry where it is and records the new key (see
-  /// Retiming above), so re-arming a deadline on every beat leaves no
-  /// dead entries.
-  Handle retime(Handle h, Time when, int priority, const Payload& payload) {
-    if (!live(h)) return arm(when, priority, payload);
     Armed& armed = armed_[h.id];
     const std::uint32_t list = armed.list;
     if (list == kNoList || (list & 1) != static_cast<std::uint32_t>(priority) ||
         when < armed.when || (when == now_ && draining(list)) ||
         (is_newest(armed) && detachable(list))) {
-      return rearm(h, when, priority, payload);
+      // A dead entry left behind keeps its id until it is dropped.
+      const std::uint32_t id = unfile(h.id) ? h.id : take_id();
+      return file_new(id, when, priority, payload);
     }
     // A level-0 list holds one tick: a retime within it reorders it.
     if (list < 2 * kSlots && target(when, priority) == list) {
@@ -196,40 +170,24 @@ class TimerWheel {
   }
 
   /// Pops the next live entry with when <= horizon, advancing now() to
-  /// its tick. Entries fire in exact (when, priority, seq) order.
+  /// its tick. Entries fire in exact (when, priority, seq) order. When
+  /// none is due by `horizon`, returns false with now() moved to
+  /// `horizon` (never back): the loop has walked every cascade boundary
+  /// with work at or before it, so every pending entry sits in a slot
+  /// whose scan candidate stays ahead of `horizon`.
   bool pop(Time horizon, Expired& out) {
     while (true) {
       if (next_ready(out)) return true;
-      if (pending_ == 0) return false;
+      if (pending_ == 0) break;
       const Time next = next_event_tick();
-      if (next > horizon) return false;
+      if (next > horizon) break;
       advance_to_tick(next);
-    }
-  }
-
-  /// Moves now() forward to `t` (>= now()) without firing anything.
-  /// Only legal when no pending entry is due at or before `t`; used for
-  /// run_until(horizon) semantics after the queue drains. Walks the
-  /// cascade boundaries up to `t` (so entries re-file exactly as pop()
-  /// would have re-filed them) and then jumps: once no boundary with
-  /// work remains at or before `t`, every pending entry provably sits
-  /// in a slot whose scan candidate stays ahead of `t`.
-  void advance_to(Time t) {
-    if (t <= now_) return;
-    Expired unused;
-    bool due = next_ready(unused);
-    AHB_EXPECTS(!due);
-    while (pending_ != 0) {
-      const Time next = next_event_tick();
-      if (next > t) break;
-      advance_to_tick(next);
-      due = next_ready(unused);
-      AHB_EXPECTS(!due);  // an entry was due at or before t
     }
     // Only cancelled entries left: they would sit at slots the jump
     // leaves behind, so drop them all.
     if (pending_ == 0) clear();
-    now_ = t;
+    now_ = std::max(now_, horizon);
+    return false;
   }
 
  private:
@@ -747,7 +705,7 @@ class TimerWheel {
     stored_ = 0;
   }
 
-  Time now_;
+  Time now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::size_t pending_ = 0;
   std::size_t stored_ = 0;

@@ -44,6 +44,16 @@ inline std::uint64_t get_bits(const std::byte* buf, std::size_t bit,
   return (window >> shift) & ((std::uint64_t{1} << width) - 1);
 }
 
+/// value - base for a slot of field (base, width). A value outside the
+/// field's range aborts: its bits would decode to another value.
+inline std::uint64_t field_offset(Slot value, Slot base, unsigned width) {
+  AHB_ASSERT(value >= base);
+  const auto offset = static_cast<std::uint64_t>(
+      static_cast<std::int32_t>(value) - static_cast<std::int32_t>(base));
+  AHB_ASSERT(width == kMaxFieldBits || offset < (std::uint64_t{1} << width));
+  return offset;
+}
+
 /// Bits needed to encode the range [min, max] as value-min.
 inline std::uint8_t range_width(Slot min, Slot max) {
   const auto span = static_cast<std::uint32_t>(static_cast<std::int32_t>(max) -
@@ -149,11 +159,7 @@ void StateCodec::pack_component(std::size_t c, std::span<const Slot> state,
   std::size_t bit = 0;
   for (const auto slot : comp.slots) {
     const Field& f = fields_[slot];
-    AHB_ASSERT(state[slot] >= f.base);
-    put_bits(out, bit, f.width,
-             static_cast<std::uint64_t>(
-                 static_cast<std::int32_t>(state[slot]) -
-                 static_cast<std::int32_t>(f.base)));
+    put_bits(out, bit, f.width, field_offset(state[slot], f.base, f.width));
     bit += f.width;
   }
 }
@@ -179,10 +185,7 @@ std::uint64_t StateCodec::pack_component_key(
   unsigned bit = 0;
   for (const auto slot : comp.slots) {
     const Field& f = fields_[slot];
-    AHB_ASSERT(state[slot] >= f.base);
-    key |= static_cast<std::uint64_t>(static_cast<std::int32_t>(state[slot]) -
-                                      static_cast<std::int32_t>(f.base))
-           << bit;
+    key |= field_offset(state[slot], f.base, f.width) << bit;
     bit += f.width;
   }
   return key;
@@ -290,11 +293,7 @@ void StateCodec::pack_root(std::span<const std::uint32_t> indices,
   }
   for (const auto slot : residue_slots_) {
     const Field& f = fields_[slot];
-    AHB_ASSERT(state[slot] >= f.base);
-    put_bits(out, bit, f.width,
-             static_cast<std::uint64_t>(
-                 static_cast<std::int32_t>(state[slot]) -
-                 static_cast<std::int32_t>(f.base)));
+    put_bits(out, bit, f.width, field_offset(state[slot], f.base, f.width));
     bit += f.width;
   }
 }
@@ -313,10 +312,7 @@ std::uint64_t StateCodec::pack_root_key(
   }
   for (const auto slot : residue_slots_) {
     const Field& f = fields_[slot];
-    AHB_ASSERT(state[slot] >= f.base);
-    key |= static_cast<std::uint64_t>(static_cast<std::int32_t>(state[slot]) -
-                                      static_cast<std::int32_t>(f.base))
-           << bit;
+    key |= field_offset(state[slot], f.base, f.width) << bit;
     bit += f.width;
   }
   return key;

@@ -6,13 +6,14 @@
 // popped — is what makes the heartbeat engine's event interleavings
 // reproducible bit-for-bit, so it is pinned here against
 // an oracle that keeps every pending entry in one ordered multiset.
-// rearm() and retime() must be indistinguishable from cancel() followed
-// by arm(), so the oracle models each as erase plus insert under a fresh
-// seq (retime keeps the payload). The
+// retime() of a live handle must be indistinguishable from cancel()
+// followed by a fresh arm, so the oracle models it as erase plus insert
+// under a fresh seq, keeping the payload. The
 // deterministic cases target the wheel's structural edges: same tick
 // ordering, cancels in a slot, in the ready drain and in the far heap
 // (the newest entry of a list removed at once, older ones left dead),
-// rearm's in-place path, multi-level cascades, the slot-ring wrap
+// retimes that take the newest entry of a list out and file it back,
+// a pop that finds nothing due, multi-level cascades, the slot-ring wrap
 // where an entry lands at or behind the current slot index of its
 // level, arms beyond the wheel's 64^6-tick span, posts (no id, never
 // cancelled) mixed into the same lists as arms, same-tick lists long
@@ -34,6 +35,11 @@ namespace {
 
 using Wheel = sim::TimerWheel<int>;
 using Time = Wheel::Time;
+
+// Arms a new entry: a retime of a handle that names none.
+Wheel::Handle arm(Wheel& wheel, Time when, int priority, int payload) {
+  return wheel.retime(Wheel::Handle{}, when, priority, payload);
+}
 
 // Oracle entry: the same (when, priority, seq) key the wheel promises,
 // with the payload riding along.
@@ -66,7 +72,6 @@ void expect_same_drain(Wheel& wheel, std::set<OracleEntry>& oracle,
     EXPECT_GT(oracle.begin()->when, horizon)
         << "oracle still due at " << oracle.begin()->when;
   }
-  wheel.advance_to(horizon);
   EXPECT_EQ(wheel.now(), horizon);
 }
 
@@ -77,7 +82,7 @@ TEST(TimerWheel, FiresInWhenPrioritySeqOrder) {
   std::uint64_t seq = 1;
   for (const auto& [when, prio] : std::vector<std::pair<Time, int>>{
            {5, 1}, {5, 0}, {3, 1}, {5, 0}, {3, 0}, {7, 0}, {5, 1}}) {
-    wheel.arm(when, prio, static_cast<int>(seq));
+    arm(wheel, when, prio, static_cast<int>(seq));
     oracle.insert({when, prio, seq, static_cast<int>(seq)});
     ++seq;
   }
@@ -87,9 +92,9 @@ TEST(TimerWheel, FiresInWhenPrioritySeqOrder) {
 
 TEST(TimerWheel, CancelUnlinksAndInvalidatesHandles) {
   Wheel wheel;
-  const auto a = wheel.arm(10, 0, 1);
-  const auto b = wheel.arm(10, 0, 2);
-  const auto c = wheel.arm(20, 0, 3);
+  const auto a = arm(wheel, 10, 0, 1);
+  const auto b = arm(wheel, 10, 0, 2);
+  const auto c = arm(wheel, 20, 0, 3);
   EXPECT_TRUE(wheel.cancel(b));
   EXPECT_FALSE(wheel.cancel(b));  // already cancelled
   EXPECT_FALSE(wheel.cancel(Wheel::Handle{}));  // invalid handle no-op
@@ -108,13 +113,13 @@ TEST(TimerWheel, CancelUnlinksAndInvalidatesHandles) {
 
 TEST(TimerWheel, CancelWhileStagedInReadyHeapIsLazy) {
   Wheel wheel;
-  wheel.arm(5, 0, 1);
-  const auto doomed = wheel.arm(5, 0, 2);
-  wheel.arm(5, 0, 3);
+  arm(wheel, 5, 0, 1);
+  const auto doomed = arm(wheel, 5, 0, 2);
+  arm(wheel, 5, 0, 3);
   Wheel::Expired expired;
   ASSERT_TRUE(wheel.pop(5, expired));  // advances to tick 5, stages all
   EXPECT_EQ(expired.payload, 1);
-  EXPECT_TRUE(wheel.cancel(doomed));  // now Location::Ready: lazy discard
+  EXPECT_TRUE(wheel.cancel(doomed));  // mid-drain: dropped when met
   ASSERT_TRUE(wheel.pop(5, expired));
   EXPECT_EQ(expired.payload, 3);
   EXPECT_FALSE(wheel.pop(5, expired));
@@ -129,7 +134,7 @@ TEST(TimerWheel, CascadesAcrossLevels) {
   Time span = 1;
   for (int level = 0; level < 6; ++level) {
     const Time when = span + 1;
-    wheel.arm(when, 0, level);
+    arm(wheel, when, 0, level);
     oracle.insert({when, 0, seq++, level});
     span *= 64;
   }
@@ -144,42 +149,83 @@ TEST(TimerWheel, SlotRingWrapDoesNotHideEntries) {
   // ring revolution ahead. The scan must still find and fire it.
   Wheel wheel;
   Wheel::Expired expired;
-  wheel.arm(100, 0, 0);
+  arm(wheel, 100, 0, 0);
   ASSERT_TRUE(wheel.pop(100, expired));
   ASSERT_EQ(wheel.now(), 100);
 
-  wheel.arm(4190, 0, 42);
+  arm(wheel, 4190, 0, 42);
   EXPECT_FALSE(wheel.pop(4189, expired));
   ASSERT_TRUE(wheel.pop(4190, expired));
   EXPECT_EQ(expired.when, 4190);
   EXPECT_EQ(expired.payload, 42);
 }
 
-TEST(TimerWheel, AdvanceToSkipsEmptySpansAndKeepsLaterEntriesLive) {
+TEST(TimerWheel, EmptyPopSkipsEmptySpansAndKeepsLaterEntriesLive) {
   Wheel wheel;
-  wheel.arm(1'000'000, 0, 7);
-  wheel.advance_to(999'999);  // nothing due: must not fire or lose it
-  EXPECT_EQ(wheel.now(), 999'999);
+  arm(wheel, 1'000'000, 0, 7);
   Wheel::Expired expired;
+  // Nothing due: must not fire or lose it.
+  EXPECT_FALSE(wheel.pop(999'999, expired));
+  EXPECT_EQ(wheel.now(), 999'999);
   ASSERT_TRUE(wheel.pop(1'000'000, expired));
   EXPECT_EQ(expired.when, 1'000'000);
   EXPECT_EQ(expired.payload, 7);
-  // Empty wheel: advance is a plain jump.
-  wheel.advance_to(Time{50'000'000'000});
+  // Empty wheel: the pop is a plain jump.
+  EXPECT_FALSE(wheel.pop(Time{50'000'000'000}, expired));
   EXPECT_EQ(wheel.now(), Time{50'000'000'000});
 }
 
+TEST(TimerWheel, EmptyPopLeavesNowAtTheHorizon) {
+  // A pop that finds nothing due by its horizon leaves now() there, or
+  // where it was when the horizon is behind it, and what is filed at
+  // the new now() fires next. Once only cancelled entries are left, an
+  // empty pop drops them.
+  Wheel wheel;
+  Wheel::Expired expired;
+  arm(wheel, 5000, 1, 1);
+  EXPECT_FALSE(wheel.pop(4321, expired));  // past level-1 boundaries
+  EXPECT_EQ(wheel.now(), 4321);
+  EXPECT_FALSE(wheel.pop(100, expired));  // never back
+  EXPECT_EQ(wheel.now(), 4321);
+  wheel.post(4321, 1, 2);
+  const Wheel::Handle retimed = arm(wheel, 4400, 1, 3);
+  arm(wheel, 4400, 1, 4);
+  ASSERT_TRUE(wheel.pop(4321, expired));
+  EXPECT_EQ(expired.when, 4321);
+  EXPECT_EQ(expired.payload, 2);
+  EXPECT_EQ(wheel.now(), 4321);
+  wheel.retime(retimed, 4321, 0, 3);  // earlier: taken out, due now
+  ASSERT_TRUE(wheel.pop(4321, expired));
+  EXPECT_EQ(expired.payload, 3);
+  EXPECT_EQ(wheel.stored(), 3u);  // its old entry waits, dead
+  ASSERT_TRUE(wheel.pop(4400, expired));
+  EXPECT_EQ(expired.payload, 4);
+  ASSERT_TRUE(wheel.pop(5000, expired));
+  EXPECT_EQ(expired.payload, 1);
+
+  const Wheel::Handle older = arm(wheel, 9000, 1, 5);
+  const Wheel::Handle newer = arm(wheel, 9000, 1, 6);
+  EXPECT_TRUE(wheel.cancel(older));  // left dead behind `newer`
+  EXPECT_TRUE(wheel.cancel(newer));  // the newest: removed at once
+  EXPECT_EQ(wheel.stored(), 1u);
+  EXPECT_FALSE(wheel.pop(6000, expired));
+  EXPECT_EQ(wheel.now(), 6000);
+  EXPECT_EQ(wheel.stored(), 0u);
+  EXPECT_EQ(wheel.pending(), 0u);
+}
+
 TEST(TimerWheel, RandomisedAgainstOracle) {
-  // Seeded random arm/post/cancel/rearm/drain campaign. Mixed scales
+  // Seeded random arm/post/cancel/retime/drain campaign. Mixed scales
   // pick deltas from every level (biased small, occasionally past the
   // span), pop horizons land mid-slot and on boundaries, single pops
   // leave a tick half drained so the next operations act mid-tick —
   // posts at the current tick then append behind the drain cursor —
-  // and armed entries are cancelled or re-armed wherever they sit: in a
+  // and armed entries are cancelled or retimed wherever they sit: in a
   // slot, in the ready drain or in the far heap, with posts filed
-  // before and after them in the same lists. Re-arming the latest arm
-  // at its own (when, priority) takes the in-place path. Seeds 6-8 hold
-  // about 30 entries pending and cancel or re-arm instead of arming or
+  // before and after them in the same lists. Retiming the latest arm at
+  // its own (when, priority) takes it out and files it back at the tail
+  // of the same list. Seeds 6-8 hold
+  // about 30 entries pending and cancel or retime instead of arming or
   // posting more, so the dead pile up past the live ones and the sweep
   // compacts lists mid-campaign, mid-tick included. Retimes move an
   // entry later (a tick or two, or across cascades), keep it at its
@@ -194,17 +240,8 @@ TEST(TimerWheel, RandomisedAgainstOracle) {
     std::set<OracleEntry> oracle;
     std::vector<std::pair<Wheel::Handle, OracleEntry>> live;
     std::uint64_t seq = 1;
-    // Oracle side of rearm(): erase the entry if still pending, insert
-    // the new one under a fresh seq.
-    const auto rearm = [&](std::size_t pick, Time when, int prio) {
-      auto& [handle, entry] = live[pick];
-      oracle.erase(entry);
-      const int payload = static_cast<int>(seq);
-      handle = wheel.rearm(handle, when, prio, payload);
-      entry = OracleEntry{when, prio, seq++, payload};
-      oracle.insert(entry);
-    };
-    // Oracle side of retime(): the same, keeping the payload.
+    // Oracle side of retime(): erase the entry if still pending, insert
+    // it again under a fresh seq, keeping the payload.
     const auto retime = [&](std::size_t pick, Time when, int prio) {
       auto& [handle, entry] = live[pick];
       oracle.erase(entry);
@@ -230,7 +267,7 @@ TEST(TimerWheel, RandomisedAgainstOracle) {
         const Time when = wheel.now() + random_delta();
         const int prio = static_cast<int>(rng.below(2));
         const int payload = static_cast<int>(seq);
-        const auto handle = wheel.arm(when, prio, payload);
+        const auto handle = arm(wheel, when, prio, payload);
         const OracleEntry entry{when, prio, seq, payload};
         oracle.insert(entry);
         live.push_back({handle, entry});
@@ -275,18 +312,18 @@ TEST(TimerWheel, RandomisedAgainstOracle) {
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
         const bool still = oracle.erase(entry) > 0;
         EXPECT_EQ(wheel.cancel(handle), still);
-      } else if (op == 8 && !live.empty()) {  // rearm the latest arm
+      } else if (op == 8 && !live.empty()) {  // retime the latest arm
         const OracleEntry& entry = live.back().second;
         const bool same = rng.below(2) == 0 && entry.when >= wheel.now();
-        rearm(live.size() - 1,
+        retime(live.size() - 1,
               same ? entry.when
                    : wheel.now() + static_cast<Time>(rng.below(200)),
               same ? entry.priority : static_cast<int>(rng.below(2)));
-      } else if (op == 9 && !live.empty()) {  // rearm a random entry
+      } else if (op == 9 && !live.empty()) {  // retime a random entry
         const auto pick = rng.below(live.size());
         const Time when = std::max(live[pick].second.when, wheel.now()) +
                           static_cast<Time>(rng.below(3)) - 1;
-        rearm(pick, std::max(when, wheel.now()),
+        retime(pick, std::max(when, wheel.now()),
               static_cast<int>(rng.below(2)));
       } else if (op == 10) {  // pop one entry, leaving the tick mid-drain
         const Time horizon = wheel.now() + static_cast<Time>(rng.below(8));
@@ -324,7 +361,7 @@ TEST(TimerWheel, PostsTakeNoIds) {
   Wheel wheel;
   for (int i = 0; i < 5000; ++i) wheel.post(10 + i % 50, i % 2, i);
   EXPECT_EQ(wheel.pending(), 5000u);
-  const Wheel::Handle first = wheel.arm(20, 1, -1);
+  const Wheel::Handle first = arm(wheel, 20, 1, -1);
   EXPECT_EQ(first.id, 0u);
   EXPECT_EQ(wheel.pending(), 5001u);
   Wheel::Expired expired;
@@ -333,8 +370,8 @@ TEST(TimerWheel, PostsTakeNoIds) {
   EXPECT_EQ(fired, 5001u);
   EXPECT_EQ(wheel.stored(), 0u);
   EXPECT_FALSE(wheel.cancel(first));  // fired: id 0 retired
-  EXPECT_EQ(wheel.arm(200, 1, -2).id, 0u);
-  EXPECT_EQ(wheel.arm(200, 1, -3).id, 1u);
+  EXPECT_EQ(arm(wheel, 200, 1, -2).id, 0u);
+  EXPECT_EQ(arm(wheel, 200, 1, -3).id, 1u);
 }
 
 TEST(TimerWheel, LongListsDrainAndSweepAcrossChunks) {
@@ -355,9 +392,9 @@ TEST(TimerWheel, LongListsDrainAndSweepAcrossChunks) {
     wheel.post(when, prio, payload);
     oracle.insert(OracleEntry{when, prio, seq++, payload});
   };
-  const auto arm = [&](Time when, int prio) {
+  const auto arm_at = [&](Time when, int prio) {
     const OracleEntry entry{when, prio, seq, static_cast<int>(seq)};
-    armed.push_back({wheel.arm(when, prio, entry.payload), entry});
+    armed.push_back({arm(wheel, when, prio, entry.payload), entry});
     oracle.insert(entry);
     ++seq;
   };
@@ -391,11 +428,11 @@ TEST(TimerWheel, LongListsDrainAndSweepAcrossChunks) {
 
   constexpr Time kLate = Time{1} << 14;  // a level-2 slot boundary
   for (int i = 0; i < 1200; ++i) {  // level 2, cascaded at kLate
-    if (i % 5 == 0) post(kLate, 1); else arm(kLate, 1);
+    if (i % 5 == 0) post(kLate, 1); else arm_at(kLate, 1);
   }
-  wheel.advance_to(kLate - 10);
+  ASSERT_FALSE(pop_one(kLate - 10));
   for (int i = 0; i < 1200; ++i) {  // level 0, ahead of the cascade
-    if (i % 5 == 0) post(kLate, 1); else arm(kLate, 1);
+    if (i % 5 == 0) post(kLate, 1); else arm_at(kLate, 1);
   }
   for (int i = 0; i < 301; ++i) ASSERT_TRUE(pop_one(kLate));
   std::size_t cancelled = 0;
@@ -417,65 +454,67 @@ TEST(TimerWheel, LongListsDrainAndSweepAcrossChunks) {
   EXPECT_EQ(wheel.stored(), 0u);
 }
 
-TEST(TimerWheel, RearmFiresExactlyLikeCancelThenArm) {
-  // The same script on two wheels: one re-arms, the other cancels and
-  // arms. An entry that is still the newest of its list, re-armed into
-  // that same list, is rewritten in place — in a slot, in a coarse slot
-  // with a moved deadline, and in the ready drain mid-tick — while an
-  // entry with newer ones behind it, a move to another list or a
-  // changed priority takes the cancel+arm path. Both wheels must fire
-  // identical streams and hold the same number of entries throughout.
+TEST(TimerWheel, RetimeTakeOutsFireExactlyLikeCancelThenArm) {
+  // The same script on two wheels: one retimes, the other cancels and
+  // arms. Every retime here takes its entry out and files it anew: the
+  // newest entry of its list — in a slot, moved to another list, in a
+  // coarse slot with a moved deadline, and in the ready drain mid-tick —
+  // which leaves no dead entry, and an entry with a newer one behind it
+  // that changes priority or moves earlier, which leaves one. Both
+  // wheels must fire identical streams and hold the same number of
+  // entries throughout.
   Wheel a;
   Wheel b;
   const auto both = [&](Time when, int prio, int payload) {
-    return std::pair{a.arm(when, prio, payload), b.arm(when, prio, payload)};
+    return std::pair{arm(a, when, prio, payload), arm(b, when, prio, payload)};
   };
-  const auto rearm = [&](std::pair<Wheel::Handle, Wheel::Handle>& h,
-                         Time when, int prio, int payload) {
-    h.first = a.rearm(h.first, when, prio, payload);
+  const auto retime = [&](std::pair<Wheel::Handle, Wheel::Handle>& h,
+                          Time when, int prio, int payload) {
+    h.first = a.retime(h.first, when, prio, payload);
     b.cancel(h.second);
-    h.second = b.arm(when, prio, payload);
+    h.second = arm(b, when, prio, payload);
     EXPECT_EQ(h.first.seq, h.second.seq);
     EXPECT_EQ(a.stored(), b.stored());
   };
   auto x = both(10, 1, 1);
   auto y = both(10, 1, 2);
-  rearm(y, 10, 1, 3);  // newest of its list: in place
+  retime(y, 10, 1, 2);  // newest of its list: back at its tail
   EXPECT_EQ(a.stored(), 2u);
-  rearm(x, 10, 1, 4);  // y behind it: x now fires after y
+  retime(x, 10, 0, 1);  // y behind it, new priority: another list
   EXPECT_EQ(a.stored(), 3u);  // x's old entry waits, dead
-  rearm(x, 10, 0, 5);  // new priority: another list
-  auto z = both(10, 1, 6);
-  auto u = both(200, 1, 12);  // level 1: slot [192, 256)
-  rearm(z, 12, 1, 7);  // moved deadline: another list
-  rearm(z, 12, 1, 8);  // and in place at its new deadline
-  rearm(u, 230, 1, 13);  // same coarse slot: in place, new deadline
-  both(10, 1, 9);
+  auto z = both(10, 1, 3);
+  auto u = both(200, 1, 4);  // level 1: slot [192, 256)
+  retime(z, 12, 1, 3);  // newest, moved deadline: another list
+  retime(z, 12, 1, 3);  // and back at the tail of its new one
+  retime(u, 230, 1, 4);  // same coarse slot, new deadline
+  auto v = both(40, 1, 5);
+  both(40, 1, 6);
+  retime(v, 20, 1, 5);  // earlier, with a newer entry behind it
+  both(10, 1, 7);
 
   Wheel::Expired ea;
   Wheel::Expired eb;
   ASSERT_TRUE(a.pop(10, ea));
   ASSERT_TRUE(b.pop(10, eb));
-  EXPECT_EQ(ea.payload, 5);  // priority 0 first
-  // Mid-tick: arm at the current tick, then re-arm it in place while
-  // the drain cursor sits in the same list.
-  auto w = both(10, 1, 10);
-  rearm(w, 10, 1, 11);
+  EXPECT_EQ(ea.payload, 1);  // priority 0 first
+  // Mid-tick: arm at the current tick, then retime it while the drain
+  // cursor sits in the same list.
+  auto w = both(10, 1, 8);
+  retime(w, 10, 1, 8);
   std::vector<int> order;
   while (true) {
-    const bool fa = a.pop(20, ea);
-    ASSERT_EQ(fa, b.pop(20, eb));
+    const bool fa = a.pop(300, ea);
+    ASSERT_EQ(fa, b.pop(300, eb));
     if (!fa) break;
     EXPECT_EQ(ea.when, eb.when);
     EXPECT_EQ(ea.priority, eb.priority);
     EXPECT_EQ(ea.seq, eb.seq);
     EXPECT_EQ(ea.payload, eb.payload);
+    EXPECT_EQ(a.stored(), b.stored());
     order.push_back(ea.payload);
   }
-  EXPECT_EQ(order, (std::vector<int>{3, 9, 11, 8}));
-  ASSERT_TRUE(a.pop(300, ea));
-  EXPECT_EQ(ea.when, 230);
-  EXPECT_EQ(ea.payload, 13);
+  EXPECT_EQ(order, (std::vector<int>{2, 7, 8, 3, 5, 6, 4}));
+  EXPECT_EQ(a.now(), 300);
   EXPECT_EQ(a.pending(), 0u);
   EXPECT_EQ(a.stored(), 0u);
 }
@@ -498,7 +537,7 @@ TEST(TimerWheel, RetimeFiresExactlyLikeCancelThenArm) {
     std::vector<Time> due;
     for (int i = 0; i < 12; ++i) {
       const Time when = 1 + static_cast<Time>(rng.below(40));
-      handles.push_back({a.arm(when, 1, i), b.arm(when, 1, i)});
+      handles.push_back({arm(a, when, 1, i), arm(b, when, 1, i)});
       due.push_back(when);
     }
     const auto same_pop = [&](Time horizon) {
@@ -530,7 +569,7 @@ TEST(TimerWheel, RetimeFiresExactlyLikeCancelThenArm) {
         auto& [ha, hb] = handles[i];
         ha = a.retime(ha, when, prio, static_cast<int>(i));
         b.cancel(hb);
-        hb = b.arm(when, prio, static_cast<int>(i));
+        hb = arm(b, when, prio, static_cast<int>(i));
         EXPECT_EQ(ha.seq, hb.seq);
         due[i] = when;
       } else if (op < 7) {
@@ -539,20 +578,13 @@ TEST(TimerWheel, RetimeFiresExactlyLikeCancelThenArm) {
         a.post(when, prio, -1);
         b.post(when, prio, -1);
       } else if (op < 9) {
-        // A pop that finds nothing may stop at different cascade
-        // boundaries on the two wheels: align them at the horizon.
-        const Time horizon = now + static_cast<Time>(rng.below(4));
-        if (!same_pop(horizon)) {
-          a.advance_to(horizon);
-          b.advance_to(horizon);
-        }
+        same_pop(now + static_cast<Time>(rng.below(4)));
       } else {
         const Time horizon = now + static_cast<Time>(rng.below(30));
         while (same_pop(horizon)) {}
-        a.advance_to(horizon);
-        b.advance_to(horizon);
       }
       ASSERT_EQ(a.pending(), b.pending());
+      ASSERT_EQ(a.now(), b.now());
       if (HasFailure()) return;
     }
     while (same_pop(Time{1} << 50)) {}  // far past the farthest retime
@@ -572,7 +604,7 @@ TEST(TimerWheel, LaterRetimesLeaveNoDeadEntries) {
   std::vector<Time> due(kHandles, 0);
   for (int i = 0; i < kHandles; ++i) {
     due[i] = 3 + i % 50;
-    handles[i] = wheel.arm(due[i], 1, i);
+    handles[i] = arm(wheel, due[i], 1, i);
   }
   Wheel::Expired expired;
   for (Time t = 1; t <= 20'000; ++t) {
@@ -611,14 +643,13 @@ TEST(TimerWheel, CancelledEntriesStayBounded) {
   std::size_t most = 0;
   for (int i = 0; i < 1'000'000; ++i) {
     const Time ahead = i % 5 == 0 ? (Time{1} << 37) : 1'000'000;
-    handles.push_back(wheel.arm(wheel.now() + ahead + i % 7, i % 2, i));
+    handles.push_back(arm(wheel, wheel.now() + ahead + i % 7, i % 2, i));
     if (handles.size() > 3) {
       EXPECT_TRUE(wheel.cancel(handles.front()));
       handles.erase(handles.begin());
     }
     if (i % 1000 == 0) {
       EXPECT_FALSE(wheel.pop(wheel.now() + 10, expired));
-      wheel.advance_to(wheel.now() + 10);
     }
     most = std::max(most, wheel.stored());
   }
@@ -636,11 +667,11 @@ TEST(TimerWheel, ArmsBeyondTheSpanWaitAndFireOnTime) {
   std::uint64_t seq = 1;
   for (const Time when : {Time{1} << 40, kSpan, kSpan - 1, kSpan + 1,
                           Time{1} << 40, Time{1} << 62, Time{5}}) {
-    wheel.arm(when, 0, static_cast<int>(seq));
+    arm(wheel, when, 0, static_cast<int>(seq));
     oracle.insert({when, 0, seq, static_cast<int>(seq)});
     ++seq;
   }
-  const auto doomed = wheel.arm(Time{3} << 40, 1, 99);
+  const auto doomed = arm(wheel, Time{3} << 40, 1, 99);
   EXPECT_TRUE(wheel.cancel(doomed));
   EXPECT_FALSE(wheel.cancel(doomed));
   expect_same_drain(wheel, oracle, Time{1} << 39);
@@ -673,7 +704,7 @@ TEST(TimerWheel, RandomisedFarArmsAgainstOracle) {
         const Time when = wheel.now() + delta;
         const int prio = static_cast<int>(rng.below(2));
         const int payload = static_cast<int>(seq);
-        live.push_back({wheel.arm(when, prio, payload),
+        live.push_back({arm(wheel, when, prio, payload),
                         OracleEntry{when, prio, seq, payload}});
         oracle.insert(live.back().second);
         ++seq;

@@ -147,5 +147,36 @@ TEST(StateCodec, WidthsComeFromDeclaredRanges) {
   EXPECT_EQ(decoded.slots()[3], -3);
 }
 
+TEST(StateCodecDeathTest, PackersAbortOnValuesAboveTheirRange) {
+  // A [0,1] variable set to 2 fits no 1-bit field: every collapse
+  // packer aborts rather than intern bits that decode to another value.
+  ta::Network net;
+  const auto a = net.add_automaton("a");
+  const auto l0 = net.add_location(a, "only");
+  net.set_initial(a, l0);
+  net.add_var("shared", 0, 0, 1);
+  net.add_var("owned", 0, 0, 1, a);
+  net.add_edge(a, ta::Edge{.src = l0, .dst = l0, .label = "spin"});
+  net.freeze();
+  const auto& codec = net.codec();
+  ASSERT_EQ(codec.residue_slots(), (std::vector<std::uint32_t>{1}));
+  ASSERT_EQ(codec.component(0).slots, (std::vector<std::uint32_t>{0, 2}));
+  ASSERT_EQ(codec.field(1).width, 1);
+  ASSERT_EQ(codec.field(2).width, 1);
+  ta::State shared_high = net.initial_state();
+  shared_high.slots_mut()[1] = 2;
+  ta::State owned_high = net.initial_state();
+  owned_high.slots_mut()[2] = 2;
+  const std::uint32_t indices[1] = {0};
+  std::byte out[8]{};
+  EXPECT_DEATH(codec.pack_component(0, owned_high.slots(), out), "assertion");
+  EXPECT_DEATH((void)codec.pack_component_key(0, owned_high.slots()),
+               "assertion");
+  EXPECT_DEATH(codec.pack_root(indices, shared_high.slots(), out),
+               "assertion");
+  EXPECT_DEATH((void)codec.pack_root_key(indices, shared_high.slots()),
+               "assertion");
+}
+
 }  // namespace
 }  // namespace ahb
